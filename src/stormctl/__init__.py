@@ -5,7 +5,8 @@ Layers, importable a la carte:
   growth      the storm build-up curve and its least-squares fit
   datasets    bundled measurement tables and interpolation
   metrics     channel counters, thresholds, verdict classification
-  agents      per-node monitor agents, tickets, suppression policies
+  agents      one detector per broadcast domain, per-node port blocking,
+              tickets, suppression policies
   simulation  deterministic broadcast-domain simulator and scenarios
   tracefile   trace, ticket, parameter and scenario file formats
   plotting    dependency-free SVG charts

@@ -1,6 +1,6 @@
-"""Static per-node monitor agents: observe, detect, suppress.
+"""Static monitor agents: observe, detect, suppress.
 
-Each node hosts an agent with three cooperating parts:
+An agent has three cooperating parts:
 
   * a communication part that samples channel counters once per
     sampling period and appends the broadcast rate to a compare array;
@@ -9,6 +9,12 @@ Each node hosts an agent with three cooperating parts:
   * a storm handler that, on a confirmed trigger, blocks the offending
     node's port for the remainder of the current one-second window and
     raises a trouble ticket.
+
+Every node on a shared segment sees the same channel counters, so a
+broadcast domain runs one detector: the fleet's single agent calibrates
+and compares once per tick for all nodes.  Only port blocking is per
+node: a node gets its own suppression entry (an agent used for its storm
+handler alone) when it is first blamed for a trigger.
 
 Comparison is burst-anchored: a burst begins when the per-tick
 broadcast count rises from zero and ends when it returns to zero.
@@ -176,20 +182,20 @@ class StaticAgent:
     def mode(self) -> AgentMode:
         if not self._armed:
             return AgentMode.CALIBRATING
-        now = self._now if self._now is not None else -math.inf
-        if self._suppress_until is not None and now < self._suppress_until:
+        if self.blocked(self._now if self._now is not None else -math.inf):
             return AgentMode.SUPPRESSING
         return AgentMode.ARMED
 
+    def blocked(self, t: float) -> bool:
+        """Whether time t falls inside this port's suppression window."""
+        return self._suppress_until is not None and t < self._suppress_until
+
     def is_suppressed(self, t: float, is_broadcast: bool = True) -> bool:
         """Whether a frame from this node's port at time t is filtered."""
-        if self.config.policy is None:
+        policy = self.config.policy
+        if policy is None or not self.blocked(t):
             return False
-        if self._suppress_until is None or t >= self._suppress_until:
-            return False
-        if self.config.policy is Policy.PACKET_BASED:
-            return True
-        return is_broadcast
+        return policy is Policy.PACKET_BASED or is_broadcast
 
     # -- calibration ---------------------------------------------------
 
@@ -224,23 +230,20 @@ class StaticAgent:
                 values.append(max(0.0, min(eval_ptr(fit.params, offset), pe)))
             else:
                 values.append(interpolate(points, offset))
-        self._adopt(PtrArray(0.0, step, tuple(values)), pe)
+        self.reference = PtrArray(0.0, step, tuple(values))
+        self._pe = pe
+        self._eps = DEVIATION_DENOM_FLOOR * pe
+        first = next((i for i, v in enumerate(values) if v > 0), None)
+        self._ref_active = values[first:] if first is not None else []
+        self.config.thresholds.pe = pe
+        if self.link_rate:
+            self.config.thresholds.ipg_floor_ns = 0.5 * min_ipg(self.link_rate)
+        self._armed = True
         log.info(
             "agent %s calibrated: pe=%.1f pkts/interval, reference of %d "
             "samples; starting capture", self.node_id, pe, len(values),
         )
         return self.reference
-
-    def _adopt(self, reference: PtrArray, pe: float) -> None:
-        self.reference = reference
-        self._pe = pe
-        self._eps = DEVIATION_DENOM_FLOOR * pe
-        first = next((i for i, v in enumerate(reference.values) if v > 0), None)
-        self._ref_active = list(reference.values[first:]) if first is not None else []
-        self.config.thresholds.pe = pe
-        if self.link_rate:
-            self.config.thresholds.ipg_floor_ns = 0.5 * min_ipg(self.link_rate)
-        self._armed = True
 
     def arm_threshold_only(self) -> None:
         """Arm without a reference curve; only threshold checks apply."""
@@ -248,9 +251,7 @@ class StaticAgent:
 
     # -- sampling and comparison ----------------------------------------
 
-    def sample_channel(
-        self, stats: ChannelStats, sample: Optional[TrafficSample] = None
-    ) -> TrafficSample:
+    def sample_channel(self, stats: ChannelStats) -> TrafficSample:
         """Ingest one sampling tick of channel counters.
 
         Ticks must arrive in increasing order, and only after the agent
@@ -290,8 +291,6 @@ class StaticAgent:
                 self.compare.append(count)
             self._last_eval = self._evaluate(first=False)
 
-        if sample is not None:
-            return sample
         return TrafficSample(
             node=self.node_id,
             bcast_pkts=stats.broadcast_pkts,
@@ -336,18 +335,11 @@ class StaticAgent:
         While already suppressing, further triggers collapse into the
         open ticket and None is returned.
         """
-        if self._suppress_until is not None and trigger.t < self._suppress_until:
+        if self.blocked(trigger.t):
             return None
         window = self.config.suppression_window
         self._suppress_until = (math.floor(trigger.t / window) + 1) * window
-        ticket = TroubleTicket(
-            ticket_id=next(self.ticket_ids),
-            node=trigger.node,
-            t=trigger.t,
-            cause=trigger.cause,
-            observed=trigger.observed,
-            threshold=trigger.threshold,
-        )
+        ticket = TroubleTicket(ticket_id=next(self.ticket_ids), **trigger._asdict())
         log.info(
             "ticket #%d: %s on node %d at t=%.3f ms (observed %.4g, "
             "threshold %.4g); port blocked until %.1f ms",
@@ -359,9 +351,7 @@ class StaticAgent:
     def reconnect(self, t: Optional[float] = None) -> bool:
         """Operator-forced reconnect; no-op with a warning when not blocked."""
         now = t if t is not None else self._now
-        if self._suppress_until is None or (
-            now is not None and now >= self._suppress_until
-        ):
+        if not self.blocked(now if now is not None else -math.inf):
             log.warning("reconnect of node %s: port is not blocked", self.node_id)
             return False
         self._suppress_until = None
@@ -370,14 +360,16 @@ class StaticAgent:
 
 
 class AgentFleet:
-    """All agents on one broadcast domain, with channel-wide checks.
+    """One broadcast domain: a single detector and a per-node suppression table.
 
-    Every agent samples the same channel counters (the medium is shared),
-    so one calibration is fitted and the resulting reference is adopted by
-    the rest of the fleet.  Per tick the fleet runs, in priority order,
-    the reference comparison, the utilization ceiling, per-node bandwidth
-    windows, and the IPID loop scan, attributing each trigger to a node
-    and letting that node's agent open the ticket and block the port.
+    Every node sees the same channel counters (the medium is shared), so
+    one agent, `detector`, calibrates and compares for the whole domain.
+    Per tick the fleet runs, in priority order, the reference comparison,
+    the utilization ceiling, per-node bandwidth windows, and the IPID
+    loop scan, and attributes each trigger to a node.  Blocking is per
+    node: `ports` maps each node ever blamed for a trigger to an agent
+    whose storm handler opens the ticket and blocks that node's port.
+    Nodes never blamed have no entry and are never blocked.
     """
 
     def __init__(
@@ -392,30 +384,22 @@ class AgentFleet:
         self.config = config
         self.capacity_pkts = capacity_pkts
         self.ticket_ids = itertools.count(1)
-        self.agents = [
-            StaticAgent(config, node_id=i, link_rate=link_rate,
-                        ticket_ids=self.ticket_ids)
-            for i in range(node_count)
-        ]
+        self.detector = StaticAgent(config, link_rate=link_rate)
+        self.ports: dict[int, StaticAgent] = {}
         self.tickets: list[TroubleTicket] = []
         self.trigger_log: list[Trigger] = []
-        self._open: dict[int, list[TroubleTicket]] = {i: [] for i in range(node_count)}
         self.closed: list[tuple[TroubleTicket, float]] = []
+        self._open: dict[int, list[TroubleTicket]] = {}
+        self._last_breach: dict[int, int] = {}   # node -> window of its last breach
         self._window_id: Optional[int] = None
-        self._breached_this_window: set[int] = set()
-        self._clean_streak: dict[int, int] = {i: 0 for i in range(node_count)}
-        self._nbw_bytes: dict[int, list[int]] = {i: [] for i in range(node_count)}
+        self._nbw_bytes: dict[int, list[int]] = {}
 
     def calibrate(self, normal_trace: Optional[Iterable]) -> None:
-        """Build the shared reference, or arm threshold-only when None."""
+        """Build the domain's reference, or arm threshold-only when None."""
         if normal_trace is None:
-            for agent in self.agents:
-                agent.arm_threshold_only()
-            return
-        lead = self.agents[0]
-        reference = lead.calibrate(normal_trace)
-        for agent in self.agents[1:]:
-            agent._adopt(reference, lead._pe)
+            self.detector.arm_threshold_only()
+        else:
+            self.detector.calibrate(normal_trace)
 
     # -- per-tick pipeline ------------------------------------------------
 
@@ -431,31 +415,29 @@ class AgentFleet:
         ipid_entries are (t, ipid, src) for broadcast frames seen inside
         the loop-scan window ending at this tick.
         """
-        for agent in self.agents:
-            agent.sample_channel(stats)
-        verdict = self.agents[0].compare_ptr(t)
+        self.detector.sample_channel(stats)
+        verdict = self.detector.compare_ptr(t)
         thresholds = self.config.thresholds
-
-        origin = 0
-        if node_samples:
-            best = max(s.attempted_bcast for s in node_samples)
-            origin = min(s.node for s in node_samples if s.attempted_bcast == best)
 
         triggers: list[Trigger] = []
         if verdict.breach:
-            triggers.append(Trigger(TriggerCause.PTR_DEVIATION, origin, t,
+            triggers.append(Trigger(TriggerCause.PTR_DEVIATION, 0, t,
                                     verdict.observed, verdict.threshold))
         if self.capacity_pkts:
             util = utilization(stats.total_pkts, self.capacity_pkts)
             if util > thresholds.utilization_max:
-                triggers.append(Trigger(TriggerCause.UTILIZATION_EXCEEDED, origin,
+                triggers.append(Trigger(TriggerCause.UTILIZATION_EXCEEDED, 0,
                                         t, util, thresholds.utilization_max))
-        for sample in node_samples:
-            window = self._nbw_bytes[sample.node]
-            window.append(sample.bcast_bytes)
-            if len(window) > thresholds.nbw_window_ticks:
-                del window[0]
-            if thresholds.nbw_permissible is not None:
+        if triggers and node_samples:
+            # channel-wide causes blame the top talker, lowest id on a tie
+            top = min(node_samples, key=lambda s: (-s.attempted_bcast, s.node))
+            triggers = [tr._replace(node=top.node) for tr in triggers]
+        if thresholds.nbw_permissible is not None:
+            for sample in node_samples:
+                window = self._nbw_bytes.setdefault(sample.node, [])
+                window.append(sample.bcast_bytes)
+                if len(window) > thresholds.nbw_window_ticks:
+                    del window[0]
                 nb = node_bandwidth(sum(window), 1.0, thresholds.nbw_permissible,
                                     thresholds.nbw_factor)
                 if nb.exceeds:
@@ -476,61 +458,57 @@ class AgentFleet:
                                         float(thresholds.ipid_min_repeats)))
 
         self.trigger_log.extend(triggers)
-        opened = []
-        for trigger in triggers:
-            self._note_breach(trigger.node, t)
-            ticket = self.agents[trigger.node].handle_storm(trigger)
-            if ticket is not None:
-                opened.append(ticket)
-                self.tickets.append(ticket)
-                self._open[ticket.node].append(ticket)
-        return opened
+        opened = [self._blame(trigger) for trigger in triggers]
+        return [ticket for ticket in opened if ticket is not None]
 
     def byte_breach(self, node: int, t: float, observed_mb: float
                     ) -> Optional[TroubleTicket]:
         """A frame pushed a node's per-window broadcast bytes over the cap."""
         limit = self.config.thresholds.byte_threshold_mb
-        self._note_breach(node, t)
         trigger = Trigger(TriggerCause.NBW_EXCEEDED, node, t, observed_mb,
                           limit if limit is not None else observed_mb)
         self.trigger_log.append(trigger)
-        ticket = self.agents[node].handle_storm(trigger)
-        if ticket is not None:
-            self.tickets.append(ticket)
-            self._open[node].append(ticket)
-        return ticket
+        return self._blame(trigger)
 
     def is_suppressed(self, node: int, t: float, is_broadcast: bool) -> bool:
-        return self.agents[node].is_suppressed(t, is_broadcast)
+        return node in self.ports and self.ports[node].is_suppressed(t, is_broadcast)
 
     # -- ticket lifecycle --------------------------------------------------
 
-    def _note_breach(self, node: int, t: float) -> None:
-        self._roll_window(t)
-        self._breached_this_window.add(node)
+    def _blame(self, trigger: Trigger) -> Optional[TroubleTicket]:
+        """Record a breach by trigger.node; its port opens a ticket or
+        coalesces the trigger into the open one."""
+        node = trigger.node
+        self._roll_window(trigger.t)
+        self._last_breach[node] = self._window_id
+        if node not in self.ports:
+            self.ports[node] = StaticAgent(self.config, node_id=node,
+                                           ticket_ids=self.ticket_ids)
+        ticket = self.ports[node].handle_storm(trigger)
+        if ticket is not None:
+            self.tickets.append(ticket)
+            self._open.setdefault(node, []).append(ticket)
+        return ticket
 
     def _roll_window(self, t: float) -> None:
+        """Advance to the window holding t (never back), closing the tickets
+        of every node whose last breach is CLEAN_WINDOWS_TO_CLOSE whole
+        windows behind; they close at the end of the last clean window."""
         wid = math.floor(t / self.config.suppression_window)
-        if self._window_id is None:
-            self._window_id = wid
+        if self._window_id is not None and wid <= self._window_id:
             return
-        while self._window_id < wid:
-            for node in self._clean_streak:
-                if node in self._breached_this_window:
-                    self._clean_streak[node] = 0
-                else:
-                    self._clean_streak[node] += 1
-                    if (self._clean_streak[node] >= CLEAN_WINDOWS_TO_CLOSE
-                            and self._open[node]):
-                        when = (self._window_id + 1) * self.config.suppression_window
-                        for ticket in self._open[node]:
-                            self.closed.append((ticket, when))
-                            log.info("ticket #%d closed: node %d healthy for "
-                                     "%d windows", ticket.ticket_id, node,
-                                     CLEAN_WINDOWS_TO_CLOSE)
-                        self._open[node].clear()
-            self._breached_this_window.clear()
-            self._window_id += 1
+        self._window_id = wid
+        due = sorted((self._last_breach[node] + CLEAN_WINDOWS_TO_CLOSE, node)
+                     for node, tickets in self._open.items() if tickets)
+        for clean_until, node in due:
+            if clean_until >= wid:
+                break
+            when = (clean_until + 1) * self.config.suppression_window
+            for ticket in self._open[node]:
+                self.closed.append((ticket, when))
+                log.info("ticket #%d closed: node %d healthy for %d windows",
+                         ticket.ticket_id, node, CLEAN_WINDOWS_TO_CLOSE)
+            self._open[node].clear()
 
     def finish(self, t: float) -> None:
         """Advance window bookkeeping to the end of the run."""
@@ -538,7 +516,7 @@ class AgentFleet:
 
     @property
     def open_tickets(self) -> list[TroubleTicket]:
-        return [tk for per_node in self._open.values() for tk in per_node]
+        return [tk for node in sorted(self._open) for tk in self._open[node]]
 
 
 class ReplayDeviation(NamedTuple):
@@ -576,14 +554,13 @@ def replay_elementwise(
     eps = DEVIATION_DENOM_FLOOR * peak
     thr = config.deviation_threshold
 
+    port = StaticAgent(config, node_id=OFFLINE_NODE)
     tickets: list[TroubleTicket] = []
     breaches: list[ReplayDeviation] = []
-    ids = itertools.count(1)
     run = 0
-    suppress_until: Optional[float] = None
     for idx, (t, count) in enumerate(data):
         t, count = float(t), float(count)
-        if suppress_until is not None and t < suppress_until:
+        if port.blocked(t):
             continue
         ref = ref_counts[idx] if idx < len(ref_counts) else 0.0
         dev = abs(count - ref) / max(ref, eps)
@@ -593,10 +570,7 @@ def replay_elementwise(
         else:
             run = 0
         if run >= config.consecutive_required:
-            tickets.append(TroubleTicket(
-                ticket_id=next(ids), node=OFFLINE_NODE, t=t,
-                cause=TriggerCause.PTR_DEVIATION, observed=dev, threshold=thr))
-            window = config.suppression_window
-            suppress_until = (math.floor(t / window) + 1) * window
+            tickets.append(port.handle_storm(Trigger(
+                TriggerCause.PTR_DEVIATION, OFFLINE_NODE, t, dev, thr)))
             run = 0
     return tickets, breaches

@@ -151,7 +151,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                                          agents=not args.no_agents)
         trace = simulation.run(scenario)
     except (simulation.ScenarioError, agents.CalibrationError, OSError,
-            ValueError) as exc:
+            ValueError, OverflowError) as exc:
         raise SystemExit2(str(exc)) from exc
 
     summary = trace.summary()

@@ -32,7 +32,7 @@ import logging
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, TroubleTicket
@@ -170,22 +170,51 @@ class Scenario:
     agents: Optional[AgentConfig] = None
 
     def __post_init__(self) -> None:
+        """Reject every scenario `run` cannot honour exactly."""
+        bad = _non_finite(self, "scenario")
+        if bad is not None:
+            raise ScenarioError(f"{bad} must be finite")
         if self.node_count < 2:
             raise ScenarioError("a broadcast domain needs at least 2 nodes")
-        if self.link_rate <= 0:
-            raise ScenarioError("link_rate must be positive")
-        if self.tick <= 0:
-            raise ScenarioError("tick must be positive")
-        if self.duration < self.tick:
-            raise ScenarioError("duration must cover at least one tick")
-        if self.frame_size <= 0:
-            raise ScenarioError("frame_size must be positive")
+        if _whole(self.tick * STEPS_PER_MS) < 1:
+            raise ScenarioError(f"tick must be a positive whole number of "
+                                f"{INTERNAL_STEP_MS} ms steps")
+        if _whole(self.duration / self.tick) < 1:
+            raise ScenarioError("duration must be a positive whole number of ticks")
         for inj in self.injectors:
             if not 0 <= inj.origin_node < self.node_count:
                 raise ScenarioError(
                     f"injector origin {inj.origin_node} outside the domain")
+            if inj.kind == "loop" and round(inj.pass_interval * STEPS_PER_MS) < 1:
+                raise ScenarioError(
+                    f"loop pass_interval must span at least one "
+                    f"{INTERNAL_STEP_MS} ms step")
+        if self.agents is not None and self.agents.sample_period != self.tick:
+            raise ScenarioError(
+                f"agents sample every {self.agents.sample_period} ms but the "
+                f"tick is {self.tick} ms; they must be equal")
         if saturation_cap(self.link_rate, self.tick, self.frame_size) < 1:
             raise ScenarioError("one tick cannot carry a single frame")
+
+
+def _whole(x: float) -> int:
+    """x rounded to an integer, or 0 when x is not (close to) one."""
+    n = round(x)
+    return n if abs(x - n) <= 1e-9 * max(1.0, abs(x)) else 0
+
+
+def _non_finite(value, where: str) -> Optional[str]:
+    """The path of the first non-finite float inside value, if any."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in fields(value)]
+    elif isinstance(value, tuple):
+        items = list(enumerate(value))
+    else:
+        return None
+    paths = (_non_finite(item, f"{where}.{key}") for key, item in items)
+    return next((path for path in paths if path is not None), None)
 
 
 class TickLedger(NamedTuple):
@@ -217,13 +246,8 @@ class SimTrace:
     def summary(self) -> dict:
         verdicts = Counter(r.classification.verdict.value for r in self.records)
         causes = Counter(t.cause.value for t in self.tickets)
-        totals = {
-            "generated": sum(r.ledger.generated for r in self.records),
-            "replicated": sum(r.ledger.replicated for r in self.records),
-            "suppressed": sum(r.ledger.suppressed for r in self.records),
-            "capped": sum(r.ledger.capped for r in self.records),
-            "delivered": sum(r.ledger.delivered for r in self.records),
-        }
+        totals = {name: sum(getattr(r.ledger, name) for r in self.records)
+                  for name in TickLedger._fields}
         return {
             "scenario": self.scenario.name,
             "node_count": self.scenario.node_count,
@@ -286,7 +310,6 @@ def run(scenario: Scenario) -> SimTrace:
     base_ipg = min_ipg(sc.link_rate)
 
     fleet: Optional[AgentFleet] = None
-    thresholds: Optional[ThresholdDb] = None
     if sc.agents is not None:
         fleet = AgentFleet(sc.agents, sc.node_count, link_rate=sc.link_rate,
                            capacity_pkts=cap)
@@ -296,12 +319,14 @@ def run(scenario: Scenario) -> SimTrace:
             if max(p.count for p in candidate) > 0:
                 profile = candidate
         fleet.calibrate(profile)
-        thresholds = sc.agents.thresholds
+    # without agents the defaults apply to the IPID window and nothing is enforced
+    config = sc.agents if sc.agents is not None else AgentConfig(policy=None)
+    thresholds = config.thresholds
     byte_limit = None
-    window_ms = sc.agents.suppression_window if sc.agents else 1000.0
-    if thresholds is not None and thresholds.byte_threshold_mb is not None:
+    if thresholds.byte_threshold_mb is not None:
         byte_limit = thresholds.byte_threshold_mb * 1e6
-    enforce = sc.agents is not None and sc.agents.policy is not None
+    window_ms = config.suppression_window
+    enforce = config.policy is not None
 
     schedule: dict[int, list[Frame]] = {}
     loop_idx = [i for i, inj in enumerate(sc.injectors) if inj.kind == "loop"]
@@ -318,10 +343,7 @@ def run(scenario: Scenario) -> SimTrace:
         boundaries[i] = steps
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
-    ipid_win = _IpidWindow(
-        thresholds.ipid_window_ms if thresholds else 100.0,
-        thresholds.ipid_min_repeats if thresholds else 3,
-    )
+    ipid_win = _IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
     byte_acc: dict[int, float] = {n: 0.0 for n in range(sc.node_count)}
     byte_wid: dict[int, int] = {n: -1 for n in range(sc.node_count)}
 
@@ -400,8 +422,8 @@ def run(scenario: Scenario) -> SimTrace:
                 if chain and frame.kind == "replica":
                     pending[frame.inj] -= 1
 
-                if fleet is not None and fleet.is_suppressed(
-                        frame.src, t_s, frame.is_broadcast):
+                if enforce and fleet.is_suppressed(frame.src, t_s,
+                                                   frame.is_broadcast):
                     suppressed += 1
                     node["sup"] += 1
                     continue
@@ -496,6 +518,8 @@ def run(scenario: Scenario) -> SimTrace:
                                   tuple(sorted(kinds.items()))))
         history = (stats,)
 
+    if schedule:    # every step of the run was visited; nothing may remain
+        raise RuntimeError(f"frames never processed from step {min(schedule)}")
     if fleet is not None:
         fleet.finish(sc.duration)
     return SimTrace(

@@ -342,13 +342,64 @@ class TestFleet:
         assert fleet.open_tickets == []
         assert len(fleet.closed) == 1
 
-    def test_shared_calibration_arms_every_agent(self):
-        config = AgentConfig()
-        fleet = AgentFleet(config, 3, link_rate=1e9, capacity_pkts=1000)
+    def test_one_detector_calibrated_for_the_domain(self):
+        fleet = AgentFleet(AgentConfig(), 3, link_rate=1e9, capacity_pkts=1000)
         fleet.calibrate(rising_burst())
-        assert all(a.mode is AgentMode.ARMED for a in fleet.agents)
-        assert all(a.reference == fleet.agents[0].reference
-                   for a in fleet.agents)
+        alone = StaticAgent(AgentConfig(), link_rate=1e9)
+        alone.calibrate(rising_burst())
+        assert fleet.detector.mode is AgentMode.ARMED
+        assert fleet.detector.reference == alone.reference
+        assert fleet.ports == {}
+
+
+class TestSuppressionTable:
+    NODES = range(3)
+
+    def fleet(self, policy):
+        fleet = AgentFleet(AgentConfig(policy=policy), len(self.NODES),
+                           link_rate=1e9, capacity_pkts=100)
+        fleet.calibrate(None)
+        return fleet
+
+    def overload(self, fleet, t):
+        """A tick over the utilization ceiling, blamed on node 1."""
+        samples = [sample(n, 61 if n == 1 else 0) for n in self.NODES]
+        return fleet.observe(t, stats(t, 61, total=61), samples)
+
+    def test_bandwidth_fleet_blocks_ticketed_broadcast_until_window_end(self):
+        fleet = self.fleet(Policy.BANDWIDTH_BASED)
+        tickets = self.overload(fleet, 1234.0)
+        assert [(tk.node, tk.cause) for tk in tickets] == [
+            (1, TriggerCause.UTILIZATION_EXCEEDED)]
+        assert list(fleet.ports) == [1]
+        for t in (1234.0, 1500.0, 1999.99):
+            assert fleet.is_suppressed(1, t, True)
+            assert not fleet.is_suppressed(1, t, False)
+        assert not fleet.is_suppressed(1, 2000.0, True)
+
+    def test_bandwidth_fleet_never_blocks_other_nodes(self):
+        fleet = self.fleet(Policy.BANDWIDTH_BASED)
+        self.overload(fleet, 10.0)
+        assert fleet.byte_breach(2, 20.0, 3.0) is not None
+        for t in (10.0, 500.0, 999.0, 1000.0):
+            for bcast in (True, False):
+                assert not fleet.is_suppressed(0, t, bcast)
+        assert fleet.is_suppressed(2, 500.0, True)
+        assert sorted(fleet.ports) == [1, 2]
+
+    def test_detect_only_coalesces_but_never_blocks(self):
+        fleet = self.fleet(None)
+        opened = []
+        for t in (100.0, 200.0, 900.0, 1100.0, 1500.0):
+            opened += self.overload(fleet, t)
+            for node in self.NODES:
+                for bcast in (True, False):
+                    assert not fleet.is_suppressed(node, t, bcast)
+                    assert not fleet.is_suppressed(node, t + 0.5, bcast)
+        assert len(fleet.trigger_log) == 5
+        assert [tk.t for tk in opened] == [100.0, 1100.0]
+        assert [tk.ticket_id for tk in opened] == [1, 2]
+        assert fleet.tickets == opened
 
 
 class TestReplay:

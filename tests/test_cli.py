@@ -5,12 +5,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stormctl
 from stormctl.cli import EXIT_DETECTED, EXIT_OK, EXIT_USAGE, main
 from stormctl.datasets import load_trace
-from stormctl import tracefile
+from stormctl import simulation, tracefile
+
+# The directory the package was imported from, for subprocesses that run
+# with a replaced environment.
+PACKAGE_ROOT = str(Path(stormctl.__file__).resolve().parent.parent)
 
 
 class TestModelCommand:
@@ -179,6 +185,43 @@ class TestSimCommand:
         assert code == EXIT_USAGE
 
 
+class TestRejectedScenarioFiles:
+    """Scenarios the simulator cannot honour exit 2, with no traceback."""
+
+    def run_edited(self, tmp_path, capsys, edit):
+        doc = tracefile.scenario_to_dict(simulation.preset("loop-storm"))
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["sim", "--scenario-file", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("stormctl: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_sample_period_must_equal_tick(self, tmp_path, capsys):
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["agents"].update(sample_period=0.5))
+        assert "sample" in err
+
+    def test_infinite_duration(self, tmp_path, capsys):
+        err = self.run_edited(
+            tmp_path, capsys, lambda doc: doc.update(duration=float("inf")))
+        assert "duration must be finite" in err
+
+    def test_nan_pass_interval(self, tmp_path, capsys):
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["injectors"][0].update(pass_interval=float("nan")))
+        assert "pass_interval must be finite" in err
+
+    def test_infinite_integer_field(self, tmp_path, capsys):
+        self.run_edited(
+            tmp_path, capsys, lambda doc: doc.update(node_count=float("inf")))
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         proc = subprocess.run(
@@ -194,7 +237,8 @@ class TestEntryPoint:
             [sys.executable, "-m", "stormctl.cli", "sim",
              "--scenario", "normal"],
             capture_output=True, text=True, timeout=60,
-            env={"STORMCTL_LOG": "DEBUG", "PATH": "/usr/bin:/bin"},
+            env={"STORMCTL_LOG": "DEBUG", "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": PACKAGE_ROOT},
         )
         assert proc.returncode == EXIT_OK
 

@@ -6,7 +6,14 @@ import dataclasses
 
 import pytest
 
-from stormctl.agents import AgentConfig, Policy, ThresholdDb, TriggerCause
+from stormctl.agents import (
+    AgentConfig,
+    AgentFleet,
+    Policy,
+    StaticAgent,
+    ThresholdDb,
+    TriggerCause,
+)
 from stormctl.metrics import Verdict
 from stormctl.simulation import (
     Injector,
@@ -76,6 +83,98 @@ class TestScenarioValidation:
             NormalBroadcastProfile(jitter=1.5)
         with pytest.raises(ScenarioError):
             NormalBroadcastProfile(burst_period=0.0)
+
+
+class TestSilentFrameLoss:
+    """Scenarios that would drop frames or drift are rejected up front."""
+
+    def test_tick_shorter_than_one_step(self):
+        # 0.004 ms is 0 steps: every frame would be scheduled, none handled
+        with pytest.raises(ScenarioError, match="whole number of 0.01 ms"):
+            Scenario(link_rate=100e9, tick=0.004, duration=1.0,
+                     frame_size=64)
+
+    def test_loop_hop_shorter_than_one_step(self):
+        # 0.001 ms rounds to a 0-step hop onto an already handled step
+        with pytest.raises(ScenarioError, match="pass_interval"):
+            Scenario(duration=10.0, injectors=(
+                Injector(kind="loop", pass_interval=0.001),))
+
+    def test_tick_between_steps(self):
+        # 0.015 ms would run 2 steps per tick while `t` advances 1.5 steps
+        with pytest.raises(ScenarioError, match="whole number of 0.01 ms"):
+            Scenario(link_rate=100e9, tick=0.015, duration=0.15,
+                     frame_size=64)
+
+    def test_duration_between_ticks(self):
+        # 30.6 ms would run 31 ticks, past the duration
+        with pytest.raises(ScenarioError, match="whole number of ticks"):
+            Scenario(tick=1.0, duration=30.6)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_non_finite_values(self, value):
+        with pytest.raises(ScenarioError, match="scenario.duration"):
+            Scenario(duration=value)
+        with pytest.raises(ScenarioError, match="generator.burst_scale"):
+            Scenario(generator=NormalBroadcastProfile(burst_scale=value))
+        with pytest.raises(ScenarioError, match=r"injectors.0.start_t"):
+            Scenario(injectors=(Injector(kind="smurf", start_t=abs(value)),))
+
+    def test_sample_period_must_equal_tick(self):
+        with pytest.raises(ScenarioError, match="sample"):
+            Scenario(tick=1.0, duration=10.0,
+                     agents=AgentConfig(sample_period=0.5))
+
+    def test_step_aligned_values_accepted(self):
+        sc = Scenario(tick=0.07, duration=0.7, link_rate=10e9,
+                      injectors=(Injector(kind="loop", pass_interval=0.03),),
+                      agents=AgentConfig(sample_period=0.07))
+        assert len(run(sc).records) == 10
+
+    def test_unprocessed_frames_fail_the_run(self):
+        # bypass validation: a 0-step hop strands replicas in the schedule
+        sc = loop_only_scenario()
+        object.__setattr__(sc, "injectors", (
+            dataclasses.replace(sc.injectors[0], pass_interval=0.001),))
+        with pytest.raises(RuntimeError, match="never processed"):
+            run(sc)
+
+
+class TestOperationCounts:
+    """Work done per run, counted at the agent boundary; no wall time."""
+
+    def count_calls(self, monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_one_channel_sample_per_tick_at_any_domain_size(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, StaticAgent, "sample_channel")
+        for nodes in (2, 200):
+            calls.clear()
+            trace = run(dataclasses.replace(preset("loop-storm"),
+                                            node_count=nodes, duration=20.0))
+            assert trace.tickets
+            assert len(calls) == len(trace.records) == 20
+
+    def test_detect_only_run_never_asks_for_suppression(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, AgentFleet, "is_suppressed")
+        sc = preset("loop-storm")
+        detect_only = dataclasses.replace(
+            sc, agents=dataclasses.replace(sc.agents, policy=None))
+        trace = run(detect_only)
+        assert trace.tickets
+        assert calls == []
+        enforcing = run(sc)         # one table lookup per frame handled
+        assert len(calls) == sum(r.ledger.generated + r.ledger.replicated
+                                 for r in enforcing.records)
 
 
 class TestGeneratorShape:
