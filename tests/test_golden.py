@@ -1,13 +1,16 @@
 """Golden digests: every preset's artifacts, pinned byte for byte.
 
-Each bundled scenario runs with its agents and without them; the sha256
-of `trace.csv`, `tickets.jsonl` and `summary.json` (as `sim --out`
-writes them) and of a fixed rendering of the run's triggers and ticket
-closures must match the table below.  A refactor must leave every
-digest unchanged.  Only an intentional change of behaviour may update
-the table, and the change that does so must say why.
+Each bundled scenario runs with its agents and without them, and each
+edge scenario below (paths the presets never take) runs once; the
+sha256 of `trace.csv`, `tickets.jsonl` and `summary.json` (as `sim
+--out` writes them), and of fixed renderings of the run's triggers,
+ticket closures and per-tick records (ledger, deliveries by kind, and
+every node's attempted, suppressed and delivered IPIDs, which no
+artifact carries) must match the tables below.  A refactor must leave
+every digest unchanged.  Only an intentional change of behaviour may
+update the tables, and the change that does so must say why.
 
-To print the current table:
+To print the current tables:
 
     PYTHONPATH=src python -m tests.test_golden
 """
@@ -21,11 +24,21 @@ from pathlib import Path
 import pytest
 
 from stormctl import tracefile
-from stormctl.simulation import SimTrace, preset, run, scenario_presets
+from stormctl.agents import AgentConfig, Policy, ThresholdDb
+from stormctl.simulation import (
+    Injector,
+    NormalBroadcastProfile,
+    Scenario,
+    SimTrace,
+    preset,
+    run,
+    scenario_presets,
+)
 
 GOLDEN = {
     ('normal', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '332834951a357c3d43b44eb3a88d5a3d0e53fd6c814b1c39214108490913c18c',
         'summary.json': 'ca68b247c472c68bd8ac320e05cf8a61c23ae38501750fd02eb14e3782cad4a1',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'e1a126e39ab717c17715af338903a7e42bcbdf2ffe163dce9b8ce680858433aa',
@@ -33,6 +46,7 @@ GOLDEN = {
     },
     ('normal', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '332834951a357c3d43b44eb3a88d5a3d0e53fd6c814b1c39214108490913c18c',
         'summary.json': 'ca68b247c472c68bd8ac320e05cf8a61c23ae38501750fd02eb14e3782cad4a1',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'e1a126e39ab717c17715af338903a7e42bcbdf2ffe163dce9b8ce680858433aa',
@@ -40,6 +54,7 @@ GOLDEN = {
     },
     ('loop-storm', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': 'ea068f61aa1aff8c7b344b187a799019b98c9491ad25b163d86038944735b7ab',
         'summary.json': '86b16c7afbfdde53984544410ec7fce8fe0d5c8b724f280568acf6bb50a554b8',
         'tickets.jsonl': '2f9777c8a5e564441401cb06bf280ab12f50692ec6f72f6ec4a102d3a4125753',
         'trace.csv': '8c89e0ee5c7ea7a961aded25cb24691ab9b9f7d82eb13f016b5d65a991becd4d',
@@ -47,6 +62,7 @@ GOLDEN = {
     },
     ('loop-storm', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '786269d298b48cb92a613698bf8412c8863f0b555d94d21b706f76ec9a31cf1a',
         'summary.json': 'ad33282e86d24545b467361fff40303ca31cec91b8bc82cded00f7194dc358a6',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': '4002329c012ef98bf7968c231688941a384881d54f29602879aed4a6660b6b88',
@@ -54,6 +70,7 @@ GOLDEN = {
     },
     ('smurf', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '8633b9b733fee6368203e00621c8bcd0c4bf6fc90b44aeb185d6d9492ca1597f',
         'summary.json': 'b03544495127f35b02fd662aa38c5f55f05c9684f8394893cd79ac9c12fcb4c7',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'ecfbe0b094a14921e7227d55d3aa5a24bf44183813efee9762f4d037633fbd59',
@@ -61,6 +78,7 @@ GOLDEN = {
     },
     ('smurf', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '8633b9b733fee6368203e00621c8bcd0c4bf6fc90b44aeb185d6d9492ca1597f',
         'summary.json': 'b03544495127f35b02fd662aa38c5f55f05c9684f8394893cd79ac9c12fcb4c7',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'ecfbe0b094a14921e7227d55d3aa5a24bf44183813efee9762f4d037633fbd59',
@@ -68,6 +86,7 @@ GOLDEN = {
     },
     ('faulty-nic', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '0a2939d36abf0a5f0bb2cb9ef64e50d263afafc88a7b556cfc7ea0da3c031c7e',
         'summary.json': '38e85bc7f171dc97e9993c03255cc01e1d7534d040c1d228fa2cf3cdfc0520dc',
         'tickets.jsonl': '3bd775964f101fd688954ba7f3b70b8d90abbf2abb3ea3be62a92f5476b6a54d',
         'trace.csv': 'd9e5cd446c22877a7da167a6413593fb680211e9940e5607d2c7ada9412081c0',
@@ -75,6 +94,7 @@ GOLDEN = {
     },
     ('faulty-nic', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '0a2939d36abf0a5f0bb2cb9ef64e50d263afafc88a7b556cfc7ea0da3c031c7e',
         'summary.json': '44d39d33fc91abe76fbfaf048dc98f89e344fd31cd7e4e99351e70798e6234b8',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'd9e5cd446c22877a7da167a6413593fb680211e9940e5607d2c7ada9412081c0',
@@ -82,6 +102,7 @@ GOLDEN = {
     },
     ('table5-control', True): {
         'closed': '019e81b11cfc768f9d48364750133ea0786a91edaa67456a3f9e166138fad331',
+        'records': '1abec0a978cce315ee848a8260314f68111334240be720661507909e648785a3',
         'summary.json': '9babfeab203de704afa6a364b038d733e941915a09d2482780a84498fbe88f0f',
         'tickets.jsonl': '5aa207842861cd7c8a7f72cf08a2182e387eb8e3e8e0eaf2f7506365904f0839',
         'trace.csv': '256924478bf3222e84f7e35aa4fd78541802fced37cf6ac994b2d50db33ada22',
@@ -89,12 +110,151 @@ GOLDEN = {
     },
     ('table5-control', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': 'def8860b07a722a0f9f01beb5974e2f9bd6900ba468be4d771ee1986b93a88ed',
         'summary.json': '37bc0687326721d47650849cdefb4c10ac27d5984b85cad0e2d61cad75d0090e',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'd7864b93f1efa0d7874e2e5682af3eef862ad34b7a90e3567df95b6ff9741db7',
         'triggers': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     },
 }
+
+EDGE_GOLDEN = {
+    'detect-only-budget': {
+        'closed': 'c4f79e5b13368886fd664a21d006f0f99af6bc4b9a78e3ef63b4e190d57e0726',
+        'records': 'c33f233bccd4163768c259dd0ec3bb3e3edfece532939d9226b9f7d93080b58d',
+        'summary.json': 'bd3002850ad633608263f12e94aaeb3b887ec80eebfdbba4bdcd402d5f4e5c76',
+        'tickets.jsonl': 'bf5246457e2b332efeee08afd267408f0ac171fcd74d059dcc578a4341bd9bf7',
+        'trace.csv': '2150eab8d6e74e225213ab0079dbfef1c4cab946994a455fdeeca15b06caf3c4',
+        'triggers': 'dd14896f56915c91ad94014a2d157805bd7310884e570624173f70b001d092a2',
+    },
+    'bandwidth-policy': {
+        'closed': '7780903082b71aa551d1f2e378ab0c73e7123706f965c581e4fe88625d09cff2',
+        'records': '1cb5bf106d7e0e638b2afc666da92234ded16d6d9e718aa9532cbfe3495907c9',
+        'summary.json': '70ed3dadeb9e17a9be5929b35bf5fa731a7b6e8a7c6e58b2b658c0c721988c64',
+        'tickets.jsonl': '0eb92e0c019d94bc3c740e276e3d5824b6df41a0f077d955a8551704d92243fa',
+        'trace.csv': '76df4487d7b9114c9c63fc1bcac90b4eee2bf1e95845fea2b264f1e99841d651',
+        'triggers': '1df2f451d79eae990b8c06ae39e395b62fb0ded30ec2256b73547d4087771716',
+    },
+    'capacity-cut-10g': {
+        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '85c5f226153ec31547bd9f4b613f1d82eacbfc9765262514642d28b886f969c1',
+        'summary.json': '3826ea712ac3e45b45d9dc14d8735efd7f3343b39f0bf57b6beb80a483780d4c',
+        'tickets.jsonl': '9e08eb2f2769ee3418e7eaadfb565224151052d20e8eea0586899d2a95ec57d3',
+        'trace.csv': 'a7e3a053d22ac58e1b9bfa22893a5fd9f4f46ed9d5122acdcc3668f8045bee60',
+        'triggers': '8518db2987e224e41ba46514dfe8c02e8aa936af65e33685165962e2fb200af2',
+    },
+    'smurf-and-loop': {
+        'closed': 'b4dd1478d4ad891b19e63c816f5029198a6af2b850984bec99d919df599a4dcf',
+        'records': 'd697ac557c469705a41c1e58861c062a4a363523efc1616da53915a57d32da7e',
+        'summary.json': '9c88bf1aafe6dc07594718931a63bf024bc4f56ebaf0a2114eb8a567b67579cd',
+        'tickets.jsonl': 'c590a56ec392ba240aab6a4520902c65580925a452be33e0d304bb68af6276a6',
+        'trace.csv': '6b0e0c475e30a349c9957a4b07b20f77fe09783abb037c21fac887f76504cfe0',
+        'triggers': '03ad140b34c2c444805ddaa5fa45d6c40ba560cff13129c59cd509ab1901aec3',
+    },
+    'ipid-repeats-1': {
+        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
+        'summary.json': 'e43debb0389a5e2b241d437e5fc6b68133280fe2acedc7112be3ab4d8b6915f6',
+        'tickets.jsonl': '2c01f4652e9ebc96b8b7946f05d2a1b7a6a91fa652555b9689a457f4b36ce2ec',
+        'trace.csv': 'f962e664442b8e08b4edfc2439210766dcd2206da05fc7eb7978348dd01ed62d',
+        'triggers': '33b99608af5fe091e7a3e1a8057415c9d6f4c094873379a1045812550e5c97e1',
+    },
+    'ipid-repeats-2': {
+        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
+        'summary.json': 'b47bf88a35950c7c677310ea5f7097513b159ea24b2cd3db6e96115c0bd7ed6e',
+        'tickets.jsonl': '21178cd2ecb3150bf46a8690373c8c0bc3cff54e1df6d8ca78ae4727c8da1a3a',
+        'trace.csv': '52eee29260df51714083338cea3b3208c680b89111a907d13e917e189963ba65',
+        'triggers': '545cb3fd6417c1726f833de5d2820d6d1acf97d420b321d5c2d90b7ec96603f3',
+    },
+    'ipid-repeats-5': {
+        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
+        'summary.json': '7bea3e8686d7f9423acd7c07c71720076b948f45f60d9e945bc5317cbe5d43e4',
+        'tickets.jsonl': '27e529d2b49f1344efa969b0fa0368f470130d9d5dc3257fe1ffbc9f7afc8ea7',
+        'trace.csv': '02b47e573b52b4cc975abb5812d97bb56553afad2c54056172ab5d51d552ddbb',
+        'triggers': '177b8fc5a3d4a32e125b8cc61cbb9701308571f6429b5eb987170c079292fe51',
+    },
+    'factor-1-loop': {
+        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': '59287072e78d69c64bfd4fa076c3569ebde2568f108463ea3699e217f25b4bd8',
+        'summary.json': '635bf7cf761b8fccd2bfa3d1da0720d9e7b19ac0cffa2ae4ecdba0db6f7e8ef7',
+        'tickets.jsonl': '1fc9739c4fa5cb98cd4021a3780fd211fff6a3f53d6fb12f32d070a0f6f3a9c4',
+        'trace.csv': '2ea4ecc25535c41283760dbb8cb3e376f41deaad3b232e87991713b355e5644f',
+        'triggers': '2bef24f059e470acfb133a18b3b9c363b575941e9026748741df789a477da5d4',
+    },
+}
+
+
+def _ipid_scenario(repeats: int, window_ms: float) -> Scenario:
+    # the factor-1 loop shows its IPID 4 times per 1 ms: enough for 2
+    # repeats, not for 5; the later factor-2 loop floods the window
+    return Scenario(
+        name=f"ipid-repeats-{repeats}", node_count=3, tick=1.0, duration=15.0,
+        seed=9, generator=NormalBroadcastProfile(),
+        injectors=(
+            Injector(kind="loop", start_t=2.0, origin_node=2,
+                     pass_interval=0.3, factor=1),
+            Injector(kind="loop", start_t=10.0, end_t=13.0, origin_node=0),
+        ),
+        agents=AgentConfig(policy=None, thresholds=ThresholdDb(
+            ipid_min_repeats=repeats, ipid_window_ms=window_ms)))
+
+
+def edge_scenarios() -> dict[str, Scenario]:
+    """Small scenarios for paths no preset takes; built fresh per call."""
+    scenarios = [
+        # detect-only byte budget: every frame past it is a trigger, yet
+        # is still delivered or capped
+        Scenario(
+            name="detect-only-budget", node_count=3, link_rate=100e6,
+            tick=1.0, duration=15.0, seed=5,
+            generator=NormalBroadcastProfile(),
+            injectors=(Injector(kind="loop", start_t=1.0, origin_node=0,
+                                pass_interval=0.1),),
+            agents=AgentConfig(policy=None, suppression_window=5.0,
+                               thresholds=ThresholdDb(byte_threshold_mb=0.02))),
+        # broadcast-only blocking of a node that also sends unicast
+        Scenario(
+            name="bandwidth-policy", node_count=4, tick=1.0, duration=20.0,
+            seed=11, generator=NormalBroadcastProfile(),
+            injectors=(Injector(kind="loop", start_t=5.0, origin_node=1),),
+            agents=AgentConfig(policy=Policy.BANDWIDTH_BASED,
+                               suppression_window=4.0)),
+        # fresh- and reused-IPID loops overrunning 10 Gb/s within one step
+        Scenario(
+            name="capacity-cut-10g", node_count=3, link_rate=10e9, tick=0.1,
+            duration=2.0, seed=2, frame_size=64,
+            generator=NormalBroadcastProfile(),
+            injectors=(
+                Injector(kind="loop", start_t=0.3, origin_node=0,
+                         pass_interval=0.01, factor=3, reuse_ipid=False),
+                Injector(kind="loop", start_t=0.55, end_t=1.5, origin_node=2,
+                         pass_interval=0.02, factor=2),
+            ),
+            agents=AgentConfig(sample_period=0.1, policy=None)),
+        Scenario(
+            name="smurf-and-loop", node_count=5, tick=1.0, duration=20.0,
+            seed=4, generator=NormalBroadcastProfile(),
+            injectors=(
+                Injector(kind="smurf", start_t=2.0, end_t=15.0, origin_node=0,
+                         rate=3.0),
+                Injector(kind="loop", start_t=6.0, origin_node=3,
+                         pass_interval=0.25, reuse_ipid=False),
+            ),
+            agents=AgentConfig(suppression_window=3.0)),
+        # one sighting qualifies, and the window is shorter than the tick
+        _ipid_scenario(1, 0.5),
+        _ipid_scenario(2, 1.0),
+        _ipid_scenario(5, 1.0),
+        Scenario(
+            name="factor-1-loop", node_count=2, link_rate=100e6, tick=1.0,
+            duration=20.0, seed=1, generator=NormalBroadcastProfile(),
+            injectors=(Injector(kind="loop", start_t=3.0, origin_node=1,
+                                pass_interval=0.1, factor=1),),
+            agents=AgentConfig(policy=None)),
+    ]
+    return {sc.name: sc for sc in scenarios}
 
 
 def render_triggers(trace: SimTrace) -> str:
@@ -110,8 +270,16 @@ def render_closed(trace: SimTrace) -> str:
         for tk, when in trace.closed)
 
 
-def digests(name: str, agents: bool) -> dict[str, str]:
-    trace = run(preset(name, agents=agents))
+def render_records(trace: SimTrace) -> str:
+    lines = []
+    for rec in trace.records:
+        lines.append(f"{rec.t!r} {tuple(rec.ledger)} {rec.delivered_by_kind}")
+        lines.extend(f"  {s.node} {s.attempted_bcast} {s.attempted_total} "
+                     f"{s.suppressed} {s.ipids}" for s in rec.samples)
+    return "".join(line + "\n" for line in lines)
+
+
+def digests(trace: SimTrace) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         tracefile.write_channel_csv(trace, out / "trace.csv")
@@ -120,24 +288,48 @@ def digests(name: str, agents: bool) -> dict[str, str]:
         blobs = {path.name: path.read_bytes() for path in out.iterdir()}
     blobs["triggers"] = render_triggers(trace).encode()
     blobs["closed"] = render_closed(trace).encode()
+    blobs["records"] = render_records(trace).encode()
     return {key: hashlib.sha256(blob).hexdigest()
             for key, blob in sorted(blobs.items())}
 
 
+def preset_run(case: tuple[str, bool]) -> SimTrace:
+    name, agents = case
+    return run(preset(name, agents=agents))
+
+
+def edge_run(name: str) -> SimTrace:
+    return run(edge_scenarios()[name])
+
+
 CASES = [(name, agents) for name in scenario_presets()
          for agents in (True, False)]
+EDGE_CASES = list(edge_scenarios())
 
 
 @pytest.mark.parametrize("name,agents", CASES,
                          ids=[f"{n}-{'agents' if a else 'bare'}"
                               for n, a in CASES])
 def test_artifacts_match_golden_digests(name, agents):
-    assert digests(name, agents) == GOLDEN[(name, agents)]
+    assert digests(preset_run((name, agents))) == GOLDEN[(name, agents)]
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_edge_scenarios_match_golden_digests(name):
+    assert digests(edge_run(name)) == EDGE_GOLDEN[name]
+
+
+def _print_table(title: str, cases, trace_of) -> None:
+    print(f"{title} = {{")
+    for case in cases:
+        print(f"    {case!r}: {{")
+        for key, value in digests(trace_of(case)).items():
+            print(f"        {key!r}: {value!r},")
+        print("    },")
+    print("}")
 
 
 if __name__ == "__main__":
-    for case in CASES:
-        print(f"    {case!r}: {{")
-        for key, value in digests(*case).items():
-            print(f"        {key!r}: {value!r},")
-        print("    },")
+    _print_table("GOLDEN", CASES, preset_run)
+    print()
+    _print_table("EDGE_GOLDEN", EDGE_CASES, edge_run)
