@@ -2,16 +2,25 @@
 
 Everything here is deliberately brute force: arbitrary precision where
 the production code uses floats, exhaustive grid search where it uses
-refinement, quadratic scans where it keeps sliding state.  Slow and
-obviously correct, so expected values never mirror the code under test.
+refinement, quadratic scans where it keeps sliding state, one frame and
+one 0.01 ms step at a time where it carries counted runs between the
+steps that hold frames.  Slow and obviously correct, so expected values never mirror the code under test.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
+from collections import Counter, deque
+from typing import Iterator, NamedTuple, Optional
 
 import mpmath
 import numpy as np
+
+from stormctl import simulation as sim
+from stormctl.agents import AgentConfig, AgentFleet
+from stormctl.metrics import ChannelStats, TrafficSample, classify, min_ipg
 
 # Frozen oracle grid for the curve fit.  Chosen once, from the stated
 # parameter ranges, before the production fit existed; never tuned to it.
@@ -117,3 +126,278 @@ def loop_expected_counts(n_ticks: int, start_tick: int, factor: int,
         counts[k] = delivered
         chain = delivered * factor
     return counts
+
+
+class _Frame(NamedTuple):
+    src: int
+    ipid: int
+    is_broadcast: bool
+    size: int                   # bytes on the wire, excluding the gap
+    kind: str                   # data | seed | replica | spoof | reply
+    inj: Optional[int]          # owning injector index for loop chains
+
+
+class _FrameIpidWindow:
+    """Sliding window of delivered broadcast frames, one entry per frame."""
+
+    def __init__(self, window_ms: float, min_repeats: int) -> None:
+        self.window_ms = window_ms
+        self.min_repeats = min_repeats
+        self._order: deque[tuple[float, int]] = deque()
+        self._per_ipid: dict[int, deque[tuple[float, int]]] = {}
+
+    def add(self, t: float, ipid: int, src: int) -> bool:
+        self._order.append((t, ipid))
+        times = self._per_ipid.setdefault(ipid, deque())
+        times.append((t, src))
+        k = self.min_repeats
+        return len(times) >= k and t - times[-k][0] <= self.window_ms
+
+    def evict(self, now: float) -> None:
+        cutoff = now - self.window_ms
+        while self._order and self._order[0][0] < cutoff:
+            _, ipid = self._order.popleft()
+            times = self._per_ipid[ipid]
+            times.popleft()
+            if not times:
+                del self._per_ipid[ipid]
+
+    def run_entries(self, ipid: int) -> list[tuple[float, int, int]]:
+        return [(t, ipid, src) for t, src in self._per_ipid.get(ipid, ())]
+
+
+def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
+    """`simulation.run`, one frame and one 0.01 ms step at a time.
+
+    Visits every step of every tick, and builds, schedules, filters and
+    delivers each frame on its own, keeping one IPID-window entry per
+    delivered broadcast frame.  The production simulator must return an
+    identical trace.
+    """
+    sc = scenario
+    cap = sim.saturation_cap(sc.link_rate, sc.tick, sc.frame_size)
+    steps_per_tick = round(sc.tick * sim.STEPS_PER_MS)
+    n_ticks = round(sc.duration / sc.tick)
+    total_steps = n_ticks * steps_per_tick
+    rng = random.Random(sc.seed)
+    ipids = itertools.count(1)
+    base_ipg = min_ipg(sc.link_rate)
+
+    fleet: Optional[AgentFleet] = None
+    if sc.agents is not None:
+        fleet = AgentFleet(sc.agents, sc.node_count, link_rate=sc.link_rate,
+                           capacity_pkts=cap)
+        profile = None
+        if sc.generator is not None:
+            candidate = sc.generator.ideal_profile(cap)
+            if max(p.count for p in candidate) > 0:
+                profile = candidate
+        fleet.calibrate(profile)
+    config = sc.agents if sc.agents is not None else AgentConfig(policy=None)
+    thresholds = config.thresholds
+    byte_limit = None
+    if thresholds.byte_threshold_mb is not None:
+        byte_limit = thresholds.byte_threshold_mb * 1e6
+    window_ms = config.suppression_window
+    enforce = config.policy is not None
+
+    schedule: dict[int, list[_Frame]] = {}
+    loop_idx = [i for i, inj in enumerate(sc.injectors) if inj.kind == "loop"]
+    pending = {i: 0 for i in loop_idx}
+    boundaries: dict[int, set[int]] = {}
+    for i in loop_idx:
+        inj = sc.injectors[i]
+        steps = set()
+        t = inj.start_t
+        end = inj.end_t if inj.end_t is not None else sc.duration
+        while t < min(end, sc.duration):
+            steps.add(round(t * sim.STEPS_PER_MS))
+            t += inj.pass_interval
+        boundaries[i] = steps
+    rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
+                if inj.kind in ("faulty_nic", "smurf")}
+    ipid_win = _FrameIpidWindow(thresholds.ipid_window_ms,
+                                thresholds.ipid_min_repeats)
+    byte_acc: dict[int, float] = {n: 0.0 for n in range(sc.node_count)}
+    byte_wid: dict[int, int] = {n: -1 for n in range(sc.node_count)}
+
+    def put(step: int, frame: _Frame) -> None:
+        if 0 <= step < total_steps:
+            schedule.setdefault(step, []).append(frame)
+
+    def spread(n: int, base: int) -> Iterator[int]:
+        return (base + (i * steps_per_tick) // n for i in range(n))
+
+    bcast_rr = 0
+    uni_rr = 0
+    records: list[sim.TickRecord] = []
+    tickets = []
+    history: tuple[ChannelStats, ...] = ()
+
+    for t_idx in range(n_ticks):
+        t0 = t_idx * sc.tick
+        base = t_idx * steps_per_tick
+
+        if sc.generator is not None:
+            g = sc.generator
+            u_b = 1 + g.jitter * (2 * rng.random() - 1)
+            u_u = 1 + g.jitter * (2 * rng.random() - 1)
+            phase = math.fmod(t0, g.burst_period)
+            n_b = int(g.ideal_broadcast(phase, cap) * u_b + 0.5)
+            n_u = int(g.ideal_unicast(cap) * u_u + 0.5)
+            for step in spread(n_b, base) if n_b else ():
+                put(step, _Frame(bcast_rr % sc.node_count, next(ipids), True,
+                                 sc.frame_size, "data", None))
+                bcast_rr += 1
+            for step in spread(n_u, base) if n_u else ():
+                put(step, _Frame(uni_rr % sc.node_count, next(ipids), False,
+                                 sc.frame_size, "data", None))
+                uni_rr += 1
+        for i, inj in enumerate(sc.injectors):
+            if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
+                continue
+            rate_acc[i] += inj.rate
+            n = int(rate_acc[i])
+            rate_acc[i] -= n
+            kind = "spoof" if inj.kind == "smurf" else "data"
+            for step in spread(n, base) if n else ():
+                put(step, _Frame(inj.origin_node, next(ipids), True,
+                                 sc.frame_size, kind, i))
+
+        generated = replicated = suppressed = capped = delivered = 0
+        per_node = [
+            {"d_b": 0, "d_t": 0, "a_b": 0, "a_t": 0, "sup": 0, "ipids": []}
+            for _ in range(sc.node_count)
+        ]
+        kinds: Counter = Counter()
+        ipid_candidate: Optional[int] = None
+        candidate_entries: list[tuple[float, int, int]] = []
+
+        for step in range(base, base + steps_per_tick):
+            t_s = step / sim.STEPS_PER_MS
+            for i in loop_idx:
+                if (step in boundaries[i] and pending[i] == 0
+                        and sc.injectors[i].active(t_s)):
+                    put(step, _Frame(sc.injectors[i].origin_node, next(ipids),
+                                     True, sc.frame_size, "seed", i))
+            batch = schedule.pop(step, None)
+            if not batch:
+                continue
+            for frame in batch:
+                if frame.kind == "replica":
+                    replicated += 1
+                else:
+                    generated += 1
+                node = per_node[frame.src]
+                node["a_t"] += 1
+                if frame.is_broadcast:
+                    node["a_b"] += 1
+                chain = frame.kind in ("seed", "replica") and frame.inj is not None
+                if chain and frame.kind == "replica":
+                    pending[frame.inj] -= 1
+
+                if enforce and fleet.is_suppressed(frame.src, t_s,
+                                                   frame.is_broadcast):
+                    suppressed += 1
+                    node["sup"] += 1
+                    continue
+                if byte_limit is not None and frame.is_broadcast:
+                    wid = int(t_s // window_ms)
+                    if wid != byte_wid[frame.src]:
+                        byte_wid[frame.src] = wid
+                        byte_acc[frame.src] = 0.0
+                    would = byte_acc[frame.src] + frame.size
+                    if would > byte_limit:
+                        ticket = fleet.byte_breach(frame.src, t_s, would / 1e6)
+                        if ticket is not None:
+                            tickets.append(ticket)
+                        if enforce:
+                            suppressed += 1
+                            node["sup"] += 1
+                            continue
+                if delivered >= cap:
+                    capped += 1
+                    continue
+
+                delivered += 1
+                node["d_t"] += 1
+                kinds[frame.kind] += 1
+                if frame.is_broadcast:
+                    node["d_b"] += 1
+                    node["ipids"].append(frame.ipid)
+                    if byte_limit is not None:
+                        byte_acc[frame.src] += frame.size
+                    if ipid_win.add(t_s, frame.ipid, frame.src):
+                        ipid_candidate = frame.ipid
+                if chain:
+                    inj = sc.injectors[frame.inj]
+                    if inj.active(t_s):
+                        nxt = step + round(inj.pass_interval * sim.STEPS_PER_MS)
+                        ipid = frame.ipid if inj.reuse_ipid else None
+                        for _ in range(inj.factor):
+                            if nxt < total_steps:
+                                put(nxt, _Frame(frame.src,
+                                                ipid if ipid is not None
+                                                else next(ipids),
+                                                True, sc.frame_size,
+                                                "replica", frame.inj))
+                                pending[frame.inj] += 1
+                elif frame.kind == "spoof":
+                    repliers = [n for n in range(sc.node_count)
+                                if n != frame.src]
+                    for j, replier in enumerate(repliers):
+                        put(step + 1 + (j * steps_per_tick) // len(repliers),
+                            _Frame(replier, next(ipids), False, sc.frame_size,
+                                   "reply", None))
+
+        assert generated + replicated - suppressed - capped == delivered
+
+        tick_end = (t_idx + 1) * sc.tick
+        ipid_win.evict(tick_end)
+        if ipid_candidate is not None:
+            candidate_entries = ipid_win.run_entries(ipid_candidate)
+
+        d_b = sum(n["d_b"] for n in per_node)
+        load = min(1.0, delivered / cap) if cap else 0.0
+        stats = ChannelStats(
+            tick=t0,
+            broadcast_pkts=d_b,
+            total_pkts=delivered,
+            broadcast_bytes=d_b * sc.frame_size,
+            total_bytes=delivered * sc.frame_size,
+            observed_ipg=base_ipg * max(0.0, 1.0 - load),
+            link_rate=sc.link_rate,
+            interval_ms=sc.tick,
+        )
+        classification = classify(stats, history,
+                                  ipid_loop=ipid_candidate is not None,
+                                  capacity_pkts=cap)
+        samples = tuple(
+            TrafficSample(
+                node=n, bcast_pkts=d["d_b"], total_pkts=d["d_t"],
+                bcast_bytes=d["d_b"] * sc.frame_size,
+                total_bytes=d["d_t"] * sc.frame_size,
+                attempted_bcast=d["a_b"], attempted_total=d["a_t"],
+                suppressed=d["sup"], ipids=tuple(d["ipids"]),
+            )
+            for n, d in enumerate(per_node)
+        )
+        if fleet is not None:
+            tickets.extend(fleet.observe(t0, stats, samples, candidate_entries))
+        ledger = sim.TickLedger(generated, replicated, suppressed, capped,
+                                delivered)
+        records.append(sim.TickRecord(t0, stats, classification, samples,
+                                      ledger, tuple(sorted(kinds.items()))))
+        history = (stats,)
+
+    assert not schedule
+    if fleet is not None:
+        fleet.finish(sc.duration)
+    return sim.SimTrace(
+        scenario=sc,
+        capacity_pkts=cap,
+        records=records,
+        tickets=tickets,
+        triggers=list(fleet.trigger_log) if fleet else [],
+        closed=list(fleet.closed) if fleet else [],
+    )

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from stormctl.agents import (
     AgentConfig,
@@ -26,7 +28,11 @@ from stormctl.simulation import (
     scenario_presets,
 )
 
-from .oracles import ipid_loop_bruteforce, loop_expected_counts
+from .oracles import (
+    ipid_loop_bruteforce,
+    loop_expected_counts,
+    reference_run,
+)
 
 
 def loop_only_scenario(factor=2, n_ticks=12, cap_rate=10e6):
@@ -377,3 +383,84 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ScenarioError):
             preset("no-such-scenario")
+
+
+@st.composite
+def small_scenarios(draw) -> Scenario:
+    """Valid scenarios of at most 20 ticks and 6 nodes, every source and
+    policy mixed; capacity stays under 2000 frames per tick."""
+    nodes = draw(st.integers(2, 6))
+    tick_steps = draw(st.sampled_from([10, 25, 100]))
+    n_ticks = draw(st.integers(1, 20))
+    total_steps = n_ticks * tick_steps
+    link_rate = draw(st.sampled_from([10e6, 100e6, 1e9]))
+    frame_size = draw(st.sampled_from([64, 512, 1500]))
+    assume(saturation_cap(link_rate, tick_steps / 100, frame_size) >= 1)
+
+    def when(lo: int = 0) -> float:
+        return (draw(st.integers(lo, total_steps - 1))
+                + draw(st.sampled_from([0.0, 0.4]))) / 100
+
+    def window(inj: Injector) -> Injector:
+        if draw(st.booleans()):
+            return inj
+        return dataclasses.replace(
+            inj, end_t=inj.start_t + draw(st.integers(1, total_steps)) / 100)
+
+    injectors = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["loop", "loop", "faulty_nic", "smurf"]))
+        origin = draw(st.integers(0, nodes - 1))
+        if kind == "loop":
+            inj = Injector(kind="loop", start_t=when(), origin_node=origin,
+                           pass_interval=draw(st.integers(1, 60)) / 100,
+                           factor=draw(st.integers(1, 4)),
+                           reuse_ipid=draw(st.booleans()))
+        else:
+            inj = Injector(kind=kind, start_t=when(), origin_node=origin,
+                           rate=draw(st.sampled_from([0.3, 1.0, 2.5])))
+        injectors.append(window(inj))
+
+    generator = None
+    if draw(st.booleans()):
+        generator = NormalBroadcastProfile(
+            burst_period=draw(st.sampled_from([1.0, 3.0])),
+            jitter=draw(st.sampled_from([0.0, 0.05, 0.2])),
+            unicast_fraction=draw(st.sampled_from([0.0, 0.1, 0.4])),
+            broadcast_peak_fraction=draw(st.sampled_from([0.0, 0.08, 0.3])))
+    agents = None
+    if draw(st.booleans()):
+        agents = AgentConfig(
+            sample_period=tick_steps / 100,
+            consecutive_required=draw(st.integers(1, 3)),
+            suppression_window=draw(st.sampled_from([0.5, 2.0, 1000.0])),
+            policy=draw(st.sampled_from([None, Policy.PACKET_BASED,
+                                         Policy.BANDWIDTH_BASED])),
+            thresholds=ThresholdDb(
+                utilization_max=draw(st.sampled_from([0.6, 0.95])),
+                nbw_permissible=draw(st.sampled_from([None, 500.0, 5000.0])),
+                byte_threshold_mb=draw(st.sampled_from(
+                    [None, 0.002, 0.02, 1.0])),
+                ipid_min_repeats=draw(st.integers(1, 5)),
+                ipid_window_ms=draw(st.sampled_from([0.0, 0.05, 0.5, 100.0]))))
+    return Scenario(
+        name="random", node_count=nodes, link_rate=link_rate,
+        tick=tick_steps / 100, duration=total_steps / 100,
+        seed=draw(st.integers(0, 2 ** 16)), frame_size=frame_size,
+        generator=generator, injectors=tuple(injectors), agents=agents)
+
+
+class TestReferenceRun:
+    """`run` against the per-frame, every-step oracle."""
+
+    @given(small_scenarios())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_per_frame_reference(self, sc):
+        expected = reference_run(sc)
+        got = run(sc)
+        assert got.capacity_pkts == expected.capacity_pkts
+        assert got.records == expected.records
+        assert got.tickets == expected.tickets
+        assert got.triggers == expected.triggers
+        assert got.closed == expected.closed
