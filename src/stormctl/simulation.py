@@ -1,10 +1,13 @@
 """Deterministic broadcast-domain simulator.
 
-Models one shared Ethernet segment as a discrete-event loop: frames are
-scheduled onto 0.01 ms internal steps, and every sampling tick the
-delivered traffic is rolled up into channel counters, classified, and
-offered to the agent fleet.  All randomness flows from one seeded
-generator, so a scenario replays bit-identically.
+Models one shared Ethernet segment as a discrete-event loop on 0.01 ms
+internal steps, visiting only the steps that hold frames or may seed a
+loop.  Frames travel as runs, `count` frames from one node at one step,
+so the thousands of copies a loop pass puts on one step are handled as
+one.  Every sampling tick the delivered traffic is rolled up into
+channel counters, classified, and offered to the agent fleet.  All
+randomness flows from one seeded generator, so a scenario replays
+bit-identically.
 
 Traffic sources:
 
@@ -16,23 +19,24 @@ Traffic sources:
     and a smurf attacker (spoofed broadcasts that draw a unicast reply
     from every other node).
 
-Each step applies, in order: the suppression filter (blocked ports drop
+Each frame meets, in order: the suppression filter (blocked ports drop
 frames at ingress), the per-window broadcast byte budget, the carrying
-capacity of the link, then delivery.  Delivered loop frames spawn their
-replicas; everything filtered dies without offspring, so a storm only
-persists while the loop keeps reseeding.  A per-tick conservation
-ledger (generated + replicated - suppressed - capped == delivered) is
-checked inside the loop.
+capacity of the link, then delivery; a run splits exactly at the frame
+where its frames part ways.  Delivered loop frames spawn their replicas,
+one run per delivered run; everything filtered dies without offspring,
+so a storm only persists while the loop keeps reseeding.  A per-tick
+conservation ledger (generated + replicated - suppressed - capped ==
+delivered) is checked inside the loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields, is_dataclass, replace
+from heapq import heappop, heappush
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, TroubleTicket
@@ -58,13 +62,22 @@ class ScenarioError(ValueError):
     """Raised for scenario definitions the simulator cannot honor."""
 
 
-class Frame(NamedTuple):
+class Run(NamedTuple):
+    """`count` frames from one node at one step, handled in order.
+
+    A fresh run numbers its IPIDs consecutively from `ipid`, and none of
+    them ever recurs; otherwise every frame carries `ipid` (the seed and
+    replicas of a reused-IPID loop).  Only loop replicas come in runs of
+    more than one frame.
+    """
+
     src: int
     ipid: int
     is_broadcast: bool
-    size: int                   # bytes on the wire, excluding the gap
     kind: str                   # data | seed | replica | spoof | reply
     inj: Optional[int]          # owning injector index for loop chains
+    count: int
+    fresh: bool
 
 
 def saturation_cap(link_rate: float, tick_ms: float, frame_size: int) -> int:
@@ -189,10 +202,18 @@ class Scenario:
                 raise ScenarioError(
                     f"loop pass_interval must span at least one "
                     f"{INTERNAL_STEP_MS} ms step")
-        if self.agents is not None and self.agents.sample_period != self.tick:
-            raise ScenarioError(
-                f"agents sample every {self.agents.sample_period} ms but the "
-                f"tick is {self.tick} ms; they must be equal")
+        if self.agents is not None:
+            if self.agents.sample_period != self.tick:
+                raise ScenarioError(
+                    f"agents sample every {self.agents.sample_period} ms but "
+                    f"the tick is {self.tick} ms; they must be equal")
+            th = self.agents.thresholds
+            if th.ipid_min_repeats < 1:
+                raise ScenarioError("ipid_min_repeats must be at least 1")
+            if th.ipid_window_ms < 0:
+                raise ScenarioError("ipid_window_ms must be nonnegative")
+            if th.byte_threshold_mb is not None and th.byte_threshold_mb <= 0:
+                raise ScenarioError("byte_threshold_mb must be positive")
         if saturation_cap(self.link_rate, self.tick, self.frame_size) < 1:
             raise ScenarioError("one tick cannot carry a single frame")
 
@@ -269,44 +290,76 @@ class SimTrace:
 
 
 class _IpidWindow:
-    """Sliding window of delivered broadcast (t, ipid, src) entries."""
+    """Sliding window of delivered broadcast frames, as counted entries.
+
+    An entry is `count` deliveries of one IPID from one node at time t.
+    """
 
     def __init__(self, window_ms: float, min_repeats: int) -> None:
         self.window_ms = window_ms
         self.min_repeats = min_repeats
         self._order: deque[tuple[float, int]] = deque()
-        self._per_ipid: dict[int, deque[tuple[float, int]]] = {}
+        self._per_ipid: dict[int, deque[tuple[float, int, int]]] = {}
 
-    def add(self, t: float, ipid: int, src: int) -> bool:
-        """Record one delivery; True when this IPID now qualifies as a loop."""
+    def add(self, t: float, ipid: int, src: int, count: int,
+            fresh: bool) -> Optional[int]:
+        """Record a run's deliveries; the IPID that now qualifies, if any.
+
+        A fresh run's IPIDs are never seen again: only a single sighting
+        can qualify them, and only the last can stay the tick's candidate.
+        """
+        if fresh:
+            if self.min_repeats > 1:
+                return None
+            ipid, count = ipid + count - 1, 1
         self._order.append((t, ipid))
-        times = self._per_ipid.setdefault(ipid, deque())
-        times.append((t, src))
-        k = self.min_repeats
-        return len(times) >= k and t - times[-k][0] <= self.window_ms
+        entries = self._per_ipid.setdefault(ipid, deque())
+        entries.append((t, src, count))
+        # the run qualifies if its last frame does: find the time of the
+        # min_repeats-th most recent sighting
+        need = self.min_repeats
+        for seen, _, n in reversed(entries):
+            need -= n
+            if need <= 0:
+                return ipid if t - seen <= self.window_ms else None
+        return None
 
     def evict(self, now: float) -> None:
         cutoff = now - self.window_ms
         while self._order and self._order[0][0] < cutoff:
             _, ipid = self._order.popleft()
-            times = self._per_ipid[ipid]
-            times.popleft()
-            if not times:
+            entries = self._per_ipid[ipid]
+            entries.popleft()
+            if not entries:
                 del self._per_ipid[ipid]
 
     def run_entries(self, ipid: int) -> list[tuple[float, int, int]]:
-        return [(t, ipid, src) for t, src in self._per_ipid.get(ipid, ())]
+        """One (t, ipid, src) per frame of ipid still in the window."""
+        return [(t, ipid, src) for t, src, n in self._per_ipid.get(ipid, ())
+                for _ in range(n)]
+
+
+def _frames_within(acc: float, size: int, limit: float, most: int) -> int:
+    """The largest j <= most with acc + j * size <= limit.
+
+    acc and each such sum are whole numbers, exact in a float, so a sum
+    is within limit exactly when it is within floor(limit).
+    """
+    if acc + most * size <= limit:
+        return most
+    return max(0, (math.floor(limit) - int(acc)) // size)
 
 
 def run(scenario: Scenario) -> SimTrace:
     """Execute a scenario and return its full per-tick trace."""
     sc = scenario
     cap = saturation_cap(sc.link_rate, sc.tick, sc.frame_size)
+    size = sc.frame_size
     steps_per_tick = round(sc.tick * STEPS_PER_MS)
     n_ticks = round(sc.duration / sc.tick)
     total_steps = n_ticks * steps_per_tick
     rng = random.Random(sc.seed)
-    ipids = itertools.count(1)
+    next_ipid = 1               # IPIDs are handed out in `put` order
     base_ipg = min_ipg(sc.link_rate)
 
     fleet: Optional[AgentFleet] = None
@@ -328,7 +381,7 @@ def run(scenario: Scenario) -> SimTrace:
     window_ms = config.suppression_window
     enforce = config.policy is not None
 
-    schedule: dict[int, list[Frame]] = {}
+    schedule: dict[int, list[Run]] = {}
     loop_idx = [i for i, inj in enumerate(sc.injectors) if inj.kind == "loop"]
     pending = {i: 0 for i in loop_idx}
     boundaries: dict[int, set[int]] = {}
@@ -341,21 +394,30 @@ def run(scenario: Scenario) -> SimTrace:
             steps.add(round(t * STEPS_PER_MS))
             t += inj.pass_interval
         boundaries[i] = steps
+    # heap of the steps to visit: those holding runs, and loop boundaries
+    due = sorted(step for steps in boundaries.values() for step in steps
+                 if step < total_steps)
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
     ipid_win = _IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
     byte_acc: dict[int, float] = {n: 0.0 for n in range(sc.node_count)}
     byte_wid: dict[int, int] = {n: -1 for n in range(sc.node_count)}
 
-    def put(step: int, frame: Frame) -> None:
+    def put(step: int, r: Run) -> None:
         if 0 <= step < total_steps:
-            schedule.setdefault(step, []).append(frame)
+            batch = schedule.get(step)
+            if batch is None:
+                schedule[step] = [r]
+                heappush(due, step)
+            else:
+                batch.append(r)
 
     def spread(n: int, base: int) -> Iterator[int]:
         return (base + (i * steps_per_tick) // n for i in range(n))
 
     bcast_rr = 0
     uni_rr = 0
+    last_step = -1
     records: list[TickRecord] = []
     tickets: list[TroubleTicket] = []
     history: tuple[ChannelStats, ...] = ()
@@ -372,12 +434,14 @@ def run(scenario: Scenario) -> SimTrace:
             n_b = int(g.ideal_broadcast(phase, cap) * u_b + 0.5)
             n_u = int(g.ideal_unicast(cap) * u_u + 0.5)
             for step in spread(n_b, base) if n_b else ():
-                put(step, Frame(bcast_rr % sc.node_count, next(ipids), True,
-                                sc.frame_size, "data", None))
+                put(step, Run(bcast_rr % sc.node_count, next_ipid, True,
+                              "data", None, 1, True))
+                next_ipid += 1
                 bcast_rr += 1
             for step in spread(n_u, base) if n_u else ():
-                put(step, Frame(uni_rr % sc.node_count, next(ipids), False,
-                                sc.frame_size, "data", None))
+                put(step, Run(uni_rr % sc.node_count, next_ipid, False,
+                              "data", None, 1, True))
+                next_ipid += 1
                 uni_rr += 1
         for i, inj in enumerate(sc.injectors):
             if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
@@ -387,8 +451,9 @@ def run(scenario: Scenario) -> SimTrace:
             rate_acc[i] -= n
             kind = "spoof" if inj.kind == "smurf" else "data"
             for step in spread(n, base) if n else ():
-                put(step, Frame(inj.origin_node, next(ipids), True,
-                                sc.frame_size, kind, i))
+                put(step, Run(inj.origin_node, next_ipid, True, kind, i, 1,
+                              True))
+                next_ipid += 1
 
         generated = replicated = suppressed = capped = delivered = 0
         per_node = [
@@ -399,82 +464,104 @@ def run(scenario: Scenario) -> SimTrace:
         ipid_candidate: Optional[int] = None
         candidate_entries: list[tuple[float, int, int]] = []
 
-        for step in range(base, base + steps_per_tick):
+        stop = base + steps_per_tick
+        while due and due[0] < stop:
+            step = heappop(due)
+            if step <= last_step:       # pushed twice: a boundary with runs
+                continue
+            last_step = step
             t_s = step / STEPS_PER_MS
             for i in loop_idx:
+                inj = sc.injectors[i]
                 if (step in boundaries[i] and pending[i] == 0
-                        and sc.injectors[i].active(t_s)):
-                    put(step, Frame(sc.injectors[i].origin_node, next(ipids),
-                                    True, sc.frame_size, "seed", i))
-            batch = schedule.pop(step, None)
-            if not batch:
-                continue
-            for frame in batch:
-                if frame.kind == "replica":
-                    replicated += 1
+                        and inj.active(t_s)):
+                    put(step, Run(inj.origin_node, next_ipid, True, "seed", i,
+                                  1, not inj.reuse_ipid))
+                    next_ipid += 1
+            batch = schedule.pop(step, ())
+            for src, ipid, bcast, kind, owner, n, fresh in batch:
+                if kind == "replica":
+                    replicated += n
+                    pending[owner] -= n
                 else:
-                    generated += 1
-                node = per_node[frame.src]
-                node["a_t"] += 1
-                if frame.is_broadcast:
-                    node["a_b"] += 1
-                chain = frame.kind in ("seed", "replica") and frame.inj is not None
-                if chain and frame.kind == "replica":
-                    pending[frame.inj] -= 1
-
-                if enforce and fleet.is_suppressed(frame.src, t_s,
-                                                   frame.is_broadcast):
-                    suppressed += 1
-                    node["sup"] += 1
-                    continue
-                if byte_limit is not None and frame.is_broadcast:
+                    generated += n
+                node = per_node[src]
+                node["a_t"] += n
+                if bcast:
+                    node["a_b"] += n
+                budget = byte_limit is not None and bcast
+                if budget:
                     wid = int(t_s // window_ms)
-                    if wid != byte_wid[frame.src]:
-                        byte_wid[frame.src] = wid
-                        byte_acc[frame.src] = 0.0
-                    would = byte_acc[frame.src] + frame.size
-                    if would > byte_limit:
-                        ticket = fleet.byte_breach(frame.src, t_s, would / 1e6)
-                        if ticket is not None:
-                            tickets.append(ticket)
-                        if enforce:
-                            suppressed += 1
-                            node["sup"] += 1
-                            continue
-                if delivered >= cap:
-                    capped += 1
-                    continue
+                    if wid != byte_wid[src]:
+                        byte_wid[src] = wid
+                        byte_acc[src] = 0.0
 
-                delivered += 1
-                node["d_t"] += 1
-                kinds[frame.kind] += 1
-                if frame.is_broadcast:
-                    node["d_b"] += 1
-                    node["ipids"].append(frame.ipid)
-                    if byte_limit is not None:
-                        byte_acc[frame.src] += frame.size
-                    if ipid_win.add(t_s, frame.ipid, frame.src):
-                        ipid_candidate = frame.ipid
-                if chain:
-                    inj = sc.injectors[frame.inj]
-                    if inj.active(t_s):
-                        nxt = step + round(inj.pass_interval * STEPS_PER_MS)
-                        ipid = frame.ipid if inj.reuse_ipid else None
-                        for _ in range(inj.factor):
-                            if nxt < total_steps:
-                                put(nxt, Frame(frame.src,
-                                               ipid if ipid is not None
-                                               else next(ipids),
-                                               True, sc.frame_size,
-                                               "replica", frame.inj))
-                                pending[frame.inj] += 1
-                elif frame.kind == "spoof":
-                    repliers = [n for n in range(sc.node_count)
-                                if n != frame.src]
+                # Frames [done, n) are still to handle; those delivered are
+                # always the run's first, and those neither delivered nor
+                # capped were suppressed.  Within a step only byte_breach
+                # can block a port, so suppression is asked again only then.
+                done = sent = lost = 0
+                blocked = enforce and fleet.is_suppressed(src, t_s, bcast)
+                while done < n and not blocked:
+                    take = n - done
+                    if budget:
+                        take = _frames_within(byte_acc[src], size, byte_limit,
+                                              take)
+                        if not take:    # the next frame breaks the budget
+                            would = byte_acc[src] + size
+                            ticket = fleet.byte_breach(src, t_s, would / 1e6)
+                            if ticket is not None:
+                                tickets.append(ticket)
+                            if enforce:
+                                done += 1
+                                blocked = fleet.is_suppressed(src, t_s, bcast)
+                                continue
+                    # detect only, a frame over the budget goes on alone
+                    d = min(take or 1, cap - delivered)
+                    if not d:
+                        # the link is full; a capped frame adds no bytes, so
+                        # every later frame within the budget is capped too
+                        d = n - done if take else 1
+                        lost += d
+                    else:
+                        delivered += d
+                        node["d_t"] += d
+                        kinds[kind] += d
+                        if bcast:
+                            first = ipid + sent if fresh else ipid
+                            node["d_b"] += d
+                            node["ipids"].extend(range(first, first + d)
+                                                 if fresh else (ipid,) * d)
+                            if budget:
+                                byte_acc[src] += d * size
+                            hit = ipid_win.add(t_s, first, src, d, fresh)
+                            if hit is not None:
+                                ipid_candidate = hit
+                        sent += d
+                    done += d
+                capped += lost
+                suppressed += n - sent - lost
+                node["sup"] += n - sent - lost
+                if not sent:
+                    continue
+                if kind in ("seed", "replica"):
+                    loop = sc.injectors[owner]
+                    nxt = step + round(loop.pass_interval * STEPS_PER_MS)
+                    if loop.active(t_s) and nxt < total_steps:
+                        k = sent * loop.factor
+                        reuse = loop.reuse_ipid
+                        put(nxt, Run(src, ipid if reuse else next_ipid, True,
+                                     "replica", owner, k, not reuse))
+                        if not reuse:
+                            next_ipid += k
+                        pending[owner] += k
+                elif kind == "spoof":      # spoofs are single frames
+                    repliers = [m for m in range(sc.node_count) if m != src]
                     for j, replier in enumerate(repliers):
                         put(step + 1 + (j * steps_per_tick) // len(repliers),
-                            Frame(replier, next(ipids), False, sc.frame_size,
-                                  "reply", None))
+                            Run(replier, next_ipid, False, "reply", None, 1,
+                                True))
+                        next_ipid += 1
 
         if generated + replicated - suppressed - capped != delivered:
             raise RuntimeError(
@@ -518,7 +605,7 @@ def run(scenario: Scenario) -> SimTrace:
                                   tuple(sorted(kinds.items()))))
         history = (stats,)
 
-    if schedule:    # every step of the run was visited; nothing may remain
+    if schedule:    # runs put at a step already visited were never handled
         raise RuntimeError(f"frames never processed from step {min(schedule)}")
     if fleet is not None:
         fleet.finish(sc.duration)

@@ -221,6 +221,28 @@ class TestRejectedScenarioFiles:
         self.run_edited(
             tmp_path, capsys, lambda doc: doc.update(node_count=float("inf")))
 
+    def test_zero_ipid_repeats(self, tmp_path, capsys):
+        # accepted before: the loop scan then raised partway through the run
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["agents"]["thresholds"].update(ipid_min_repeats=0))
+        assert "ipid_min_repeats must be at least 1" in err
+
+    def test_negative_byte_budget(self, tmp_path, capsys):
+        # accepted before: every broadcast frame was silently suppressed
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["agents"]["thresholds"].update(
+                byte_threshold_mb=-1.0))
+        assert "byte_threshold_mb must be positive" in err
+
+    def test_negative_ipid_window(self, tmp_path, capsys):
+        # accepted before: the loop rule was silently switched off
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["agents"]["thresholds"].update(ipid_window_ms=-5.0))
+        assert "ipid_window_ms must be nonnegative" in err
+
 
 class TestEntryPoint:
     def test_console_script_runs(self):

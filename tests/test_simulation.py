@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from stormctl import simulation
 from stormctl.agents import (
     AgentConfig,
     AgentFleet,
@@ -33,6 +34,10 @@ from .oracles import (
     loop_expected_counts,
     reference_run,
 )
+
+
+def frames_handled(trace) -> int:
+    return sum(r.ledger.generated + r.ledger.replicated for r in trace.records)
 
 
 def loop_only_scenario(factor=2, n_ticks=12, cap_rate=10e6):
@@ -178,9 +183,19 @@ class TestOperationCounts:
         trace = run(detect_only)
         assert trace.tickets
         assert calls == []
-        enforcing = run(sc)         # one table lookup per frame handled
-        assert len(calls) == sum(r.ledger.generated + r.ledger.replicated
-                                 for r in enforcing.records)
+
+    # table5-control: a fresh-IPID loop doubling every 50 ms under a byte
+    # budget, so tens of thousands of frames in a few hundred runs
+    def test_enforcing_run_asks_per_run_not_per_frame(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, AgentFleet, "is_suppressed")
+        trace = run(preset("table5-control"))
+        assert trace.tickets
+        assert 0 < len(calls) < frames_handled(trace) / 100
+
+    def test_loop_frames_travel_as_runs(self, monkeypatch):
+        made = self.count_calls(monkeypatch, simulation, "Run")
+        trace = run(preset("table5-control"))
+        assert 0 < len(made) < frames_handled(trace) / 100
 
 
 class TestGeneratorShape:
