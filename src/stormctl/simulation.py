@@ -504,6 +504,7 @@ def run(scenario: Scenario) -> SimTrace:
                 blocked = enforce and fleet.is_suppressed(src, t_s, bcast)
                 while done < n and not blocked:
                     take = n - done
+                    over = False
                     if budget:
                         take = _frames_within(byte_acc[src], size, byte_limit,
                                               take)
@@ -516,12 +517,13 @@ def run(scenario: Scenario) -> SimTrace:
                                 done += 1
                                 blocked = fleet.is_suppressed(src, t_s, bcast)
                                 continue
-                    # detect only, a frame over the budget goes on alone
-                    d = min(take or 1, cap - delivered)
+                            over = True     # detect only: it goes on alone
+                            take = 1
+                    d = take if take < cap - delivered else cap - delivered
                     if not d:
                         # the link is full; a capped frame adds no bytes, so
                         # every later frame within the budget is capped too
-                        d = n - done if take else 1
+                        d = 1 if over else n - done
                         lost += d
                     else:
                         delivered += d
@@ -540,8 +542,10 @@ def run(scenario: Scenario) -> SimTrace:
                         sent += d
                     done += d
                 capped += lost
-                suppressed += n - sent - lost
-                node["sup"] += n - sent - lost
+                dropped = n - sent - lost
+                if dropped:
+                    suppressed += dropped
+                    node["sup"] += dropped
                 if not sent:
                     continue
                 if kind in ("seed", "replica"):
