@@ -339,17 +339,6 @@ class _IpidWindow:
                 for _ in range(n)]
 
 
-def _frames_within(acc: float, size: int, limit: float, most: int) -> int:
-    """The largest j <= most with acc + j * size <= limit.
-
-    acc and each such sum are whole numbers, exact in a float, so a sum
-    is within limit exactly when it is within floor(limit).
-    """
-    if acc + most * size <= limit:
-        return most
-    return max(0, (math.floor(limit) - int(acc)) // size)
-
-
 def run(scenario: Scenario) -> SimTrace:
     """Execute a scenario and return its full per-tick trace."""
     sc = scenario
@@ -505,9 +494,12 @@ def run(scenario: Scenario) -> SimTrace:
                 while done < n and not blocked:
                     take = n - done
                     over = False
-                    if budget:
-                        take = _frames_within(byte_acc[src], size, byte_limit,
-                                              take)
+                    if budget and byte_acc[src] + take * size > byte_limit:
+                        # only the largest j with acc + j * size <= limit
+                        # fit; byte counts are whole numbers, exact in a
+                        # float, so integers against floor(limit) find j
+                        take = max(0, (math.floor(byte_limit)
+                                       - int(byte_acc[src])) // size)
                         if not take:    # the next frame breaks the budget
                             would = byte_acc[src] + size
                             ticket = fleet.byte_breach(src, t_s, would / 1e6)
