@@ -183,6 +183,22 @@ EDGE_GOLDEN = {
         'trace.csv': '2ea4ecc25535c41283760dbb8cb3e376f41deaad3b232e87991713b355e5644f',
         'triggers': '2bef24f059e470acfb133a18b3b9c363b575941e9026748741df789a477da5d4',
     },
+    'wide-loop-packet': {
+        'closed': '0783b08711e5a221ca3ea736e42de1de4042648f996f2b10fdc2ba88f3fd12c1',
+        'records': 'f45f01c47337d9de7696e84171c5c26c419afd37af59353bcad7faf1e2d2841c',
+        'summary.json': 'f3f3b6ed472fc206a6e5263bd55372358e386e16914ef1cfd01422f398a7f224',
+        'tickets.jsonl': '50e6e5bc7a4ccd9941fee4bc4f3128786a7c32698e9eb5617745151565af7240',
+        'trace.csv': '386b1a0687ee958103c07fd303a80cc5fd2d362b674e8baf3cfd0626c588f7ec',
+        'triggers': '9db0d3deb826239d2a11b768860647b6dfb527b387a190b5d52880854997fc12',
+    },
+    'wide-faulty-nic-bandwidth': {
+        'closed': '2a3fec759cc64543077985bb37f563dca99347d0379307db6fb79783fb74674d',
+        'records': 'b02cbc582207af9d779e95b24a4acf79e8c294aae8af7482c6385b2d77a967be',
+        'summary.json': 'db091850033ddc13c52f9e75cddd7fe715f7ffdd806d166b9d4429148dd69a3d',
+        'tickets.jsonl': 'aecf7b3d1940b461e56f764eb3e50e90e2a3e6703eecedd3b1be5fa0318ddccb',
+        'trace.csv': 'fe5099d023b42dcbec40d98269d2952ce4df8d03003f0f00c3ec8583a09b6c88',
+        'triggers': '91ba1a10c7ca7408efbb798992cf80c48ad2590e270d9f8fbb2e32fc81627f0e',
+    },
 }
 
 
@@ -253,6 +269,27 @@ def edge_scenarios() -> dict[str, Scenario]:
             injectors=(Injector(kind="loop", start_t=3.0, origin_node=1,
                                 pass_interval=0.1, factor=1),),
             agents=AgentConfig(policy=None)),
+        # wide, mostly idle domains: about 100 of 300 nodes send per tick
+        Scenario(
+            name="wide-loop-packet", node_count=300, tick=1.0, duration=20.0,
+            seed=13, generator=NormalBroadcastProfile(),
+            injectors=(Injector(kind="loop", start_t=6.0, origin_node=211),),
+            agents=AgentConfig(suppression_window=5.0)),
+        # at most 5 of 300 nodes send per tick; two faulty NICs fill and
+        # drain their bandwidth windows at different times
+        Scenario(
+            name="wide-faulty-nic-bandwidth", node_count=300,
+            link_rate=100e6, tick=1.0, duration=40.0, seed=17,
+            generator=NormalBroadcastProfile(unicast_fraction=0.10),
+            injectors=(
+                Injector(kind="faulty_nic", start_t=4.0, end_t=22.0,
+                         origin_node=157, rate=3.0),
+                Injector(kind="faulty_nic", start_t=10.0, end_t=28.0,
+                         origin_node=42, rate=0.5),
+            ),
+            agents=AgentConfig(policy=Policy.BANDWIDTH_BASED,
+                               suppression_window=5.0,
+                               thresholds=ThresholdDb(nbw_permissible=1200.0))),
     ]
     return {sc.name: sc for sc in scenarios}
 
