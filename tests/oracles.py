@@ -9,6 +9,8 @@ steps that hold frames.  Slow and obviously correct, so expected values never mi
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -19,6 +21,7 @@ import mpmath
 import numpy as np
 
 from stormctl import simulation as sim
+from stormctl import tracefile
 from stormctl.agents import AgentConfig, AgentFleet
 from stormctl.metrics import ChannelStats, TrafficSample, classify, min_ipg
 
@@ -401,3 +404,24 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
         triggers=list(fleet.trigger_log) if fleet else [],
         closed=list(fleet.closed) if fleet else [],
     )
+
+
+def reference_channel_csv(trace: sim.SimTrace) -> str:
+    """`tracefile.format_channel_csv`, every row through `csv.writer`."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(tracefile.CHANNEL_HEADER)
+    for rec in trace.records:
+        stats = rec.stats
+        writer.writerow((
+            repr(rec.t), tracefile.CHANNEL_NODE, stats.broadcast_pkts,
+            stats.total_pkts, stats.broadcast_bytes, stats.total_bytes,
+            repr(stats.observed_ipg), repr(rec.classification.utilization),
+            rec.classification.verdict.value, rec.classification.stage.value,
+        ))
+        for sample in rec.samples:
+            writer.writerow((
+                repr(rec.t), sample.node, sample.bcast_pkts, sample.total_pkts,
+                sample.bcast_bytes, sample.total_bytes, "", "", "", "",
+            ))
+    return out.getvalue()

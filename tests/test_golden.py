@@ -35,6 +35,8 @@ from stormctl.simulation import (
     scenario_presets,
 )
 
+from .oracles import reference_channel_csv
+
 GOLDEN = {
     ('normal', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -354,6 +356,23 @@ def test_artifacts_match_golden_digests(name, agents):
 @pytest.mark.parametrize("name", EDGE_CASES)
 def test_edge_scenarios_match_golden_digests(name):
     assert digests(edge_run(name)) == EDGE_GOLDEN[name]
+
+
+WIDE_CASES = ["wide-loop-packet", "wide-faulty-nic-bandwidth"]
+
+
+@pytest.mark.parametrize("name,agents", CASES,
+                         ids=[f"{n}-{'agents' if a else 'bare'}"
+                              for n, a in CASES])
+def test_channel_csv_matches_reference_formatter(name, agents):
+    trace = preset_run((name, agents))
+    assert tracefile.format_channel_csv(trace) == reference_channel_csv(trace)
+
+
+@pytest.mark.parametrize("name", WIDE_CASES)
+def test_wide_channel_csv_matches_reference_formatter(name):
+    trace = edge_run(name)
+    assert tracefile.format_channel_csv(trace) == reference_channel_csv(trace)
 
 
 def _print_table(title: str, cases, trace_of) -> None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stormctl import simulation
+from stormctl import simulation, tracefile
 from stormctl.agents import (
     AgentConfig,
     AgentFleet,
@@ -32,6 +32,7 @@ from stormctl.simulation import (
 from .oracles import (
     ipid_loop_bruteforce,
     loop_expected_counts,
+    reference_channel_csv,
     reference_run,
 )
 
@@ -478,3 +479,4 @@ class TestReferenceRun:
         assert got.tickets == expected.tickets
         assert got.triggers == expected.triggers
         assert got.closed == expected.closed
+        assert tracefile.format_channel_csv(got) == reference_channel_csv(got)
