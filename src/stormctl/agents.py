@@ -433,12 +433,23 @@ class AgentFleet:
             top = min(node_samples, key=lambda s: (-s.attempted_bcast, s.node))
             triggers = [tr._replace(node=top.node) for tr in triggers]
         if thresholds.nbw_permissible is not None:
+            # a node has a window only while it holds broadcast bytes: an
+            # empty one sums to 0, which never exceeds a nonnegative limit
+            windows = self._nbw_bytes
             for sample in node_samples:
-                window = self._nbw_bytes.setdefault(sample.node, [])
+                window = windows.get(sample.node)
+                if window is None:
+                    if not sample.bcast_bytes:
+                        continue
+                    window = windows[sample.node] = []
                 window.append(sample.bcast_bytes)
                 if len(window) > thresholds.nbw_window_ticks:
                     del window[0]
-                nb = node_bandwidth(sum(window), 1.0, thresholds.nbw_permissible,
+                sent = sum(window)
+                if not sent:
+                    del windows[sample.node]
+                    continue
+                nb = node_bandwidth(sent, 1.0, thresholds.nbw_permissible,
                                     thresholds.nbw_factor)
                 if nb.exceeds:
                     triggers.append(Trigger(

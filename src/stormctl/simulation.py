@@ -5,9 +5,10 @@ internal steps, visiting only the steps that hold frames or may seed a
 loop.  Frames travel as runs, `count` frames from one node at one step,
 so the thousands of copies a loop pass puts on one step are handled as
 one.  Every sampling tick the delivered traffic is rolled up into
-channel counters, classified, and offered to the agent fleet.  All
-randomness flows from one seeded generator, so a scenario replays
-bit-identically.
+channel counters, classified, and offered to the agent fleet; per-node
+counters exist only for the nodes that sent in that tick, and every
+other node shows one shared idle sample.  All randomness flows from
+one seeded generator, so a scenario replays bit-identically.
 
 Traffic sources:
 
@@ -214,6 +215,9 @@ class Scenario:
                 raise ScenarioError("ipid_window_ms must be nonnegative")
             if th.byte_threshold_mb is not None and th.byte_threshold_mb <= 0:
                 raise ScenarioError("byte_threshold_mb must be positive")
+            if th.nbw_factor < 0 or (th.nbw_permissible or 0) < 0:
+                raise ScenarioError(
+                    "nbw_permissible and nbw_factor must be nonnegative")
         if saturation_cap(self.link_rate, self.tick, self.frame_size) < 1:
             raise ScenarioError("one tick cannot carry a single frame")
 
@@ -389,8 +393,11 @@ def run(scenario: Scenario) -> SimTrace:
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
     ipid_win = _IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
-    byte_acc: dict[int, float] = {n: 0.0 for n in range(sc.node_count)}
-    byte_wid: dict[int, int] = {n: -1 for n in range(sc.node_count)}
+    byte_acc: dict[int, float] = {}     # per node, from its first budgeted frame
+    byte_wid: dict[int, int] = {}
+    # a node that sends nothing in a tick shows this same sample in it
+    idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0, ())
+                 for n in range(sc.node_count))
 
     def put(step: int, r: Run) -> None:
         if 0 <= step < total_steps:
@@ -445,10 +452,7 @@ def run(scenario: Scenario) -> SimTrace:
                 next_ipid += 1
 
         generated = replicated = suppressed = capped = delivered = 0
-        per_node = [
-            {"d_b": 0, "d_t": 0, "a_b": 0, "a_t": 0, "sup": 0, "ipids": []}
-            for _ in range(sc.node_count)
-        ]
+        per_node: dict[int, dict] = {}     # only the nodes that sent this tick
         kinds: Counter = Counter()
         ipid_candidate: Optional[int] = None
         candidate_entries: list[tuple[float, int, int]] = []
@@ -474,14 +478,17 @@ def run(scenario: Scenario) -> SimTrace:
                     pending[owner] -= n
                 else:
                     generated += n
-                node = per_node[src]
+                node = per_node.get(src)
+                if node is None:
+                    node = per_node[src] = {"d_b": 0, "d_t": 0, "a_b": 0,
+                                            "a_t": 0, "sup": 0, "ipids": []}
                 node["a_t"] += n
                 if bcast:
                     node["a_b"] += n
                 budget = byte_limit is not None and bcast
                 if budget:
                     wid = int(t_s // window_ms)
-                    if wid != byte_wid[src]:
+                    if wid != byte_wid.get(src):
                         byte_wid[src] = wid
                         byte_acc[src] = 0.0
 
@@ -569,7 +576,7 @@ def run(scenario: Scenario) -> SimTrace:
         if ipid_candidate is not None:
             candidate_entries = ipid_win.run_entries(ipid_candidate)
 
-        d_b = sum(n["d_b"] for n in per_node)
+        d_b = sum(d["d_b"] for d in per_node.values())
         load = min(1.0, delivered / cap) if cap else 0.0
         stats = ChannelStats(
             tick=t0,
@@ -584,16 +591,16 @@ def run(scenario: Scenario) -> SimTrace:
         classification = classify(stats, history,
                                   ipid_loop=ipid_candidate is not None,
                                   capacity_pkts=cap)
-        samples = tuple(
-            TrafficSample(
+        slots = list(idle)
+        for n, d in per_node.items():
+            slots[n] = TrafficSample(
                 node=n, bcast_pkts=d["d_b"], total_pkts=d["d_t"],
                 bcast_bytes=d["d_b"] * sc.frame_size,
                 total_bytes=d["d_t"] * sc.frame_size,
                 attempted_bcast=d["a_b"], attempted_total=d["a_t"],
                 suppressed=d["sup"], ipids=tuple(d["ipids"]),
             )
-            for n, d in enumerate(per_node)
-        )
+        samples = tuple(slots)
         if fleet is not None:
             tickets.extend(fleet.observe(t0, stats, samples, candidate_entries))
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)

@@ -75,6 +75,9 @@ def format_channel_csv(trace: SimTrace) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CHANNEL_HEADER)
+    # a node row is the tick's time and a suffix; a node that delivered
+    # nothing has the same suffix in every tick, formatted once
+    idle = [f",{n},0,0,0,0,,,,\n" for n in range(trace.scenario.node_count)]
     for rec in trace.records:
         stats = rec.stats
         writer.writerow((
@@ -83,11 +86,11 @@ def format_channel_csv(trace: SimTrace) -> str:
             repr(rec.classification.utilization),
             rec.classification.verdict.value, rec.classification.stage.value,
         ))
-        for sample in rec.samples:
-            writer.writerow((
-                repr(rec.t), sample.node, sample.bcast_pkts, sample.total_pkts,
-                sample.bcast_bytes, sample.total_bytes, "", "", "", "",
-            ))
+        t = repr(rec.t)     # every tick has a row per node, at least two
+        out.write(t + t.join([
+            f",{s.node},{s.bcast_pkts},{s.total_pkts},{s.bcast_bytes},"
+            f"{s.total_bytes},,,,\n" if s.total_pkts else idle[s.node]
+            for s in rec.samples]))
     return out.getvalue()
 
 

@@ -6,6 +6,7 @@ import logging
 
 import pytest
 
+from stormctl import agents
 from stormctl.agents import (
     OFFLINE_NODE,
     AgentConfig,
@@ -314,6 +315,34 @@ class TestFleet:
         assert len(got) == 1
         assert got[0].cause is TriggerCause.NBW_EXCEEDED
         assert got[0].observed == pytest.approx(2560.0)
+
+    def test_nbw_window_kept_only_while_it_holds_bytes(self, monkeypatch):
+        calls = []
+        original = agents.node_bandwidth
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(agents, "node_bandwidth", counted)
+        fleet = self.fleet(nbw_permissible=1200.0)
+        for k in range(13):
+            sent = 256 if k == 0 else 0
+            assert fleet.observe(
+                float(k), stats(float(k), 1, total=1),
+                [sample(0, 1, bcast_bytes=sent), sample(1, 0),
+                 sample(2, 0)]) == []
+        # node 0's window holds its bytes for ten ticks, then is dropped;
+        # nodes 1 and 2 never sent and never had one
+        assert len(calls) == 10
+        assert fleet._nbw_bytes == {}
+        # a fresh window after the drain starts from zero: nine ticks of
+        # 256 bytes (2304) stay under 2 * 1200, the tenth (2560) does not
+        for k in range(13, 23):
+            got = fleet.observe(
+                float(k), stats(float(k), 1, total=1),
+                [sample(0, 1, bcast_bytes=256), sample(1, 0), sample(2, 0)])
+            assert (got != []) == (k == 22)
 
     def test_ipid_loop_attributed_to_frame_source(self):
         fleet = self.fleet()

@@ -236,6 +236,14 @@ class TestRejectedScenarioFiles:
                 byte_threshold_mb=-1.0))
         assert "byte_threshold_mb must be positive" in err
 
+    @pytest.mark.parametrize("field", ["nbw_permissible", "nbw_factor"])
+    def test_negative_bandwidth_limit(self, tmp_path, capsys, field):
+        # accepted before: every node, silent or not, broke the limit
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["agents"]["thresholds"].update({field: -1.0}))
+        assert "nbw_permissible and nbw_factor must be nonnegative" in err
+
     def test_negative_ipid_window(self, tmp_path, capsys):
         # accepted before: the loop rule was silently switched off
         err = self.run_edited(

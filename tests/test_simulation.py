@@ -199,6 +199,26 @@ class TestOperationCounts:
         assert 0 < len(made) < frames_handled(trace) / 100
 
 
+    def test_node_samples_follow_the_active_nodes(self, monkeypatch):
+        made = self.count_calls(monkeypatch, simulation, "TrafficSample")
+        sc = dataclasses.replace(preset("loop-storm"), node_count=1000)
+        trace = run(sc)
+        ticks = len(trace.records)
+        active = sum(1 for rec in trace.records for s in rec.samples
+                     if s.attempted_total)
+        assert trace.tickets
+        assert len(made) <= sc.node_count + active
+        assert len(made) < sc.node_count * ticks / 4
+        # a node that sends nothing in a tick shows its one idle sample
+        idle = {}
+        for rec in trace.records:
+            assert len(rec.samples) == sc.node_count
+            for s in rec.samples:
+                if not s.attempted_total:
+                    assert s is idle.setdefault(s.node, s)
+        assert len(idle) == sc.node_count
+
+
 class TestGeneratorShape:
     def test_raw_scale_reproduces_recorded_peak(self):
         profile = NormalBroadcastProfile(burst_scale=1.0)
