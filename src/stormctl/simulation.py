@@ -398,6 +398,9 @@ def run(scenario: Scenario) -> SimTrace:
     # a node that sends nothing in a tick shows this same sample in it
     idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0, ())
                  for n in range(sc.node_count))
+    # counters of the nodes in `active`, the nodes that sent this tick;
+    # every other slot is None
+    per_node: list[Optional[dict]] = [None] * sc.node_count
 
     def put(step: int, r: Run) -> None:
         if 0 <= step < total_steps:
@@ -452,7 +455,7 @@ def run(scenario: Scenario) -> SimTrace:
                 next_ipid += 1
 
         generated = replicated = suppressed = capped = delivered = 0
-        per_node: dict[int, dict] = {}     # only the nodes that sent this tick
+        active: list[int] = []
         kinds: Counter = Counter()
         ipid_candidate: Optional[int] = None
         candidate_entries: list[tuple[float, int, int]] = []
@@ -478,10 +481,11 @@ def run(scenario: Scenario) -> SimTrace:
                     pending[owner] -= n
                 else:
                     generated += n
-                node = per_node.get(src)
+                node = per_node[src]
                 if node is None:
                     node = per_node[src] = {"d_b": 0, "d_t": 0, "a_b": 0,
                                             "a_t": 0, "sup": 0, "ipids": []}
+                    active.append(src)
                 node["a_t"] += n
                 if bcast:
                     node["a_b"] += n
@@ -576,7 +580,20 @@ def run(scenario: Scenario) -> SimTrace:
         if ipid_candidate is not None:
             candidate_entries = ipid_win.run_entries(ipid_candidate)
 
-        d_b = sum(d["d_b"] for d in per_node.values())
+        d_b = 0
+        slots = list(idle)
+        for n in active:
+            d = per_node[n]
+            per_node[n] = None
+            d_b += d["d_b"]
+            slots[n] = TrafficSample(
+                node=n, bcast_pkts=d["d_b"], total_pkts=d["d_t"],
+                bcast_bytes=d["d_b"] * sc.frame_size,
+                total_bytes=d["d_t"] * sc.frame_size,
+                attempted_bcast=d["a_b"], attempted_total=d["a_t"],
+                suppressed=d["sup"], ipids=tuple(d["ipids"]),
+            )
+        samples = tuple(slots)
         load = min(1.0, delivered / cap) if cap else 0.0
         stats = ChannelStats(
             tick=t0,
@@ -591,16 +608,6 @@ def run(scenario: Scenario) -> SimTrace:
         classification = classify(stats, history,
                                   ipid_loop=ipid_candidate is not None,
                                   capacity_pkts=cap)
-        slots = list(idle)
-        for n, d in per_node.items():
-            slots[n] = TrafficSample(
-                node=n, bcast_pkts=d["d_b"], total_pkts=d["d_t"],
-                bcast_bytes=d["d_b"] * sc.frame_size,
-                total_bytes=d["d_t"] * sc.frame_size,
-                attempted_bcast=d["a_b"], attempted_total=d["a_t"],
-                suppressed=d["sup"], ipids=tuple(d["ipids"]),
-            )
-        samples = tuple(slots)
         if fleet is not None:
             tickets.extend(fleet.observe(t0, stats, samples, candidate_entries))
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
