@@ -6,8 +6,9 @@ sha256 of `trace.csv`, `tickets.jsonl` and `summary.json` (as `sim
 --out` writes them), and of fixed renderings of the run's triggers,
 ticket closures and per-tick records (ledger, deliveries by kind, and
 every node's attempted, suppressed and delivered IPIDs, which no
-artifact carries) must match the tables below.  A refactor must leave
-every digest unchanged.  Only an intentional change of behaviour may
+artifact carries) must match the tables below, and `trace.csv` must
+equal the reference formatter's output.  A refactor must leave every
+digest unchanged.  Only an intentional change of behaviour may
 update the tables, and the change that does so must say why.
 
 To print the current tables:
@@ -350,28 +351,15 @@ EDGE_CASES = list(edge_scenarios())
                          ids=[f"{n}-{'agents' if a else 'bare'}"
                               for n, a in CASES])
 def test_artifacts_match_golden_digests(name, agents):
-    assert digests(preset_run((name, agents))) == GOLDEN[(name, agents)]
+    trace = preset_run((name, agents))
+    assert digests(trace) == GOLDEN[(name, agents)]
+    assert tracefile.format_channel_csv(trace) == reference_channel_csv(trace)
 
 
 @pytest.mark.parametrize("name", EDGE_CASES)
 def test_edge_scenarios_match_golden_digests(name):
-    assert digests(edge_run(name)) == EDGE_GOLDEN[name]
-
-
-WIDE_CASES = ["wide-loop-packet", "wide-faulty-nic-bandwidth"]
-
-
-@pytest.mark.parametrize("name,agents", CASES,
-                         ids=[f"{n}-{'agents' if a else 'bare'}"
-                              for n, a in CASES])
-def test_channel_csv_matches_reference_formatter(name, agents):
-    trace = preset_run((name, agents))
-    assert tracefile.format_channel_csv(trace) == reference_channel_csv(trace)
-
-
-@pytest.mark.parametrize("name", WIDE_CASES)
-def test_wide_channel_csv_matches_reference_formatter(name):
     trace = edge_run(name)
+    assert digests(trace) == EDGE_GOLDEN[name]
     assert tracefile.format_channel_csv(trace) == reference_channel_csv(trace)
 
 
