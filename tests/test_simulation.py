@@ -198,7 +198,6 @@ class TestOperationCounts:
         trace = run(preset("table5-control"))
         assert 0 < len(made) < frames_handled(trace) / 100
 
-
     def test_node_samples_follow_the_active_nodes(self, monkeypatch):
         made = self.count_calls(monkeypatch, simulation, "TrafficSample")
         sc = dataclasses.replace(preset("loop-storm"), node_count=1000)
