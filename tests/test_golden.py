@@ -1,4 +1,4 @@
-"""Golden digests: every preset's artifacts, pinned byte for byte.
+"""Golden digests: every preset's artifacts and every fit, pinned.
 
 Each bundled scenario runs with its agents and without them, and each
 edge scenario below (paths the presets never take) runs once; the
@@ -7,8 +7,12 @@ sha256 of `trace.csv`, `tickets.jsonl` and `summary.json` (as `sim
 ticket closures and per-tick records (ledger, deliveries by kind, and
 every node's attempted, suppressed and delivered IPIDs, which no
 artifact carries) must match the tables below, and `trace.csv` must
-equal the reference formatter's output.  A refactor must leave every
-digest unchanged.  Only an intentional change of behaviour may
+equal the reference formatter's output.  Each fit input below (the
+bundled packet traces, the calibration profile at every preset's
+capacity, and seeded rises that together take every branch of the
+least-squares solver) has the sha256 of its `FitResult`, taken over
+`float.hex` of every field.  A refactor must leave every digest
+unchanged.  Only an intentional change of behaviour may
 update the tables, and the change that does so must say why.
 
 To print the current tables:
@@ -19,6 +23,7 @@ To print the current tables:
 from __future__ import annotations
 
 import hashlib
+import random
 import tempfile
 from pathlib import Path
 
@@ -26,6 +31,8 @@ import pytest
 
 from stormctl import tracefile
 from stormctl.agents import AgentConfig, Policy, ThresholdDb
+from stormctl.datasets import PACKET_TRACES, load_trace
+from stormctl.growth import FitResult, eval_ptr, fit_model, make_params
 from stormctl.simulation import (
     Injector,
     NormalBroadcastProfile,
@@ -33,6 +40,7 @@ from stormctl.simulation import (
     SimTrace,
     preset,
     run,
+    saturation_cap,
     scenario_presets,
 )
 
@@ -204,6 +212,22 @@ EDGE_GOLDEN = {
     },
 }
 
+FIT_GOLDEN = {
+    'table1': 'b6b802c76954f652e676cb885ddb38322873bda8f7d27e572766eb6ac57e3bf8',
+    'table3': 'b6b802c76954f652e676cb885ddb38322873bda8f7d27e572766eb6ac57e3bf8',
+    'table4': '7ffb622dbb2def8ddaadc426b66c4c2b9837ed6141c67f7c89417a80ae453fbd',
+    'ideal-profile-2': '9e3f2fa2717a059ab685d75f566487dbf3ad94689882e711f7cc991d5cb27691',
+    'ideal-profile-238': 'f0010fc1bad0addfcb4cf42573c7931bcb962cfc9a9ebf7e86fba684f42795cc',
+    'ideal-profile-5963': 'a1fc19e41adf62f60b411f077e6e3d1ee4d7d77eef3f01bd1cd09058766eedd4',
+    'interior-growth-curve': '1173edc74a21aad1c9422dbeae092a3722e1121ab237bcfef1a37ebd3b52870c',
+    'interior-linear': 'c207fa0c477d7af70badbc92e94dc5a437909c4766fe58af8cc2007d32447a8b',
+    'ps0-concave': 'cbfa01cd96137ec189e4bf7a59d5ca0e9fcd3131d88d9f0830967e344d1a0337',
+    'pe0-convex': '19e543b26e8d96cd78d06efa371cddd5dc3cae7a0ce0b91182e8193a5cf7b8e1',
+    'det0-short-span': 'bce57bf89575f6128a35aa2a164b490aef2c12f0cd782617b4e3296373956478',
+    'det0-short-span-ps0': '0d2977c6100126a1a5469459e389fbbf4fde74275756467d03ed12587a724386',
+    'zero-fallback-underflow': '43bb60745e2ad2950add8f7e5165f67ce0b22b87722ae75f056eb771998239c2',
+}
+
 
 def _ipid_scenario(repeats: int, window_ms: float) -> Scenario:
     # the factor-1 loop shows its IPID 4 times per 1 ms: enough for 2
@@ -297,6 +321,60 @@ def edge_scenarios() -> dict[str, Scenario]:
     return {sc.name: sc for sc in scenarios}
 
 
+def seeded_rise(seed: int, dt: float, power: float,
+                origin: bool = True) -> list[tuple[float, float]]:
+    """Ten counts growing as k**power, k*dt ms apart, with +/-10% noise,
+    rounded to whole packets."""
+    rng = random.Random(f"fit-rise/{seed}")
+    points = [(0.0, 0.0)] if origin else []
+    for k in range(1, 11):
+        noise = 1 + 0.2 * (rng.random() - 0.5)
+        points.append((k * dt, float(round(1000 * k ** power * noise))))
+    return points
+
+
+def seeded_curve_rise(seed: int) -> list[tuple[float, float]]:
+    """Twenty samples of a rising growth curve with +/-5% noise, rounded."""
+    rng = random.Random(f"fit-curve/{seed}")
+    p_start = rng.uniform(1000.0, 6000.0)
+    params = make_params(p_start, rng.uniform(p_start, 12000.0),
+                         rng.uniform(0.3, 1.2))
+    return [(k * 0.1, float(round(eval_ptr(params, k * 0.1)
+                                  * (1 + 0.05 * (2 * rng.random() - 1)))))
+            for k in range(20)]
+
+
+def fit_inputs() -> dict[str, list]:
+    """Every fit input with a pinned digest, by name."""
+    inputs = {name: load_trace(name) for name in sorted(PACKET_TRACES)}
+    caps = sorted({saturation_cap(sc.link_rate, sc.tick, sc.frame_size)
+                   for sc in scenario_presets().values()})
+    for cap in caps:
+        inputs[f"ideal-profile-{cap}"] = \
+            NormalBroadcastProfile().ideal_profile(cap)
+    # Between them the rises take every branch of the solver: the
+    # interior solution, the Ps = 0 and Pe = 0 boundaries (each wins
+    # its fit), det <= 0 (a 1e-7 ms spacing, where t*exp(m*t) is nearly
+    # proportional to t for small m), and the (0, 0) fallback (t*t
+    # underflows to 0, so neither boundary is defined).
+    inputs.update({
+        "interior-growth-curve": seeded_curve_rise(0),
+        "interior-linear": seeded_rise(2, 0.1, 1),
+        "ps0-concave": seeded_rise(0, 0.1, 0.5),
+        "pe0-convex": seeded_rise(0, 0.1, 3, origin=False),
+        "det0-short-span": seeded_rise(0, 1e-7, 3),
+        "det0-short-span-ps0": seeded_rise(0, 1e-7, 1),
+        "zero-fallback-underflow": seeded_rise(0, 1e-170, 1),
+    })
+    return inputs
+
+
+def fit_digest(fit: FitResult) -> str:
+    p = fit.params
+    fields = (p.p_start, p.p_end, p.m, p.a, p.b, fit.rmse)
+    return hashlib.sha256(" ".join(map(float.hex, fields)).encode()).hexdigest()
+
+
 def render_triggers(trace: SimTrace) -> str:
     return "".join(
         f"{tr.cause.value} {tr.node} {tr.t!r} {tr.observed!r} "
@@ -345,6 +423,7 @@ def edge_run(name: str) -> SimTrace:
 CASES = [(name, agents) for name in scenario_presets()
          for agents in (True, False)]
 EDGE_CASES = list(edge_scenarios())
+FIT_CASES = list(fit_inputs())
 
 
 @pytest.mark.parametrize("name,agents", CASES,
@@ -363,6 +442,11 @@ def test_edge_scenarios_match_golden_digests(name):
     assert tracefile.format_channel_csv(trace) == reference_channel_csv(trace)
 
 
+@pytest.mark.parametrize("name", FIT_CASES)
+def test_fits_match_golden_digests(name):
+    assert fit_digest(fit_model(fit_inputs()[name])) == FIT_GOLDEN[name]
+
+
 def _print_table(title: str, cases, trace_of) -> None:
     print(f"{title} = {{")
     for case in cases:
@@ -377,3 +461,8 @@ if __name__ == "__main__":
     _print_table("GOLDEN", CASES, preset_run)
     print()
     _print_table("EDGE_GOLDEN", EDGE_CASES, edge_run)
+    print()
+    print("FIT_GOLDEN = {")
+    for name, points in fit_inputs().items():
+        print(f"    {name!r}: {fit_digest(fit_model(points))!r},")
+    print("}")
