@@ -2,9 +2,12 @@
 
 Everything here is deliberately brute force: arbitrary precision where
 the production code uses floats, exhaustive grid search where it uses
-refinement, quadratic scans where it keeps sliding state, one frame and
-one 0.01 ms step at a time where it carries counted runs between the
-steps that hold frames.  Slow and obviously correct, so expected values never mirror the code under test.
+refinement, quadratic scans where it keeps sliding state, every
+least-squares sum retaken for each growth constant where it takes the
+ones that do not depend on it once per trace, one frame and one 0.01 ms
+step at a time where it carries counted runs between the steps that
+hold frames.  Slow and obviously correct, so expected values never
+mirror the code under test.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Iterator, NamedTuple, Optional
 import mpmath
 import numpy as np
 
+from stormctl import growth
 from stormctl import simulation as sim
 from stormctl import tracefile
 from stormctl.agents import AgentConfig, AgentFleet
@@ -81,6 +85,100 @@ def grid_fit_rmse(trace) -> float:
         if low < best:
             best = low
     return math.sqrt(max(best, 0.0) / n)
+
+
+def _reference_solve_coeffs(m: float, ts, ys):
+    """Least-squares (a, b, rmse) for fixed m, every sum taken afresh."""
+    n = len(ts)
+    gs = [t * math.exp(m * t) for t in ts]
+    s_tt = sum(t * t for t in ts)
+    s_gg = sum(g * g for g in gs)
+    s_tg = sum(t * g for t, g in zip(ts, gs))
+    s_ty = sum(t * y for t, y in zip(ts, ys))
+    s_gy = sum(g * y for g, y in zip(gs, ys))
+
+    def rmse_of(a: float, b: float) -> float:
+        acc = 0.0
+        for t, g, y in zip(ts, gs, ys):
+            r = a * t + b * g - y
+            acc += r * r
+        return math.sqrt(acc / n)
+
+    det = s_tt * s_gg - s_tg * s_tg
+    if det > 0:
+        a = (s_ty * s_gg - s_gy * s_tg) / det
+        b = (s_gy * s_tt - s_ty * s_tg) / det
+        # Ps = b/tau, Pe = Ps + a*m/tau
+        if b >= 0 and b + a * m >= 0:
+            return a, b, rmse_of(a, b)
+
+    candidates = []
+    # boundary Ps = 0: pure linear term, need Pe >= 0 i.e. a >= 0
+    if s_tt > 0:
+        a0 = max(s_ty / s_tt, 0.0)
+        candidates.append((a0, 0.0))
+    # boundary Pe = 0: a = -b/m, basis h = t*exp(m*t) - t/m
+    s_hh = s_gg - 2 * s_tg / m + s_tt / (m * m)
+    s_hy = s_gy - s_ty / m
+    if s_hh > 0:
+        b0 = max(s_hy / s_hh, 0.0)
+        candidates.append((-b0 / m, b0))
+    candidates.append((0.0, 0.0))
+    return min(
+        ((a, b, rmse_of(a, b)) for a, b in candidates), key=lambda c: c[2]
+    )
+
+
+def reference_fit_model(trace) -> growth.FitResult:
+    """`growth.fit_model` with every sum of the solver retaken per m."""
+    points = [growth.TracePoint(float(t), float(c)) for t, c in trace]
+    if any(b.t <= a.t for a, b in zip(points, points[1:])):
+        raise growth.FitError("trace times must be strictly increasing")
+    if points and points[0].t > 0:
+        points.insert(0, growth.TracePoint(0.0, 0.0))
+    rise = growth.rise_segment(points) if points else []
+    if len(rise) < 4:
+        raise growth.FitError(
+            f"need at least 4 points in the rise, got {len(rise)}")
+    if rise[-1].count <= 0:
+        raise growth.FitError("trace shows no growth to fit")
+
+    ts = [p.t for p in rise]
+    ys = [p.count for p in rise]
+
+    best_m, best = None, None
+    steps = int(round((growth.FIT_M_MAX - growth.FIT_M_MIN) / growth.FIT_M_STEP))
+    for i in range(steps + 1):
+        m = growth.FIT_M_MIN + i * growth.FIT_M_STEP
+        sol = _reference_solve_coeffs(m, ts, ys)
+        if best is None or sol[2] < best[2]:
+            best_m, best = m, sol
+
+    # golden-section refinement of m around the best grid cell
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    lo = max(best_m - growth.FIT_M_STEP, growth.FIT_M_MIN / 2)
+    hi = best_m + growth.FIT_M_STEP
+    c = hi - golden * (hi - lo)
+    d = lo + golden * (hi - lo)
+    fc = _reference_solve_coeffs(c, ts, ys)
+    fd = _reference_solve_coeffs(d, ts, ys)
+    for _ in range(growth.FIT_REFINE_ITERS):
+        if fc[2] < fd[2]:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = _reference_solve_coeffs(c, ts, ys)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = _reference_solve_coeffs(d, ts, ys)
+    for m, sol in ((c, fc), (d, fd)):
+        if sol[2] < best[2]:
+            best_m, best = m, sol
+
+    a, b, rmse = best
+    p_start = b / growth.TAU
+    p_end = max(p_start + a * best_m / growth.TAU, 0.0)
+    return growth.FitResult(growth.make_params(p_start, p_end, best_m), rmse)
 
 
 def ipid_loop_bruteforce(entries, min_repeats: int, window_ms: float):

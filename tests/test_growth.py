@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -21,7 +22,7 @@ from stormctl.growth import (
     rise_segment,
 )
 
-from .oracles import mp_eval
+from .oracles import mp_eval, reference_fit_model
 
 TAU = math.tau
 
@@ -195,3 +196,51 @@ class TestFit:
     def test_rejects_flat_trace(self):
         with pytest.raises(FitError):
             fit_model([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
+
+
+@st.composite
+def rises(draw):
+    """Rises of 4 to 40 points: noisy growth curves (decelerating ones,
+    with Pe below Ps, included) and noisy powers of t (concave ones like
+    table3), optionally rounded to whole packets, with or without a
+    leading (0, 0)."""
+    n = draw(st.integers(4, 40))
+    ts = list(itertools.accumulate(
+        draw(st.lists(st.floats(1e-3, 0.5), min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        ts = [0.0] + ts[:-1]
+    if draw(st.booleans()):
+        params = make_params(draw(st.floats(0.0, 2e4)),
+                             draw(st.floats(0.0, 1.2e5)),
+                             draw(st.floats(0.05, 3.0)))
+        curve = [max(eval_ptr(params, t), 0.0) for t in ts]
+    else:
+        power = draw(st.floats(0.3, 4.0))
+        curve = [1e4 * (t / ts[-1]) ** power for t in ts]
+    noise = draw(st.sampled_from((0.0, 0.02, 0.1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    counts = [c * (1 + noise * (2 * rng.random() - 1)) for c in curve]
+    if draw(st.booleans()):
+        counts = [float(round(c)) for c in counts]
+    return list(zip(ts, counts))
+
+
+def fit_outcome(fit, trace):
+    """Every field of the fit as float.hex, or the error it raised."""
+    try:
+        result = fit(trace)
+    except FitError as exc:
+        return str(exc)
+    p = result.params
+    return [float.hex(x) for x in (p.p_start, p.p_end, p.m, p.a, p.b,
+                                   result.rmse)]
+
+
+class TestReferenceFit:
+    """`fit_model` against the solver that retakes every sum per m."""
+
+    @given(rises())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_reference(self, trace):
+        assert fit_outcome(fit_model, trace) == \
+            fit_outcome(reference_fit_model, trace)
