@@ -16,13 +16,16 @@ milliseconds throughout.  P(0) == 0 exactly by construction.
 `fit_model` recovers (Ps, Pe, m) from an observed trace by searching a
 fixed grid over m (the only nonlinear parameter), solving the remaining
 linear coefficients exactly at each step, then refining m by
-golden-section.  The procedure is fully deterministic.
+golden-section.  The least-squares sums that do not depend on m are
+taken once per trace; the rest, once per m.  The procedure is fully
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 TAU = math.tau  # 2*pi
@@ -139,50 +142,58 @@ def _as_points(trace: Iterable) -> list[TracePoint]:
     return [TracePoint(float(t), float(c)) for t, c in trace]
 
 
-def _solve_coeffs(m: float, ts: Sequence[float], ys: Sequence[float]):
+def _solver(ts: Sequence[float], ys: Sequence[float]):
     """Least-squares (a, b) for fixed m, honoring Ps >= 0 and Pe >= 0.
 
-    Returns (a, b, rmse).  Uses explicit normal equations so results do
-    not depend on any linear-algebra backend.
+    Returns solve(m) -> (a, b, rmse) for this rise.  The sums that do not
+    depend on m are taken once, here.  Uses explicit normal equations so
+    results do not depend on any linear-algebra backend; every sum adds
+    the same products in the same order as a per-m solver would.
     """
     n = len(ts)
-    gs = [t * math.exp(m * t) for t in ts]
-    s_tt = sum(t * t for t in ts)
-    s_gg = sum(g * g for g in gs)
-    s_tg = sum(t * g for t, g in zip(ts, gs))
-    s_ty = sum(t * y for t, y in zip(ts, ys))
-    s_gy = sum(g * y for g, y in zip(gs, ys))
+    exp = math.exp
+    s_tt = sum(map(mul, ts, ts))
+    s_ty = sum(map(mul, ts, ys))
 
-    def rmse_of(a: float, b: float) -> float:
+    def rmse_of(a: float, b: float, gs: list[float]) -> float:
+        # a plain loop, not sum(): sum of floats is compensated on 3.12+
         acc = 0.0
         for t, g, y in zip(ts, gs, ys):
             r = a * t + b * g - y
             acc += r * r
         return math.sqrt(acc / n)
 
-    det = s_tt * s_gg - s_tg * s_tg
-    if det > 0:
-        a = (s_ty * s_gg - s_gy * s_tg) / det
-        b = (s_gy * s_tt - s_ty * s_tg) / det
-        # Ps = b/tau, Pe = Ps + a*m/tau
-        if b >= 0 and b + a * m >= 0:
-            return a, b, rmse_of(a, b)
+    def solve(m: float):
+        gs = [t * exp(m * t) for t in ts]
+        s_gg = sum(map(mul, gs, gs))
+        s_tg = sum(map(mul, ts, gs))
+        s_gy = sum(map(mul, gs, ys))
+        det = s_tt * s_gg - s_tg * s_tg
+        if det > 0:
+            a = (s_ty * s_gg - s_gy * s_tg) / det
+            b = (s_gy * s_tt - s_ty * s_tg) / det
+            # Ps = b/tau, Pe = Ps + a*m/tau
+            if b >= 0 and b + a * m >= 0:
+                return a, b, rmse_of(a, b, gs)
 
-    candidates = []
-    # boundary Ps = 0: pure linear term, need Pe >= 0 i.e. a >= 0
-    if s_tt > 0:
-        a0 = max(s_ty / s_tt, 0.0)
-        candidates.append((a0, 0.0))
-    # boundary Pe = 0: a = -b/m, basis h = t*exp(m*t) - t/m
-    s_hh = s_gg - 2 * s_tg / m + s_tt / (m * m)
-    s_hy = s_gy - s_ty / m
-    if s_hh > 0:
-        b0 = max(s_hy / s_hh, 0.0)
-        candidates.append((-b0 / m, b0))
-    candidates.append((0.0, 0.0))
-    return min(
-        ((a, b, rmse_of(a, b)) for a, b in candidates), key=lambda c: c[2]
-    )
+        candidates = []
+        # boundary Ps = 0: pure linear term, need Pe >= 0 i.e. a >= 0
+        if s_tt > 0:
+            a0 = max(s_ty / s_tt, 0.0)
+            candidates.append((a0, 0.0))
+        # boundary Pe = 0: a = -b/m, basis h = t*exp(m*t) - t/m
+        s_hh = s_gg - 2 * s_tg / m + s_tt / (m * m)
+        s_hy = s_gy - s_ty / m
+        if s_hh > 0:
+            b0 = max(s_hy / s_hh, 0.0)
+            candidates.append((-b0 / m, b0))
+        candidates.append((0.0, 0.0))
+        return min(
+            ((a, b, rmse_of(a, b, gs)) for a, b in candidates),
+            key=lambda c: c[2],
+        )
+
+    return solve
 
 
 def fit_model(trace: Iterable) -> FitResult:
@@ -204,14 +215,13 @@ def fit_model(trace: Iterable) -> FitResult:
     if peak <= 0:
         raise FitError("trace shows no growth to fit")
 
-    ts = [p.t for p in rise]
-    ys = [p.count for p in rise]
+    solve = _solver([p.t for p in rise], [p.count for p in rise])
 
     best_m, best = None, None
     steps = int(round((FIT_M_MAX - FIT_M_MIN) / FIT_M_STEP))
     for i in range(steps + 1):
         m = FIT_M_MIN + i * FIT_M_STEP
-        sol = _solve_coeffs(m, ts, ys)
+        sol = solve(m)
         if best is None or sol[2] < best[2]:
             best_m, best = m, sol
 
@@ -220,17 +230,17 @@ def fit_model(trace: Iterable) -> FitResult:
     hi = best_m + FIT_M_STEP
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc = _solve_coeffs(c, ts, ys)
-    fd = _solve_coeffs(d, ts, ys)
+    fc = solve(c)
+    fd = solve(d)
     for _ in range(FIT_REFINE_ITERS):
         if fc[2] < fd[2]:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
-            fc = _solve_coeffs(c, ts, ys)
+            fc = solve(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
-            fd = _solve_coeffs(d, ts, ys)
+            fd = solve(d)
     for m, sol in ((c, fc), (d, fd)):
         if sol[2] < best[2]:
             best_m, best = m, sol
