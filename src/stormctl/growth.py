@@ -23,6 +23,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from operator import mul
@@ -59,6 +60,8 @@ class PtrModelParams:
     b: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.p_start, self.p_end, self.m))):
+            raise ValueError("rates and growth constant m must be finite")
         if self.m == 0:
             raise ValueError("growth constant m must be nonzero")
         if self.p_start < 0 or self.p_end < 0:
@@ -204,6 +207,8 @@ def fit_model(trace: Iterable) -> FitResult:
     input always produces bitwise-identical parameters.
     """
     points = _as_points(trace)
+    if not all(map(math.isfinite, itertools.chain.from_iterable(points))):
+        raise FitError("trace times and counts must be finite")
     if any(b.t <= a.t for a, b in zip(points, points[1:])):
         raise FitError("trace times must be strictly increasing")
     if points and points[0].t > 0:

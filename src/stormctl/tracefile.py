@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -64,8 +65,13 @@ def read_trace(path: PathLike) -> list[TracePoint]:
         if reader.fieldnames is None or "t_ms" not in reader.fieldnames \
                 or "count" not in reader.fieldnames:
             raise ValueError(f"{path}: expected a t_ms,count header")
-        return [TracePoint(float(row["t_ms"]), float(row["count"]))
-                for row in reader]
+        points = [TracePoint(float(row["t_ms"]), float(row["count"]))
+                  for row in reader]
+    for row, point in enumerate(points, start=1):
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"{path}: row {row}: t_ms and count must be "
+                             f"finite")
+    return points
 
 
 # -- channel traces ------------------------------------------------------

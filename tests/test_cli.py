@@ -116,6 +116,62 @@ class TestDetectCommand:
         assert code == EXIT_OK
 
 
+class TestNonFiniteGrowthInputs:
+    """A nan or infinite growth input exits 2, with no traceback, and
+    writes nothing: each case below exited 0 before."""
+
+    def trace_with(self, tmp_path, row, column, cell):
+        path = tmp_path / "trace.csv"
+        tracefile.write_trace(load_trace("table1"), path)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[row].rstrip("\n").split(",")
+        cells[column] = cell
+        lines[row] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        return str(path)
+
+    def rejected(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("stormctl: ")
+        assert "Traceback" not in captured.err
+        return captured
+
+    def test_fit_nan_count(self, tmp_path, capsys):
+        out = tmp_path / "params.json"
+        captured = self.rejected(capsys, [
+            "fit", "--trace", self.trace_with(tmp_path, 3, 1, "nan"),
+            "--out", str(out)])
+        assert "row 3: t_ms and count must be finite" in captured.err
+        assert "NaN" not in captured.out
+        assert not out.exists()
+
+    def test_fit_nan_time(self, tmp_path, capsys):
+        captured = self.rejected(capsys, [
+            "fit", "--trace", self.trace_with(tmp_path, 5, 0, "nan")])
+        assert "row 5: t_ms and count must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_detect_nan_count(self, tmp_path, capsys):
+        captured = self.rejected(capsys, [
+            "detect", "--trace", self.trace_with(tmp_path, 3, 1, "nan"),
+            "--reference-dataset", "table4"])
+        assert "must be finite" in captured.err
+
+    def test_model_nan_p_start(self, capsys):
+        captured = self.rejected(capsys, [
+            "model", "--p-start", "nan", "--p-end", "90000", "--m", "1.5"])
+        assert "must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_model_infinite_m(self, capsys):
+        captured = self.rejected(capsys, [
+            "model", "--p-start", "500", "--p-end", "90000", "--m", "inf"])
+        assert "must be finite" in captured.err
+        assert captured.out == ""
+
+
 class TestSimCommand:
     def test_normal_preset_clean_exit(self, capsys):
         assert main(["sim", "--scenario", "normal"]) == EXIT_OK

@@ -53,6 +53,12 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(1.0, -100.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for args in ((bad, 100.0, 1.0), (1.0, bad, 1.0), (1.0, 100.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                make_params(*args)
+
     @given(
         ps=st.floats(0.0, 2e4),
         pe=st.floats(0.0, 1.2e5),
@@ -188,6 +194,12 @@ class TestFit:
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(FitError):
             fit_model([(0, 0), (1, 5), (1, 6), (2, 7), (3, 8)])
+
+    @pytest.mark.parametrize("point", [(2, math.nan), (math.nan, 7),
+                                       (2, math.inf), (math.inf, 7)])
+    def test_rejects_non_finite_points(self, point):
+        with pytest.raises(FitError, match="must be finite"):
+            fit_model([(0, 0), (1, 5), point, (3, 8), (4, 9)])
 
     def test_rejects_too_short_rise(self):
         with pytest.raises(FitError):
