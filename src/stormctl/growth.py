@@ -149,9 +149,10 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
     """Least-squares (a, b) for fixed m, honoring Ps >= 0 and Pe >= 0.
 
     Returns solve(m) -> (a, b, rmse) for this rise.  The sums that do not
-    depend on m are taken once, here.  Uses explicit normal equations so
-    results do not depend on any linear-algebra backend; every sum adds
-    the same products in the same order as a per-m solver would.
+    depend on m are taken once, here; each sum adds its products in rise
+    order, so taking it once changes no bit of any result.  Uses explicit
+    normal equations so results do not depend on any linear-algebra
+    backend.
     """
     n = len(ts)
     exp = math.exp
