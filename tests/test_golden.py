@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,54 @@ EDGE_GOLDEN = {
         'trace.csv': 'fe5099d023b42dcbec40d98269d2952ce4df8d03003f0f00c3ec8583a09b6c88',
         'triggers': '91ba1a10c7ca7408efbb798992cf80c48ad2590e270d9f8fbb2e32fc81627f0e',
     },
+    'dense-packet-block': {
+        'closed': 'c285d594c9f5e686f8b8412141f19f88adb7bb6e40eca3cac915b64e9ce10966',
+        'records': 'acd1945358c7331944ecaaf0b4b5cd6894e1708642350fe0778f95b3e164d24f',
+        'summary.json': 'c7bf46a97b60f50aa5bf828c0a883f553b6b40a0514bed0d393521412735ef26',
+        'tickets.jsonl': '3cff757558b9d2de468d1fdc6cacfb8555a79848695d3a65404523e17a09247b',
+        'trace.csv': 'f6be57852f996195c0d523f49b01fa85e50fc1b95a2d10b048fc94ac0dc121da',
+        'triggers': 'cf9b5969e1c375e09981e78be21ce246aae0f059112a22648860353a91a0b25d',
+    },
+    'dense-bandwidth-block': {
+        'closed': '2be4ef576931031e55a0e745513b13d2eaa7c9b24e58ea1e82a4c1a3859ce3ba',
+        'records': '58f1ee1c631a05b6bdd660acfe1038234dc268321000b80f837e79eb32b0271b',
+        'summary.json': '7234e95c747dd6287c5a676d4996decf16c98938ecaa8466a3d5649083942222',
+        'tickets.jsonl': '13e5c92c6dd5746c217987ddc9ab2cb07cb34a5bcd7fb0be9e85ddf63b53ce1a',
+        'trace.csv': '8362eff369885038893ecf17aa0c9e4ada3a2082e2e42ab0ec069cba050460cd',
+        'triggers': '9406041598b71d18cff19974c0210cc2d14848cf87f3cb8d765d313c82543c96',
+    },
+    'dense-budget-enforce': {
+        'closed': '9e02a6d44446a90b9a4243e9d5303d251c9d85ed97dc96fc1e68176716801a74',
+        'records': '78a276fdc9064c2f8e0d4ae4bd3c4e6180751d05419586784f3171c2e26fd89a',
+        'summary.json': '87642159d591fa1c3c1f743c70b98bc5b1df9ef959a457227e4589600fd5fe49',
+        'tickets.jsonl': '1ad372c18b4715c03ff47286f2cc291b40df02dc9f8858b88bd39ac60bf2edc5',
+        'trace.csv': '0b3faf36a713ba129764a14bfdfca00a365b07e23bc6dd6c80a09097981a529f',
+        'triggers': '9fce338948e73fb3b5614ccb30e8150f09bee3706a12bc94c1c42861c4d41cd1',
+    },
+    'dense-budget-detect': {
+        'closed': '88fcbbe3d983e09a1bfa1cbfbe5737e53d592874466a91c3cf4e2901cffafd16',
+        'records': '71a0a5096ec407bbcf2e47391b72e5b09142b654140485100744f5e0d3c64298',
+        'summary.json': 'c613e1e56f41a9c680b7401ecb60a02046bdac521dd70bb5358f6601c8eb47f6',
+        'tickets.jsonl': '1b30b93ffcce7f034bcaa8ee60babc50c6834c119a7c97a737732c3773ad1b9a',
+        'trace.csv': '4091c0857fb56efeba98911d89c4b00c4b70bce73da648dd1aa3058c77ae0e6c',
+        'triggers': 'eb1b760ca8a2deff09b72e2f85a5b2469b06f3466fc35f6a2c7eb904e18312a5',
+    },
+    'dense-capacity-cut': {
+        'closed': 'e934f23dd3541521d16aa4dbc819285faa09ca530378cc6c3ee57521369012a9',
+        'records': '5ad7edbadd67936dd6aca0246388af019f688abbd2769aca549a0b277fc7292f',
+        'summary.json': 'a59a1ba934b2a2f3444803c64f0d9af87f5597a279fb46530ad4262ac28af82f',
+        'tickets.jsonl': 'e58e144e00c41c7700d72992309f498d69149d5c86c3f258500dd09ba41aaae8',
+        'trace.csv': '00d9159e9455a8462712a77438978cd0d1352d925b6bb36b485bf7ccbd93ee25',
+        'triggers': '658bb87405f64f721d126da397d8afc1d562bcb1e812ba22f419d37c436cda28',
+    },
+    'dense-ipid-repeats-1': {
+        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'records': 'ccb5eff92320aeb5a93194685a495ce71cd9538140c69a2a2b57e591db25c0db',
+        'summary.json': '26fb394a3f46e882e03e4a1cfadd8fbf7052b00d88b67726c262e6b7edbf2fc1',
+        'tickets.jsonl': '88ae180b14f47cf237b96852202f5ed35f869f425479af8350309579d90e8ad7',
+        'trace.csv': '8b39bb7e9c1313158072bbd00b68142870e2219a728d7e90518af2faaf497d22',
+        'triggers': '008b57dcf5e69a0f3b8a9eb01dcda3095cf1e33c1aa6ab4ebc9d4bf80925d4de',
+    },
 }
 
 FIT_GOLDEN = {
@@ -317,8 +366,58 @@ def edge_scenarios() -> dict[str, Scenario]:
             agents=AgentConfig(policy=Policy.BANDWIDTH_BASED,
                                suppression_window=5.0,
                                thresholds=ThresholdDb(nbw_permissible=1200.0))),
+        *_dense_generator_scenarios(),
     ]
     return {sc.name: sc for sc in scenarios}
+
+
+def _dense_generator_scenarios() -> list[Scenario]:
+    """10 Gb/s, 64 B frames, 0.1 ms ticks: the background generator puts
+    tens of frames on every step, its broadcasts and its unicasts each
+    taking the nodes in turn."""
+    def dense(name: str, node_count: int, seed: int, *,
+              generator: NormalBroadcastProfile = NormalBroadcastProfile(
+                  broadcast_peak_fraction=0.3),
+              injectors: tuple = (), duration: float = 2.0,
+              **agents) -> Scenario:
+        return Scenario(
+            name=name, node_count=node_count, link_rate=10e9, tick=0.1,
+            duration=duration, seed=seed, frame_size=64, generator=generator,
+            injectors=injectors,
+            agents=AgentConfig(sample_period=0.1, **agents))
+
+    loop = Injector(kind="loop", start_t=0.8, pass_interval=0.05)
+    budget = ThresholdDb(byte_threshold_mb=0.01)
+    return [
+        # a loop gets its origin's port blocked: the steps around it carry
+        # the blocked node's frames between everyone else's
+        dense("dense-packet-block", 5, 21, duration=3.0,
+              injectors=(replace(loop, origin_node=2),),
+              suppression_window=0.5),
+        dense("dense-bandwidth-block", 6, 22, duration=3.0,
+              injectors=(replace(loop, origin_node=4),),
+              suppression_window=0.5, policy=Policy.BANDWIDTH_BASED),
+        # each node crosses a 10 kB budget within a step, part way through
+        # the generator's broadcasts there
+        dense("dense-budget-enforce", 4, 23, suppression_window=0.5,
+              thresholds=budget),
+        dense("dense-budget-detect", 4, 24,
+              generator=NormalBroadcastProfile(broadcast_peak_fraction=0.3,
+                                               unicast_fraction=0.8),
+              suppression_window=0.5, policy=None, thresholds=budget),
+        # offered load above capacity, so the link fills within a step,
+        # while a faulty NIC's port is blocked
+        dense("dense-capacity-cut", 5, 25,
+              generator=NormalBroadcastProfile(unicast_fraction=0.9,
+                                               broadcast_peak_fraction=0.5,
+                                               jitter=0.2),
+              injectors=(Injector(kind="faulty_nic", start_t=0.3,
+                                  origin_node=3, rate=40.0),),
+              suppression_window=0.3),
+        dense("dense-ipid-repeats-1", 4, 26, policy=None,
+              thresholds=ThresholdDb(ipid_min_repeats=1,
+                                     ipid_window_ms=0.05)),
+    ]
 
 
 def seeded_rise(seed: int, dt: float, power: float,
