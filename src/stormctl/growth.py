@@ -168,7 +168,11 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
         return math.sqrt(acc / n)
 
     def solve(m: float):
-        gs = [t * exp(m * t) for t in ts]
+        try:
+            gs = [t * exp(m * t) for t in ts]
+        except OverflowError:
+            raise FitError(f"a rise of {ts[-1]:g} ms is too long to fit: "
+                           f"e^(m t) overflows at m = {m:g}") from None
         s_gg = sum(map(mul, gs, gs))
         s_tg = sum(map(mul, ts, gs))
         s_gy = sum(map(mul, gs, ys))

@@ -86,6 +86,32 @@ class TestFitCommand:
         capsys.readouterr()
         assert err.value.code == EXIT_USAGE
 
+    # e^(m t) overflows a double once m t passes about 709.78; the grid
+    # reaches m = 10, so a rise longer than about 71 ms cannot be fitted
+    def long_rise(self, tmp_path, t_end):
+        path = tmp_path / "rise.csv"
+        tracefile.write_trace([(t_end * k / 4, c) for k, c in
+                               enumerate((0.0, 100.0, 300.0, 700.0, 1500.0))],
+                              path)
+        return str(path)
+
+    def test_rise_too_long_to_fit_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "params.json"
+        code = main(["fit", "--trace", self.long_rise(tmp_path, 80.0),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("stormctl: fit failed: ")
+        assert "overflows" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_rise_of_70_ms_still_fits(self, tmp_path, capsys):
+        code = main(["fit", "--trace", self.long_rise(tmp_path, 70.0)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rmse"] >= 0
+
 
 class TestDetectCommand:
     def test_identity_replay_is_clean(self, capsys):
