@@ -2,13 +2,16 @@
 
 Models one shared Ethernet segment as a discrete-event loop on 0.01 ms
 internal steps, visiting only the steps that hold frames or may seed a
-loop.  Frames travel as runs, `count` frames from one node at one step,
-so the thousands of copies a loop pass puts on one step are handled as
-one.  Every sampling tick the delivered traffic is rolled up into
-channel counters, classified, and offered to the agent fleet; per-node
-counters exist only for the nodes that sent in that tick, and every
-other node shows one shared idle sample.  All randomness flows from
-one seeded generator, so a scenario replays bit-identically.
+loop.  Frames travel as runs, `count` frames at one step, so the
+thousands of copies a loop pass puts on one step are handled as one.  A
+run's frames come from one node, or, for the background generator's
+frames at a step, from the nodes in turn; either way each node's share
+is handled by arithmetic, not frame by frame.  Every sampling tick the
+delivered traffic is rolled up into channel counters, classified, and
+offered to the agent fleet; per-node counters exist only for the nodes
+that sent in that tick, and every other node shows one shared idle
+sample.  All randomness flows from one seeded generator, so a scenario
+replays bit-identically.
 
 Traffic sources:
 
@@ -22,8 +25,10 @@ Traffic sources:
 
 Each frame meets, in order: the suppression filter (blocked ports drop
 frames at ingress), the per-window broadcast byte budget, the carrying
-capacity of the link, then delivery; a run splits exactly at the frame
-where its frames part ways.  Delivered loop frames spawn their replicas,
+capacity of the link, then delivery.  A blocked node's frames in a run
+are dropped together, the link carries the first frames it still has
+room for, and a run splits only at a frame that breaks a byte budget,
+which is handled alone.  Delivered loop frames spawn their replicas,
 one run per delivered run; everything filtered dies without offspring,
 so a storm only persists while the loop keeps reseeding.  A per-tick
 conservation ledger (generated + replicated - suppressed - capped ==
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -64,12 +70,13 @@ class ScenarioError(ValueError):
 
 
 class Run(NamedTuple):
-    """`count` frames from one node at one step, handled in order.
+    """`count` frames at one step, handled in order.
 
-    A fresh run numbers its IPIDs consecutively from `ipid`, and none of
-    them ever recurs; otherwise every frame carries `ipid` (the seed and
-    replicas of a reused-IPID loop).  Only loop replicas come in runs of
-    more than one frame.
+    Frame j comes from node `src`, or from node (src + j) % node_count
+    when the run rotates: the background generator's frames at one step
+    take the nodes in turn.  A fresh run numbers its IPIDs consecutively
+    from `ipid`, and none of them ever recurs; otherwise every frame
+    carries `ipid` (the seed and replicas of a reused-IPID loop).
     """
 
     src: int
@@ -79,6 +86,7 @@ class Run(NamedTuple):
     inj: Optional[int]          # owning injector index for loop chains
     count: int
     fresh: bool
+    rotates: bool = False
 
 
 def saturation_cap(link_rate: float, tick_ms: float, frame_size: int) -> int:
@@ -310,12 +318,13 @@ class _IpidWindow:
         """Record a run's deliveries; the IPID that now qualifies, if any.
 
         A fresh run's IPIDs are never seen again: only a single sighting
-        can qualify them, and only the last can stay the tick's candidate.
+        can qualify them, and only the last can stay the tick's candidate,
+        so for a fresh run `ipid` and `src` are its last delivered frame's.
         """
         if fresh:
             if self.min_repeats > 1:
                 return None
-            ipid, count = ipid + count - 1, 1
+            count = 1
         self._order.append((t, ipid))
         entries = self._per_ipid.setdefault(ipid, deque())
         entries.append((t, src, count))
@@ -354,6 +363,7 @@ def run(scenario: Scenario) -> SimTrace:
     rng = random.Random(sc.seed)
     next_ipid = 1               # IPIDs are handed out in `put` order
     base_ipg = min_ipg(sc.link_rate)
+    nodes = sc.node_count
 
     fleet: Optional[AgentFleet] = None
     if sc.agents is not None:
@@ -368,9 +378,11 @@ def run(scenario: Scenario) -> SimTrace:
     # without agents the defaults apply to the IPID window and nothing is enforced
     config = sc.agents if sc.agents is not None else AgentConfig(policy=None)
     thresholds = config.thresholds
+    # byte counts are whole numbers, so a frame keeps within the budget
+    # when the node's bytes with it stay within the budget's floor
     byte_limit = None
     if thresholds.byte_threshold_mb is not None:
-        byte_limit = thresholds.byte_threshold_mb * 1e6
+        byte_limit = math.floor(thresholds.byte_threshold_mb * 1e6)
     window_ms = config.suppression_window
     enforce = config.policy is not None
 
@@ -387,13 +399,14 @@ def run(scenario: Scenario) -> SimTrace:
             steps.add(round(t * STEPS_PER_MS))
             t += inj.pass_interval
         boundaries[i] = steps
+    loops = [(i, sc.injectors[i], boundaries[i]) for i in loop_idx]
     # heap of the steps to visit: those holding runs, and loop boundaries
     due = sorted(step for steps in boundaries.values() for step in steps
                  if step < total_steps)
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
     ipid_win = _IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
-    byte_acc: dict[int, float] = {}     # per node, from its first budgeted frame
+    byte_acc: dict[int, int] = {}   # per node, from its first budgeted frame
     byte_wid: dict[int, int] = {}
     # a node that sends nothing in a tick shows this same sample in it
     idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0, ())
@@ -411,8 +424,16 @@ def run(scenario: Scenario) -> SimTrace:
             else:
                 batch.append(r)
 
-    def spread(n: int, base: int) -> Iterator[int]:
-        return (base + (i * steps_per_tick) // n for i in range(n))
+    def spread(n: int, base: int) -> Iterator[tuple[int, int]]:
+        """n frames spread evenly over the tick from step base, frame i at
+        step base + i * steps_per_tick // n, as (step, frames there)."""
+        if n <= steps_per_tick:
+            return ((base + i * steps_per_tick // n, 1) for i in range(n))
+        # step k holds frames ceil(k * n / steps_per_tick) onwards
+        firsts = [-(-k * n // steps_per_tick)
+                  for k in range(steps_per_tick + 1)]
+        return zip(range(base, base + steps_per_tick),
+                   map(operator.sub, firsts[1:], firsts))
 
     bcast_rr = 0
     uni_rr = 0
@@ -432,16 +453,16 @@ def run(scenario: Scenario) -> SimTrace:
             phase = math.fmod(t0, g.burst_period)
             n_b = int(g.ideal_broadcast(phase, cap) * u_b + 0.5)
             n_u = int(g.ideal_unicast(cap) * u_u + 0.5)
-            for step in spread(n_b, base) if n_b else ():
-                put(step, Run(bcast_rr % sc.node_count, next_ipid, True,
-                              "data", None, 1, True))
-                next_ipid += 1
-                bcast_rr += 1
-            for step in spread(n_u, base) if n_u else ():
-                put(step, Run(uni_rr % sc.node_count, next_ipid, False,
-                              "data", None, 1, True))
-                next_ipid += 1
-                uni_rr += 1
+            for step, c in spread(n_b, base):
+                put(step, Run(bcast_rr, next_ipid, True, "data", None, c,
+                              True, True))
+                next_ipid += c
+                bcast_rr = (bcast_rr + c) % sc.node_count
+            for step, c in spread(n_u, base):
+                put(step, Run(uni_rr, next_ipid, False, "data", None, c,
+                              True, True))
+                next_ipid += c
+                uni_rr = (uni_rr + c) % sc.node_count
         for i, inj in enumerate(sc.injectors):
             if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
                 continue
@@ -449,10 +470,11 @@ def run(scenario: Scenario) -> SimTrace:
             n = int(rate_acc[i])
             rate_acc[i] -= n
             kind = "spoof" if inj.kind == "smurf" else "data"
-            for step in spread(n, base) if n else ():
-                put(step, Run(inj.origin_node, next_ipid, True, kind, i, 1,
-                              True))
-                next_ipid += 1
+            for step, c in spread(n, base):
+                for _ in range(c):      # a spoof draws replies per frame
+                    put(step, Run(inj.origin_node, next_ipid, True, kind, i,
+                                  1, True))
+                    next_ipid += 1
 
         generated = replicated = suppressed = capped = delivered = 0
         active: list[int] = []
@@ -467,90 +489,127 @@ def run(scenario: Scenario) -> SimTrace:
                 continue
             last_step = step
             t_s = step / STEPS_PER_MS
-            for i in loop_idx:
-                inj = sc.injectors[i]
-                if (step in boundaries[i] and pending[i] == 0
-                        and inj.active(t_s)):
+            for i, inj, passes in loops:
+                if step in passes and pending[i] == 0 and inj.active(t_s):
                     put(step, Run(inj.origin_node, next_ipid, True, "seed", i,
                                   1, not inj.reuse_ipid))
                     next_ipid += 1
             batch = schedule.pop(step, ())
-            for src, ipid, bcast, kind, owner, n, fresh in batch:
+            for src, ipid, bcast, kind, owner, n, fresh, rotates in batch:
                 if kind == "replica":
                     replicated += n
                     pending[owner] -= n
                 else:
                     generated += n
-                node = per_node[src]
-                if node is None:
-                    node = per_node[src] = {"d_b": 0, "d_t": 0, "a_b": 0,
-                                            "a_t": 0, "sup": 0, "ipids": []}
-                    active.append(src)
-                node["a_t"] += n
-                if bcast:
-                    node["a_b"] += n
                 budget = byte_limit is not None and bcast
-                if budget:
-                    wid = int(t_s // window_ms)
-                    if wid != byte_wid.get(src):
-                        byte_wid[src] = wid
-                        byte_acc[src] = 0.0
+                # Lane j holds frames j, j + period, ... of the run, all from
+                # one node; a run that does not rotate is its own one lane.
+                # A lane is [its next frame at or after done, node, the
+                # node's counters, whether its port is blocked].
+                period = nodes if rotates else 1
+                lanes = []
+                for j in range(n if n < period else period):
+                    v = src + j if src + j < nodes else src + j - nodes
+                    node = per_node[v]
+                    if node is None:
+                        node = per_node[v] = {"d_b": 0, "d_t": 0, "a_b": 0,
+                                              "a_t": 0, "sup": 0, "ipids": []}
+                        active.append(v)
+                    c = (n - 1 - j) // period + 1
+                    node["a_t"] += c
+                    if bcast:
+                        node["a_b"] += c
+                    if budget:
+                        wid = int(t_s // window_ms)
+                        if wid != byte_wid.get(v):
+                            byte_wid[v] = wid
+                            byte_acc[v] = 0
+                    blocked = enforce and fleet.is_suppressed(v, t_s, bcast)
+                    lanes.append([j, v, node, blocked])
 
-                # Frames [done, n) are still to handle; those delivered are
-                # always the run's first, and those neither delivered nor
-                # capped were suppressed.  Within a step only byte_breach
-                # can block a port, so suppression is asked again only then.
-                done = sent = lost = 0
-                blocked = enforce and fleet.is_suppressed(src, t_s, bcast)
-                while done < n and not blocked:
-                    take = n - done
-                    over = False
-                    if budget and byte_acc[src] + take * size > byte_limit:
-                        # only the largest j with acc + j * size <= limit
-                        # fit; byte counts are whole numbers, exact in a
-                        # float, so integers against floor(limit) find j
-                        take = max(0, (math.floor(byte_limit)
-                                       - int(byte_acc[src])) // size)
-                        if not take:    # the next frame breaks the budget
-                            would = byte_acc[src] + size
-                            ticket = fleet.byte_breach(src, t_s, would / 1e6)
-                            if ticket is not None:
-                                tickets.append(ticket)
-                            if enforce:
-                                done += 1
-                                blocked = fleet.is_suppressed(src, t_s, bcast)
+                # Frames [done, n) are still to handle, in segments that end
+                # at the first frame breaking a byte budget.  A blocked
+                # lane's frames are suppressed; of the others, the link
+                # carries the first `room` and caps the rest.  Within a step
+                # only byte_breach can block a port, so suppression is asked
+                # again only then.  The frame at `over` broke its budget and
+                # goes on to the link (detect only).
+                done = sent = dropped = 0
+                over = last = -1    # last: the last frame delivered
+                while True:
+                    room = cap - delivered - sent
+                    cut = n             # the first capped frame, if any
+                    if n - done > room:
+                        # the frame after the first `room` not blocked
+                        opened = sorted(q for q, _, _, blocked in lanes
+                                        if not blocked)
+                        if opened:
+                            full, rem = divmod(room, len(opened))
+                            cut = min(n, opened[rem] + full * period)
+                    end = n             # the frame breaking a budget, if any
+                    if budget:
+                        for lane in lanes:
+                            q, v, _, blocked = lane
+                            if blocked:
                                 continue
-                            over = True     # detect only: it goes on alone
-                            take = 1
-                    d = take if take < cap - delivered else cap - delivered
-                    if not d:
-                        # the link is full; a capped frame adds no bytes, so
-                        # every later frame within the budget is capped too
-                        d = 1 if over else n - done
-                        lost += d
-                    else:
-                        delivered += d
-                        node["d_t"] += d
-                        kinds[kind] += d
+                            # its next `fit` frames keep within the budget
+                            fit = max(0, (byte_limit - byte_acc[v]) // size)
+                            b = q + fit * period
+                            if b == over:
+                                b += period
+                            # a capped frame adds no bytes, so the budget
+                            # holds if the last frame within it is capped
+                            if b < end and (not fit or b - period < cut):
+                                end, breaker = b, lane
+                    carried = cut if cut < end else end
+                    for q, v, node, blocked in lanes:
+                        if blocked:
+                            k = (end - 1 - q) // period + 1
+                            node["sup"] += k
+                            dropped += k
+                            continue
+                        k = (carried - 1 - q) // period + 1
+                        if not k:
+                            continue
+                        sent += k
+                        node["d_t"] += k
                         if bcast:
-                            first = ipid + sent if fresh else ipid
-                            node["d_b"] += d
-                            node["ipids"].extend(range(first, first + d)
-                                                 if fresh else (ipid,) * d)
+                            node["d_b"] += k
+                            node["ipids"].extend(
+                                range(ipid + q, ipid + q + k * period, period)
+                                if fresh else (ipid,) * k)
                             if budget:
-                                byte_acc[src] += d * size
-                            hit = ipid_win.add(t_s, first, src, d, fresh)
-                            if hit is not None:
-                                ipid_candidate = hit
-                        sent += d
-                    done += d
-                capped += lost
-                dropped = n - sent - lost
-                if dropped:
-                    suppressed += dropped
-                    node["sup"] += dropped
+                                byte_acc[v] += k * size
+                            if q + (k - 1) * period > last:
+                                last, last_src = q + (k - 1) * period, v
+                    if end == n:
+                        break
+                    _, v, node, _ = breaker
+                    ticket = fleet.byte_breach(v, t_s,
+                                               (byte_acc[v] + size) / 1e6)
+                    if ticket is not None:
+                        tickets.append(ticket)
+                    if enforce:
+                        node["sup"] += 1
+                        dropped += 1
+                        breaker[3] = fleet.is_suppressed(v, t_s, bcast)
+                        done = end + 1
+                    else:
+                        done = over = end
+                    for lane in lanes:
+                        lane[0] = done + (lane[0] - done) % period
+                suppressed += dropped
+                capped += n - sent - dropped
                 if not sent:
                     continue
+                delivered += sent
+                kinds[kind] += sent
+                if bcast:
+                    # a fresh run is known by its last frame alone
+                    hit = ipid_win.add(t_s, ipid + last if fresh else ipid,
+                                       last_src, sent, fresh)
+                    if hit is not None:
+                        ipid_candidate = hit
                 if kind in ("seed", "replica"):
                     loop = sc.injectors[owner]
                     nxt = step + round(loop.pass_interval * STEPS_PER_MS)
@@ -587,12 +646,8 @@ def run(scenario: Scenario) -> SimTrace:
             per_node[n] = None
             d_b += d["d_b"]
             slots[n] = TrafficSample(
-                node=n, bcast_pkts=d["d_b"], total_pkts=d["d_t"],
-                bcast_bytes=d["d_b"] * sc.frame_size,
-                total_bytes=d["d_t"] * sc.frame_size,
-                attempted_bcast=d["a_b"], attempted_total=d["a_t"],
-                suppressed=d["sup"], ipids=tuple(d["ipids"]),
-            )
+                n, d["d_b"], d["d_t"], d["d_b"] * size, d["d_t"] * size,
+                d["a_b"], d["a_t"], d["sup"], tuple(d["ipids"]))
         samples = tuple(slots)
         load = min(1.0, delivered / cap) if cap else 0.0
         stats = ChannelStats(

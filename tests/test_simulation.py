@@ -198,6 +198,20 @@ class TestOperationCounts:
         trace = run(preset("table5-control"))
         assert 0 < len(made) < frames_handled(trace) / 100
 
+    # a saturated 10 Gb/s link of 4 nodes with 64 B frames: the background
+    # generator puts about 80 frames on each step, and a loop overruns it
+    def test_generator_frames_travel_as_runs(self, monkeypatch):
+        made = self.count_calls(monkeypatch, simulation, "Run")
+        trace = run(Scenario(
+            name="saturated-10g", node_count=4, link_rate=10e9, tick=1.0,
+            duration=4.0, seed=3, frame_size=64,
+            generator=NormalBroadcastProfile(),
+            injectors=(Injector(kind="loop", start_t=1.0, origin_node=2,
+                                pass_interval=0.1, factor=4),),
+            agents=AgentConfig(policy=None)))
+        assert sum(r.ledger.capped for r in trace.records)
+        assert 0 < len(made) < frames_handled(trace) * 0.05
+
     def test_node_samples_follow_the_active_nodes(self, monkeypatch):
         made = self.count_calls(monkeypatch, simulation, "TrafficSample")
         sc = dataclasses.replace(preset("loop-storm"), node_count=1000)
