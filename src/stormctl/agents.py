@@ -412,6 +412,8 @@ class AgentFleet:
     ) -> list[TroubleTicket]:
         """Run one sampling tick; returns any tickets opened at this tick.
 
+        node_samples holds, in any order, at least the samples of the nodes
+        that sent in this tick; a node without one sent nothing.
         ipid_entries are (t, ipid, src) for broadcast frames seen inside
         the loop-scan window ending at this tick.
         """
@@ -428,32 +430,33 @@ class AgentFleet:
             if util > thresholds.utilization_max:
                 triggers.append(Trigger(TriggerCause.UTILIZATION_EXCEEDED, 0,
                                         t, util, thresholds.utilization_max))
-        if triggers and node_samples:
-            # channel-wide causes blame the top talker, lowest id on a tie
-            top = min(node_samples, key=lambda s: (-s.attempted_bcast, s.node))
-            triggers = [tr._replace(node=top.node) for tr in triggers]
+        if triggers:
+            # channel-wide causes blame the top talker, lowest id on a tie;
+            # when no node attempted a broadcast, node 0
+            top = min(node_samples, key=lambda s: (-s.attempted_bcast, s.node),
+                      default=None)
+            if top is not None and top.attempted_bcast:
+                triggers = [tr._replace(node=top.node) for tr in triggers]
         if thresholds.nbw_permissible is not None:
             # a node has a window only while it holds broadcast bytes: an
             # empty one sums to 0, which never exceeds a nonnegative limit
             windows = self._nbw_bytes
-            for sample in node_samples:
-                window = windows.get(sample.node)
-                if window is None:
-                    if not sample.bcast_bytes:
-                        continue
-                    window = windows[sample.node] = []
-                window.append(sample.bcast_bytes)
+            sent_now = {s.node: s.bcast_bytes for s in node_samples
+                        if s.bcast_bytes}
+            for node in sorted(sent_now.keys() | windows.keys()):
+                window = windows.setdefault(node, [])
+                window.append(sent_now.get(node, 0))
                 if len(window) > thresholds.nbw_window_ticks:
                     del window[0]
                 sent = sum(window)
                 if not sent:
-                    del windows[sample.node]
+                    del windows[node]
                     continue
                 nb = node_bandwidth(sent, 1.0, thresholds.nbw_permissible,
                                     thresholds.nbw_factor)
                 if nb.exceeds:
                     triggers.append(Trigger(
-                        TriggerCause.NBW_EXCEEDED, sample.node, t, nb.value,
+                        TriggerCause.NBW_EXCEEDED, node, t, nb.value,
                         thresholds.nbw_factor * thresholds.nbw_permissible))
         if ipid_entries:
             looped, offenders = detect_ipid_loop(

@@ -664,7 +664,8 @@ def run(scenario: Scenario) -> SimTrace:
                                   ipid_loop=ipid_candidate is not None,
                                   capacity_pkts=cap)
         if fleet is not None:
-            tickets.extend(fleet.observe(t0, stats, samples, candidate_entries))
+            tickets.extend(fleet.observe(t0, stats, [slots[n] for n in active],
+                                         candidate_entries))
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
         records.append(TickRecord(t0, stats, classification, samples, ledger,
                                   tuple(sorted(kinds.items()))))

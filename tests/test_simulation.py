@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stormctl import simulation, tracefile
+from stormctl import agents, simulation, tracefile
 from stormctl.agents import (
     AgentConfig,
     AgentFleet,
@@ -211,6 +211,32 @@ class TestOperationCounts:
             agents=AgentConfig(policy=None)))
         assert sum(r.ledger.capped for r in trace.records)
         assert 0 < len(made) < frames_handled(trace) * 0.05
+
+    # loop-storm over 1000 nodes with the per-node bandwidth rule on: about
+    # a hundred nodes send per tick, and a few hold a bandwidth window
+    def test_observe_visits_active_nodes_and_windows(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, agents, "node_bandwidth")
+        seen = []
+        original = AgentFleet.observe
+
+        def observe(fleet, t, stats, node_samples, ipid_entries=()):
+            holders, before = len(fleet._nbw_bytes), len(calls)
+            tickets = original(fleet, t, stats, node_samples, ipid_entries)
+            seen.append((len(node_samples), holders, len(calls) - before))
+            return tickets
+
+        monkeypatch.setattr(AgentFleet, "observe", observe)
+        sc = preset("loop-storm")
+        trace = run(dataclasses.replace(
+            sc, node_count=1000, agents=dataclasses.replace(
+                sc.agents, thresholds=ThresholdDb(nbw_permissible=1200.0))))
+        assert any(tr.cause is TriggerCause.NBW_EXCEEDED
+                   for tr in trace.triggers)
+        assert len(seen) == len(trace.records)
+        for rec, (given, holders, visits) in zip(trace.records, seen):
+            active = sum(1 for s in rec.samples if s.attempted_total)
+            assert given == active < len(rec.samples) / 4
+            assert visits <= active + holders
 
     def test_node_samples_follow_the_active_nodes(self, monkeypatch):
         made = self.count_calls(monkeypatch, simulation, "TrafficSample")
