@@ -457,12 +457,12 @@ def run(scenario: Scenario) -> SimTrace:
                 put(step, Run(bcast_rr, next_ipid, True, "data", None, c,
                               True, True))
                 next_ipid += c
-                bcast_rr = (bcast_rr + c) % sc.node_count
+                bcast_rr = (bcast_rr + c) % nodes
             for step, c in spread(n_u, base):
                 put(step, Run(uni_rr, next_ipid, False, "data", None, c,
                               True, True))
                 next_ipid += c
-                uni_rr = (uni_rr + c) % sc.node_count
+                uni_rr = (uni_rr + c) % nodes
         for i, inj in enumerate(sc.injectors):
             if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
                 continue
@@ -508,6 +508,7 @@ def run(scenario: Scenario) -> SimTrace:
                 # node's counters, whether its port is blocked].
                 period = nodes if rotates else 1
                 lanes = []
+                breaks = False      # whether a lane may break its budget
                 for j in range(n if n < period else period):
                     v = src + j if src + j < nodes else src + j - nodes
                     node = per_node[v]
@@ -524,6 +525,7 @@ def run(scenario: Scenario) -> SimTrace:
                         if wid != byte_wid.get(v):
                             byte_wid[v] = wid
                             byte_acc[v] = 0
+                        breaks = breaks or byte_acc[v] + c * size > byte_limit
                     blocked = enforce and fleet.is_suppressed(v, t_s, bcast)
                     lanes.append([j, v, node, blocked])
 
@@ -547,7 +549,7 @@ def run(scenario: Scenario) -> SimTrace:
                             full, rem = divmod(room, len(opened))
                             cut = min(n, opened[rem] + full * period)
                     end = n             # the frame breaking a budget, if any
-                    if budget:
+                    if breaks:
                         for lane in lanes:
                             q, v, _, blocked = lane
                             if blocked:
