@@ -510,7 +510,7 @@ def run(scenario: Scenario) -> SimTrace:
                 lanes = []
                 breaks = False      # whether a lane may break its budget
                 for j in range(n if n < period else period):
-                    v = src + j if src + j < nodes else src + j - nodes
+                    v = (src + j) % nodes
                     node = per_node[v]
                     if node is None:
                         node = per_node[v] = {"d_b": 0, "d_t": 0, "a_b": 0,
