@@ -36,7 +36,7 @@ import enum
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .datasets import interpolate
@@ -45,7 +45,6 @@ from .metrics import (
     ChannelStats,
     TrafficSample,
     detect_ipid_loop,
-    min_ipg,
     node_bandwidth,
     utilization,
 )
@@ -84,12 +83,10 @@ class TriggerCause(enum.Enum):
     IPID_LOOP = "ipid_loop"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdDb:
-    """Per-agent threshold database; pe and ipg floor fill at calibration."""
+    """Per-agent threshold database."""
 
-    pe: Optional[float] = None              # packets per interval, safe peak
-    ipg_floor_ns: Optional[float] = None
     utilization_max: float = 0.60
     nbw_permissible: Optional[float] = None  # bytes per rolling window; None disables
     nbw_factor: float = 2.0
@@ -99,14 +96,14 @@ class ThresholdDb:
     ipid_window_ms: float = 100.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentConfig:
     sample_period: float = 1.0          # ms
     deviation_threshold: float = 0.05   # fraction
     consecutive_required: int = 3
     suppression_window: float = 1000.0  # ms, wall-aligned
     policy: Optional[Policy] = Policy.PACKET_BASED  # None: detect only, never block
-    thresholds: ThresholdDb = field(default_factory=ThresholdDb)
+    thresholds: ThresholdDb = ThresholdDb()
 
     def __post_init__(self) -> None:
         if self.sample_period <= 0:
@@ -165,7 +162,7 @@ class StaticAgent:
         self._ref_active: list[float] = []
         self._armed = False
         self._now: Optional[float] = None
-        self._pe = 0.0
+        self.pe = 0.0               # calibrated peak rate, the safe threshold
         self._eps = 0.0
         self._in_burst = False
         self._j = -1
@@ -231,13 +228,10 @@ class StaticAgent:
             else:
                 values.append(interpolate(points, offset))
         self.reference = PtrArray(0.0, step, tuple(values))
-        self._pe = pe
+        self.pe = pe
         self._eps = DEVIATION_DENOM_FLOOR * pe
         first = next((i for i, v in enumerate(values) if v > 0), None)
         self._ref_active = values[first:] if first is not None else []
-        self.config.thresholds.pe = pe
-        if self.link_rate:
-            self.config.thresholds.ipg_floor_ns = 0.5 * min_ipg(self.link_rate)
         self._armed = True
         log.info(
             "agent %s calibrated: pe=%.1f pkts/interval, reference of %d "
@@ -316,7 +310,7 @@ class StaticAgent:
         # the burst has outlived the reference; alarm only while it grows
         growing = not first and self._count > self._prev_count
         if growing:
-            return CompareResult(None, True, "outlived", self._count, self._pe)
+            return CompareResult(None, True, "outlived", self._count, self.pe)
         return CompareResult(None, False, None, 0.0, thr)
 
     def compare_ptr(self, t: float) -> CompareResult:

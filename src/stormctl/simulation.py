@@ -44,7 +44,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields, is_dataclass, replace
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, TroubleTicket
 from .datasets import interpolate, table4_hump
@@ -108,7 +108,7 @@ class NormalBroadcastProfile:
     """
 
     burst_period: float = 3.0           # ms
-    shape: tuple = ()                   # defaults to the bundled normal hump
+    shape: tuple[TracePoint, ...] = ()  # defaults to the bundled normal hump
     jitter: float = 0.05
     unicast_fraction: float = 0.40
     broadcast_peak_fraction: float = 0.08
@@ -178,10 +178,10 @@ class Injector:
         return self.start_t <= t and (self.end_t is None or t < self.end_t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     name: str = "custom"
-    node_count: int = 5
+    node_count: int                     # a domain has no default size
     link_rate: float = 1e9              # bits per second
     tick: float = 1.0                   # ms, the sampling period
     duration: float = 30.0              # ms
@@ -688,7 +688,7 @@ def run(scenario: Scenario) -> SimTrace:
 
 
 def scenario_presets() -> dict[str, Scenario]:
-    """Bundled scenarios; built fresh so agent configs are never shared."""
+    """Bundled scenarios, by name."""
     return {
         "normal": Scenario(
             name="normal", node_count=5, link_rate=1e9, tick=1.0,

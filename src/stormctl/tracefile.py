@@ -19,15 +19,17 @@ Formats:
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import math
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union, get_args, get_origin, get_type_hints
 
-from .agents import AgentConfig, Policy, ThresholdDb, TriggerCause, TroubleTicket
+from .agents import TriggerCause, TroubleTicket
 from .growth import FitResult, PtrModelParams, TracePoint
-from .simulation import Injector, NormalBroadcastProfile, Scenario, SimTrace
+from .simulation import Scenario, ScenarioError, SimTrace
 
 PathLike = Union[str, Path]
 
@@ -36,7 +38,7 @@ CHANNEL_HEADER = (
     "t_ms", "node_id", "bcast_pkts", "total_pkts", "bcast_bytes",
     "total_bytes", "ipg_ns", "utilization", "verdict", "stage",
 )
-SCENARIO_SCHEMA = 1
+SCENARIO_SCHEMA = 2
 
 
 def _write_text(path: PathLike, text: str) -> None:
@@ -194,136 +196,74 @@ def write_summary(summary: dict, path: PathLike) -> None:
 
 
 # -- scenarios ----------------------------------------------------------------
+# A scenario document is the `Scenario` as JSON plus a schema number: each
+# dataclass an object keyed by field name, a tuple a list, an enum its value.
+# Reading follows the field types, and an omitted field takes its default.
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+def _mismatch(path: str, expected: str, value) -> ScenarioError:
+    got = type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
+    return ScenarioError(f"{path}: expected {expected}, got {got}")
+
+
+def _decode(hint, value, path: str):
+    """value, parsed from JSON, as the type `hint`; path names it in errors."""
+    if get_origin(hint) is Union:                       # Optional[X]
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise _mismatch(path, "an object", value)
+        hints = get_type_hints(hint)
+        for key in sorted(value.keys() - hints.keys()):
+            raise ScenarioError(f"{path}.{key}: unknown key")
+        for f in fields(hint):
+            if f.name not in value and f.default is f.default_factory is MISSING:
+                raise ScenarioError(f"{path}.{f.name}: missing")
+        return hint(**{key: _decode(hints[key], item, f"{path}.{key}")
+                       for key, item in value.items()})
+    if get_origin(hint) is tuple:                       # tuple[X, ...]
+        if not isinstance(value, list):
+            raise _mismatch(path, "a list", value)
+        return tuple(_decode(get_args(hint)[0], item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    if isinstance(hint, type) and issubclass(hint, tuple):  # a NamedTuple
+        hints = list(get_type_hints(hint).values())
+        if not isinstance(value, list) or len(value) != len(hints):
+            raise _mismatch(path, f"a list of {len(hints)}", value)
+        return hint(*(_decode(h, item, f"{path}[{i}]")
+                      for i, (h, item) in enumerate(zip(hints, value))))
+    if isinstance(hint, enum.EnumMeta):
+        allowed = [member.value for member in hint]
+        if value in allowed:
+            return hint(value)
+        raise _mismatch(path, f"one of {allowed}", value)
+    # exact types: a bool is no number and a float no int; an int is a float
+    if type(value) is hint or (hint is float and type(value) is int):
+        return hint(value)
+    raise _mismatch(path, hint.__name__, value)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    def profile(g: Optional[NormalBroadcastProfile]) -> Optional[dict]:
-        if g is None:
-            return None
-        return {
-            "burst_period": g.burst_period,
-            "jitter": g.jitter,
-            "unicast_fraction": g.unicast_fraction,
-            "broadcast_peak_fraction": g.broadcast_peak_fraction,
-            "burst_scale": g.burst_scale,
-            "shape": [[t, c] for t, c in g.shape],
-        }
-
-    def injector(inj: Injector) -> dict:
-        return {
-            "kind": inj.kind, "start_t": inj.start_t, "end_t": inj.end_t,
-            "origin_node": inj.origin_node, "rate": inj.rate,
-            "pass_interval": inj.pass_interval, "factor": inj.factor,
-            "reuse_ipid": inj.reuse_ipid,
-        }
-
-    def agents(cfg: Optional[AgentConfig]) -> Optional[dict]:
-        if cfg is None:
-            return None
-        th = cfg.thresholds
-        return {
-            "sample_period": cfg.sample_period,
-            "deviation_threshold": cfg.deviation_threshold,
-            "consecutive_required": cfg.consecutive_required,
-            "suppression_window": cfg.suppression_window,
-            "policy": cfg.policy.value if cfg.policy else None,
-            "thresholds": {
-                "pe": th.pe, "ipg_floor_ns": th.ipg_floor_ns,
-                "utilization_max": th.utilization_max,
-                "nbw_permissible": th.nbw_permissible,
-                "nbw_factor": th.nbw_factor,
-                "nbw_window_ticks": th.nbw_window_ticks,
-                "byte_threshold_mb": th.byte_threshold_mb,
-                "ipid_min_repeats": th.ipid_min_repeats,
-                "ipid_window_ms": th.ipid_window_ms,
-            },
-        }
-
-    return {
-        "schema": SCENARIO_SCHEMA,
-        "name": scenario.name,
-        "node_count": scenario.node_count,
-        "link_rate": scenario.link_rate,
-        "tick": scenario.tick,
-        "duration": scenario.duration,
-        "seed": scenario.seed,
-        "frame_size": scenario.frame_size,
-        "generator": profile(scenario.generator),
-        "injectors": [injector(i) for i in scenario.injectors],
-        "agents": agents(scenario.agents),
-    }
+    return {"schema": SCENARIO_SCHEMA, **_encode(scenario)}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    schema = doc.get("schema")
-    if schema != SCENARIO_SCHEMA:
-        raise ValueError(f"unsupported scenario schema {schema!r}; "
-                         f"expected {SCENARIO_SCHEMA}")
-
-    generator = None
-    if doc.get("generator") is not None:
-        g = doc["generator"]
-        generator = NormalBroadcastProfile(
-            burst_period=float(g["burst_period"]),
-            shape=tuple(TracePoint(float(t), float(c))
-                        for t, c in g["shape"]),
-            jitter=float(g["jitter"]),
-            unicast_fraction=float(g["unicast_fraction"]),
-            broadcast_peak_fraction=float(g["broadcast_peak_fraction"]),
-            burst_scale=(None if g.get("burst_scale") is None
-                         else float(g["burst_scale"])),
-        )
-    injectors = tuple(
-        Injector(
-            kind=i["kind"],
-            start_t=float(i.get("start_t", 0.0)),
-            end_t=None if i.get("end_t") is None else float(i["end_t"]),
-            origin_node=int(i.get("origin_node", 0)),
-            rate=float(i.get("rate", 1.0)),
-            pass_interval=float(i.get("pass_interval", 0.2)),
-            factor=int(i.get("factor", 2)),
-            reuse_ipid=bool(i.get("reuse_ipid", True)),
-        )
-        for i in doc.get("injectors", ())
-    )
-    agents = None
-    if doc.get("agents") is not None:
-        a = doc["agents"]
-        th = a.get("thresholds", {})
-        agents = AgentConfig(
-            sample_period=float(a.get("sample_period", 1.0)),
-            deviation_threshold=float(a.get("deviation_threshold", 0.05)),
-            consecutive_required=int(a.get("consecutive_required", 3)),
-            suppression_window=float(a.get("suppression_window", 1000.0)),
-            policy=(None if a.get("policy") is None
-                    else Policy(a["policy"])),
-            thresholds=ThresholdDb(
-                pe=None if th.get("pe") is None else float(th["pe"]),
-                ipg_floor_ns=(None if th.get("ipg_floor_ns") is None
-                              else float(th["ipg_floor_ns"])),
-                utilization_max=float(th.get("utilization_max", 0.60)),
-                nbw_permissible=(None if th.get("nbw_permissible") is None
-                                 else float(th["nbw_permissible"])),
-                nbw_factor=float(th.get("nbw_factor", 2.0)),
-                nbw_window_ticks=int(th.get("nbw_window_ticks", 10)),
-                byte_threshold_mb=(None if th.get("byte_threshold_mb") is None
-                                   else float(th["byte_threshold_mb"])),
-                ipid_min_repeats=int(th.get("ipid_min_repeats", 3)),
-                ipid_window_ms=float(th.get("ipid_window_ms", 100.0)),
-            ),
-        )
-    return Scenario(
-        name=str(doc.get("name", "custom")),
-        node_count=int(doc["node_count"]),
-        link_rate=float(doc["link_rate"]),
-        tick=float(doc.get("tick", 1.0)),
-        duration=float(doc["duration"]),
-        seed=int(doc.get("seed", 0)),
-        frame_size=int(doc.get("frame_size", 512)),
-        generator=generator,
-        injectors=injectors,
-        agents=agents,
-    )
+    if not isinstance(doc, dict):
+        raise _mismatch("scenario", "an object", doc)
+    if doc.get("schema") != SCENARIO_SCHEMA:
+        raise _mismatch("scenario.schema", str(SCENARIO_SCHEMA), doc.get("schema"))
+    return _decode(Scenario, {k: v for k, v in doc.items() if k != "schema"},
+                   "scenario")
 
 
 def write_scenario(scenario: Scenario, path: PathLike) -> None:

@@ -75,12 +75,10 @@ class TestCalibration:
         peak = rising_burst()[-1][1]
         assert max(agent.reference.values) <= peak
 
-    def test_threshold_db_filled(self):
+    def test_peak_becomes_safe_threshold(self):
         agent = calibrated_agent()
-        assert agent.config.thresholds.pe == pytest.approx(
-            rising_burst()[-1][1])
-        assert agent.config.thresholds.ipg_floor_ns == pytest.approx(
-            0.5 * min_ipg(1e9))
+        assert agent.pe == pytest.approx(rising_burst()[-1][1])
+        assert agent.config == AgentConfig()    # calibration writes no config
 
     def test_decline_comes_from_the_trace_itself(self):
         agent = StaticAgent(AgentConfig(), node_id=0)

@@ -270,9 +270,7 @@ class TestSimCommand:
 class TestRejectedScenarioFiles:
     """Scenarios the simulator cannot honour exit 2, with no traceback."""
 
-    def run_edited(self, tmp_path, capsys, edit):
-        doc = tracefile.scenario_to_dict(simulation.preset("loop-storm"))
-        edit(doc)
+    def rejected(self, tmp_path, capsys, doc):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["sim", "--scenario-file", str(path)])
@@ -281,6 +279,50 @@ class TestRejectedScenarioFiles:
         assert err.startswith("stormctl: ")
         assert "Traceback" not in err
         return err
+
+    def run_edited(self, tmp_path, capsys, edit):
+        doc = tracefile.scenario_to_dict(simulation.preset("loop-storm"))
+        edit(doc)
+        return self.rejected(tmp_path, capsys, doc)
+
+    # each of these ran, or exited 1 with a traceback, while the reader
+    # listed the fields by hand
+    MALFORMED = {
+        "missing-node-count": (
+            lambda doc: doc.pop("node_count"), "scenario.node_count: missing"),
+        "missing-injector-kind": (
+            lambda doc: doc["injectors"][0].pop("kind"),
+            "scenario.injectors[0].kind: missing"),
+        "null-link-rate": (
+            lambda doc: doc.update(link_rate=None),
+            "scenario.link_rate: expected float"),
+        "list-rate": (
+            lambda doc: doc["injectors"][0].update(rate=[1]),
+            "scenario.injectors[0].rate: expected float"),
+        "null-thresholds": (
+            lambda doc: doc["agents"].update(thresholds=None),
+            "scenario.agents.thresholds: expected an object"),
+        "mistyped-key": (
+            lambda doc: doc["agents"]["thresholds"].update(ipid_min_repeat=2),
+            "scenario.agents.thresholds.ipid_min_repeat: unknown key"),
+        "fractional-factor": (
+            lambda doc: doc["injectors"][0].update(factor=2.7),
+            "scenario.injectors[0].factor: expected int"),
+        "string-bool": (
+            lambda doc: doc["injectors"][0].update(reuse_ipid="false"),
+            "scenario.injectors[0].reuse_ipid: expected bool"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_document(self, tmp_path, capsys, case):
+        edit, message = self.MALFORMED[case]
+        err = self.run_edited(tmp_path, capsys, edit)
+        assert err.startswith(f"stormctl: {message}")
+
+    def test_document_not_an_object(self, tmp_path, capsys):
+        doc = [tracefile.scenario_to_dict(simulation.preset("loop-storm"))]
+        err = self.rejected(tmp_path, capsys, doc)
+        assert err.startswith("stormctl: scenario: expected an object")
 
     def test_sample_period_must_equal_tick(self, tmp_path, capsys):
         err = self.run_edited(

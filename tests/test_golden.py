@@ -52,7 +52,7 @@ GOLDEN = {
     ('normal', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '332834951a357c3d43b44eb3a88d5a3d0e53fd6c814b1c39214108490913c18c',
-        'scenario.json': 'c4d78b5bafdb7a64eabed15631956e0b0821919cccbddd1273d11c85c752b5e3',
+        'scenario.json': 'fceb23330b8b95d8fa30d4c5ce15c260843f9fff8d808db499175b8320e0a17e',
         'summary.json': 'ca68b247c472c68bd8ac320e05cf8a61c23ae38501750fd02eb14e3782cad4a1',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'e1a126e39ab717c17715af338903a7e42bcbdf2ffe163dce9b8ce680858433aa',
@@ -61,7 +61,7 @@ GOLDEN = {
     ('normal', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '332834951a357c3d43b44eb3a88d5a3d0e53fd6c814b1c39214108490913c18c',
-        'scenario.json': '4c654bd8996a1d8ed1b41cd88a0d7b4bbdb81a28c74b55a062baa049882716c5',
+        'scenario.json': '87468f951aa08d3fe105715561913bc08767135f902f5b5633ff241454f3be25',
         'summary.json': 'ca68b247c472c68bd8ac320e05cf8a61c23ae38501750fd02eb14e3782cad4a1',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'e1a126e39ab717c17715af338903a7e42bcbdf2ffe163dce9b8ce680858433aa',
@@ -70,7 +70,7 @@ GOLDEN = {
     ('loop-storm', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': 'ea068f61aa1aff8c7b344b187a799019b98c9491ad25b163d86038944735b7ab',
-        'scenario.json': '3a9005319622cafbc8bcfa62345f1504cc0012fdd2b418e492644e4f4a4d02a3',
+        'scenario.json': '81078e0aa1fa2362542a0bb1c13ee698e1fc86256d3a4e5a0534eacc0c2a04e0',
         'summary.json': '86b16c7afbfdde53984544410ec7fce8fe0d5c8b724f280568acf6bb50a554b8',
         'tickets.jsonl': '2f9777c8a5e564441401cb06bf280ab12f50692ec6f72f6ec4a102d3a4125753',
         'trace.csv': '8c89e0ee5c7ea7a961aded25cb24691ab9b9f7d82eb13f016b5d65a991becd4d',
@@ -79,7 +79,7 @@ GOLDEN = {
     ('loop-storm', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '786269d298b48cb92a613698bf8412c8863f0b555d94d21b706f76ec9a31cf1a',
-        'scenario.json': '0ecf240db0c0381e17f7e64958ee4f896bf339c677ed539ed290f1af1b037005',
+        'scenario.json': '8845fd1ac1285878a070d77827b9414adace6c0abfa97b3072b37d9e424f485b',
         'summary.json': 'ad33282e86d24545b467361fff40303ca31cec91b8bc82cded00f7194dc358a6',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': '4002329c012ef98bf7968c231688941a384881d54f29602879aed4a6660b6b88',
@@ -88,7 +88,7 @@ GOLDEN = {
     ('smurf', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '8633b9b733fee6368203e00621c8bcd0c4bf6fc90b44aeb185d6d9492ca1597f',
-        'scenario.json': 'aee9ec6b53789394e47b9a02f9aed5d0ae8b683ddff805baff5d86b35067e019',
+        'scenario.json': 'f24af7174de6df5b2af63627596fe6e88bd550a7dfde783f7155a226a8b9d507',
         'summary.json': 'b03544495127f35b02fd662aa38c5f55f05c9684f8394893cd79ac9c12fcb4c7',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'ecfbe0b094a14921e7227d55d3aa5a24bf44183813efee9762f4d037633fbd59',
@@ -97,7 +97,7 @@ GOLDEN = {
     ('smurf', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '8633b9b733fee6368203e00621c8bcd0c4bf6fc90b44aeb185d6d9492ca1597f',
-        'scenario.json': 'aee9ec6b53789394e47b9a02f9aed5d0ae8b683ddff805baff5d86b35067e019',
+        'scenario.json': 'f24af7174de6df5b2af63627596fe6e88bd550a7dfde783f7155a226a8b9d507',
         'summary.json': 'b03544495127f35b02fd662aa38c5f55f05c9684f8394893cd79ac9c12fcb4c7',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'ecfbe0b094a14921e7227d55d3aa5a24bf44183813efee9762f4d037633fbd59',
@@ -106,7 +106,7 @@ GOLDEN = {
     ('faulty-nic', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '0a2939d36abf0a5f0bb2cb9ef64e50d263afafc88a7b556cfc7ea0da3c031c7e',
-        'scenario.json': '930f1e7c3fa08f79d5fe991babff801568d4e5e63fc43159ef0249ad787d81a8',
+        'scenario.json': '6fdaf487d881ec2298f00e8d14a965ceac4780c4e65c7d36649bd2203a355102',
         'summary.json': '38e85bc7f171dc97e9993c03255cc01e1d7534d040c1d228fa2cf3cdfc0520dc',
         'tickets.jsonl': '3bd775964f101fd688954ba7f3b70b8d90abbf2abb3ea3be62a92f5476b6a54d',
         'trace.csv': 'd9e5cd446c22877a7da167a6413593fb680211e9940e5607d2c7ada9412081c0',
@@ -115,7 +115,7 @@ GOLDEN = {
     ('faulty-nic', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '0a2939d36abf0a5f0bb2cb9ef64e50d263afafc88a7b556cfc7ea0da3c031c7e',
-        'scenario.json': '340b0d1db71ae8a0c649578fe91c9824bda266d37c0280559f3123107b41ddb3',
+        'scenario.json': '87b179f175b3007b41d19296752fd20b602a27de3229ee68a6a5c789beb1eebd',
         'summary.json': '44d39d33fc91abe76fbfaf048dc98f89e344fd31cd7e4e99351e70798e6234b8',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'd9e5cd446c22877a7da167a6413593fb680211e9940e5607d2c7ada9412081c0',
@@ -124,7 +124,7 @@ GOLDEN = {
     ('table5-control', True): {
         'closed': '019e81b11cfc768f9d48364750133ea0786a91edaa67456a3f9e166138fad331',
         'records': '1abec0a978cce315ee848a8260314f68111334240be720661507909e648785a3',
-        'scenario.json': 'e0fe2060aaa72dc50c5f0be0e28f58b77b6293288389cfbd811311017a00653a',
+        'scenario.json': '12d5db8897a8696d8d695af2998bec057e43be5c70ab4f6801e2666319a9c505',
         'summary.json': '9babfeab203de704afa6a364b038d733e941915a09d2482780a84498fbe88f0f',
         'tickets.jsonl': '5aa207842861cd7c8a7f72cf08a2182e387eb8e3e8e0eaf2f7506365904f0839',
         'trace.csv': '256924478bf3222e84f7e35aa4fd78541802fced37cf6ac994b2d50db33ada22',
@@ -133,7 +133,7 @@ GOLDEN = {
     ('table5-control', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': 'def8860b07a722a0f9f01beb5974e2f9bd6900ba468be4d771ee1986b93a88ed',
-        'scenario.json': '393e5926a52c5bfba56defd32f0b6a249d7657d0ddd06c24ab417c6678a6db29',
+        'scenario.json': 'ba542ad48a1130bb4c80d0719b73c7879594e9ded2263cd9536503161dd0f417',
         'summary.json': '37bc0687326721d47650849cdefb4c10ac27d5984b85cad0e2d61cad75d0090e',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'trace.csv': 'd7864b93f1efa0d7874e2e5682af3eef862ad34b7a90e3567df95b6ff9741db7',
@@ -145,7 +145,7 @@ EDGE_GOLDEN = {
     'detect-only-budget': {
         'closed': 'c4f79e5b13368886fd664a21d006f0f99af6bc4b9a78e3ef63b4e190d57e0726',
         'records': 'c33f233bccd4163768c259dd0ec3bb3e3edfece532939d9226b9f7d93080b58d',
-        'scenario.json': '954f2734a287280637ffbb47af8de22fe57dce21b4c1113e1e93b6fea91568bf',
+        'scenario.json': 'b6b4356fc371e90fbd8be5622bb350aad539725638588e2df366beed1c494e64',
         'summary.json': 'bd3002850ad633608263f12e94aaeb3b887ec80eebfdbba4bdcd402d5f4e5c76',
         'tickets.jsonl': 'bf5246457e2b332efeee08afd267408f0ac171fcd74d059dcc578a4341bd9bf7',
         'trace.csv': '2150eab8d6e74e225213ab0079dbfef1c4cab946994a455fdeeca15b06caf3c4',
@@ -154,7 +154,7 @@ EDGE_GOLDEN = {
     'bandwidth-policy': {
         'closed': '7780903082b71aa551d1f2e378ab0c73e7123706f965c581e4fe88625d09cff2',
         'records': '1cb5bf106d7e0e638b2afc666da92234ded16d6d9e718aa9532cbfe3495907c9',
-        'scenario.json': '642dda9522c978bfc9d5578627bc4008b7d795296e470f0191002beadca667ee',
+        'scenario.json': 'e03862baf1e1ff0baf5a3727ef1cf21a40535289207af8b981f96b4d1c4b7fd0',
         'summary.json': '70ed3dadeb9e17a9be5929b35bf5fa731a7b6e8a7c6e58b2b658c0c721988c64',
         'tickets.jsonl': '0eb92e0c019d94bc3c740e276e3d5824b6df41a0f077d955a8551704d92243fa',
         'trace.csv': '76df4487d7b9114c9c63fc1bcac90b4eee2bf1e95845fea2b264f1e99841d651',
@@ -163,7 +163,7 @@ EDGE_GOLDEN = {
     'capacity-cut-10g': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '85c5f226153ec31547bd9f4b613f1d82eacbfc9765262514642d28b886f969c1',
-        'scenario.json': '91bcb47839f7e06fa9914d7a04e6604947a5c2e05ed18012eecafa3fa10c3aa2',
+        'scenario.json': 'a7eac03687f292914aa987f3072187f7e31c3919d9573f5a8d4d2349f939a623',
         'summary.json': '3826ea712ac3e45b45d9dc14d8735efd7f3343b39f0bf57b6beb80a483780d4c',
         'tickets.jsonl': '9e08eb2f2769ee3418e7eaadfb565224151052d20e8eea0586899d2a95ec57d3',
         'trace.csv': 'a7e3a053d22ac58e1b9bfa22893a5fd9f4f46ed9d5122acdcc3668f8045bee60',
@@ -172,7 +172,7 @@ EDGE_GOLDEN = {
     'smurf-and-loop': {
         'closed': 'b4dd1478d4ad891b19e63c816f5029198a6af2b850984bec99d919df599a4dcf',
         'records': 'd697ac557c469705a41c1e58861c062a4a363523efc1616da53915a57d32da7e',
-        'scenario.json': '581cd7b6e39edb843b9f9c8f4869813766492201a95590f48bdd390863eea066',
+        'scenario.json': 'c5ed489bca549e1df27541d5ca221d43b6b0c30a8aee8be0684a892fd2d3f0c6',
         'summary.json': '9c88bf1aafe6dc07594718931a63bf024bc4f56ebaf0a2114eb8a567b67579cd',
         'tickets.jsonl': 'c590a56ec392ba240aab6a4520902c65580925a452be33e0d304bb68af6276a6',
         'trace.csv': '6b0e0c475e30a349c9957a4b07b20f77fe09783abb037c21fac887f76504cfe0',
@@ -181,7 +181,7 @@ EDGE_GOLDEN = {
     'ipid-repeats-1': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
-        'scenario.json': '41db0b7f0381c5a41c3ac5203fd37959660076fbdb548fd1bd8cde3be5a5eafe',
+        'scenario.json': '927cf2cc30b163f8f7c2d82e297b9665d92fba51599c30eccc0cb7096a001ede',
         'summary.json': 'e43debb0389a5e2b241d437e5fc6b68133280fe2acedc7112be3ab4d8b6915f6',
         'tickets.jsonl': '2c01f4652e9ebc96b8b7946f05d2a1b7a6a91fa652555b9689a457f4b36ce2ec',
         'trace.csv': 'f962e664442b8e08b4edfc2439210766dcd2206da05fc7eb7978348dd01ed62d',
@@ -190,7 +190,7 @@ EDGE_GOLDEN = {
     'ipid-repeats-2': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
-        'scenario.json': '71cc84cd1bdc5defc0a9d70d201633aa239a6fcfb1c0ece8e9c515719c255ce3',
+        'scenario.json': '5ed08e8303e32f2a29dcbe9fa1c24b99590dfcd6f867e6ad8db5e43b6ddc3947',
         'summary.json': 'b47bf88a35950c7c677310ea5f7097513b159ea24b2cd3db6e96115c0bd7ed6e',
         'tickets.jsonl': '21178cd2ecb3150bf46a8690373c8c0bc3cff54e1df6d8ca78ae4727c8da1a3a',
         'trace.csv': '52eee29260df51714083338cea3b3208c680b89111a907d13e917e189963ba65',
@@ -199,7 +199,7 @@ EDGE_GOLDEN = {
     'ipid-repeats-5': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
-        'scenario.json': 'da65606bdc9e1e5ca8e9e4454183a0c5bd5ba1fba06af885bbae8f0ed1a4ecff',
+        'scenario.json': '96240354048efc0562861e3f4cf2771fd9833e18a62fee00a6378058f34e225f',
         'summary.json': '7bea3e8686d7f9423acd7c07c71720076b948f45f60d9e945bc5317cbe5d43e4',
         'tickets.jsonl': '27e529d2b49f1344efa969b0fa0368f470130d9d5dc3257fe1ffbc9f7afc8ea7',
         'trace.csv': '02b47e573b52b4cc975abb5812d97bb56553afad2c54056172ab5d51d552ddbb',
@@ -208,7 +208,7 @@ EDGE_GOLDEN = {
     'factor-1-loop': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '59287072e78d69c64bfd4fa076c3569ebde2568f108463ea3699e217f25b4bd8',
-        'scenario.json': '8c487c2d720e818924342e35e2b885037f5389485ad28026f40497c8c3d9ca29',
+        'scenario.json': '6befd931fbf617f2370c2ef636e9cc0375d466e96b303531ed6eb3536e6251d5',
         'summary.json': '635bf7cf761b8fccd2bfa3d1da0720d9e7b19ac0cffa2ae4ecdba0db6f7e8ef7',
         'tickets.jsonl': '1fc9739c4fa5cb98cd4021a3780fd211fff6a3f53d6fb12f32d070a0f6f3a9c4',
         'trace.csv': '2ea4ecc25535c41283760dbb8cb3e376f41deaad3b232e87991713b355e5644f',
@@ -217,7 +217,7 @@ EDGE_GOLDEN = {
     'wide-loop-packet': {
         'closed': '0783b08711e5a221ca3ea736e42de1de4042648f996f2b10fdc2ba88f3fd12c1',
         'records': 'f45f01c47337d9de7696e84171c5c26c419afd37af59353bcad7faf1e2d2841c',
-        'scenario.json': '842fbb8688b361a1b8e23aedd85dd52e72d08a0b079c2c7d741bc107d704ff86',
+        'scenario.json': '8c7d848b9fe932083d94a06789abee2490ebe4dbd125bf23dbb63496181cd5fc',
         'summary.json': 'f3f3b6ed472fc206a6e5263bd55372358e386e16914ef1cfd01422f398a7f224',
         'tickets.jsonl': '50e6e5bc7a4ccd9941fee4bc4f3128786a7c32698e9eb5617745151565af7240',
         'trace.csv': '386b1a0687ee958103c07fd303a80cc5fd2d362b674e8baf3cfd0626c588f7ec',
@@ -226,7 +226,7 @@ EDGE_GOLDEN = {
     'wide-faulty-nic-bandwidth': {
         'closed': '2a3fec759cc64543077985bb37f563dca99347d0379307db6fb79783fb74674d',
         'records': 'b02cbc582207af9d779e95b24a4acf79e8c294aae8af7482c6385b2d77a967be',
-        'scenario.json': 'd59cf96918b1e39a19895fd090ff3169821c606185a56e0f74eb2d290d92db6e',
+        'scenario.json': '276739acddd17e586d41a7b6abd01f7164495d3118512b52238d45572f212f69',
         'summary.json': 'db091850033ddc13c52f9e75cddd7fe715f7ffdd806d166b9d4429148dd69a3d',
         'tickets.jsonl': 'aecf7b3d1940b461e56f764eb3e50e90e2a3e6703eecedd3b1be5fa0318ddccb',
         'trace.csv': 'fe5099d023b42dcbec40d98269d2952ce4df8d03003f0f00c3ec8583a09b6c88',
@@ -235,7 +235,7 @@ EDGE_GOLDEN = {
     'dense-packet-block': {
         'closed': 'c285d594c9f5e686f8b8412141f19f88adb7bb6e40eca3cac915b64e9ce10966',
         'records': 'acd1945358c7331944ecaaf0b4b5cd6894e1708642350fe0778f95b3e164d24f',
-        'scenario.json': '160c3e0ce09173d114f4db7f8428b638640515b1ac9452d2f1f0bcbd91ea6164',
+        'scenario.json': '8fb832027671701bdc9f3e5f9b2a0bd660da7eaa73c3e546acf3889dd409ad87',
         'summary.json': 'c7bf46a97b60f50aa5bf828c0a883f553b6b40a0514bed0d393521412735ef26',
         'tickets.jsonl': '3cff757558b9d2de468d1fdc6cacfb8555a79848695d3a65404523e17a09247b',
         'trace.csv': 'f6be57852f996195c0d523f49b01fa85e50fc1b95a2d10b048fc94ac0dc121da',
@@ -244,7 +244,7 @@ EDGE_GOLDEN = {
     'dense-bandwidth-block': {
         'closed': '2be4ef576931031e55a0e745513b13d2eaa7c9b24e58ea1e82a4c1a3859ce3ba',
         'records': '58f1ee1c631a05b6bdd660acfe1038234dc268321000b80f837e79eb32b0271b',
-        'scenario.json': '049ef16cbfaa1bf9f7348380c6603b43f9c3718cbb25c495aea94f7bcb1ed411',
+        'scenario.json': '3234cf9023884165e99a6225efe2287374f37b7e98215fa6147ca1cab1f2922c',
         'summary.json': '7234e95c747dd6287c5a676d4996decf16c98938ecaa8466a3d5649083942222',
         'tickets.jsonl': '13e5c92c6dd5746c217987ddc9ab2cb07cb34a5bcd7fb0be9e85ddf63b53ce1a',
         'trace.csv': '8362eff369885038893ecf17aa0c9e4ada3a2082e2e42ab0ec069cba050460cd',
@@ -253,7 +253,7 @@ EDGE_GOLDEN = {
     'dense-budget-enforce': {
         'closed': '9e02a6d44446a90b9a4243e9d5303d251c9d85ed97dc96fc1e68176716801a74',
         'records': '78a276fdc9064c2f8e0d4ae4bd3c4e6180751d05419586784f3171c2e26fd89a',
-        'scenario.json': 'e2db6cfa42fcdcf47f2ba806eebc1295c2b6df7cea77aef2780719526ed968f4',
+        'scenario.json': '08c48cc2b1c4a433aef5e452a12d0e7bc5a775d66f367d1b66197c04cb251a76',
         'summary.json': '87642159d591fa1c3c1f743c70b98bc5b1df9ef959a457227e4589600fd5fe49',
         'tickets.jsonl': '1ad372c18b4715c03ff47286f2cc291b40df02dc9f8858b88bd39ac60bf2edc5',
         'trace.csv': '0b3faf36a713ba129764a14bfdfca00a365b07e23bc6dd6c80a09097981a529f',
@@ -262,7 +262,7 @@ EDGE_GOLDEN = {
     'dense-budget-detect': {
         'closed': '88fcbbe3d983e09a1bfa1cbfbe5737e53d592874466a91c3cf4e2901cffafd16',
         'records': '71a0a5096ec407bbcf2e47391b72e5b09142b654140485100744f5e0d3c64298',
-        'scenario.json': '1ebb90d3d04a47f546e3bae50cae65424d3949065af992311d4f5fbee1dfee6d',
+        'scenario.json': '9ca49e295a52e53fca662490c14a1c8502ddcceaf9f7d05d17d220cd11bead7b',
         'summary.json': 'c613e1e56f41a9c680b7401ecb60a02046bdac521dd70bb5358f6601c8eb47f6',
         'tickets.jsonl': '1b30b93ffcce7f034bcaa8ee60babc50c6834c119a7c97a737732c3773ad1b9a',
         'trace.csv': '4091c0857fb56efeba98911d89c4b00c4b70bce73da648dd1aa3058c77ae0e6c',
@@ -271,7 +271,7 @@ EDGE_GOLDEN = {
     'dense-capacity-cut': {
         'closed': 'e934f23dd3541521d16aa4dbc819285faa09ca530378cc6c3ee57521369012a9',
         'records': '5ad7edbadd67936dd6aca0246388af019f688abbd2769aca549a0b277fc7292f',
-        'scenario.json': 'c41d1de0d7a41e24fe168b86c2c79c54ccc1d509efd3d5d912b8b82b1ae3d1ae',
+        'scenario.json': '975bc509e99e2f54bc24e27b670cf78c2818da683ab25d434827034ba737e7b8',
         'summary.json': 'a59a1ba934b2a2f3444803c64f0d9af87f5597a279fb46530ad4262ac28af82f',
         'tickets.jsonl': 'e58e144e00c41c7700d72992309f498d69149d5c86c3f258500dd09ba41aaae8',
         'trace.csv': '00d9159e9455a8462712a77438978cd0d1352d925b6bb36b485bf7ccbd93ee25',
@@ -280,7 +280,7 @@ EDGE_GOLDEN = {
     'dense-ipid-repeats-1': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': 'ccb5eff92320aeb5a93194685a495ce71cd9538140c69a2a2b57e591db25c0db',
-        'scenario.json': 'cb5c5063d2b3aa7ba20365bc2e5da227893d89c57171bf8bd7237c17b853aa0c',
+        'scenario.json': '27068845050595a043ff16c37f8c39f2f11ef97c4f7a2ccc79d5a55d1b355723',
         'summary.json': '26fb394a3f46e882e03e4a1cfadd8fbf7052b00d88b67726c262e6b7edbf2fc1',
         'tickets.jsonl': '88ae180b14f47cf237b96852202f5ed35f869f425479af8350309579d90e8ad7',
         'trace.csv': '8b39bb7e9c1313158072bbd00b68142870e2219a728d7e90518af2faaf497d22',

@@ -21,6 +21,8 @@ from stormctl.plotting import render_chart, write_chart
 from stormctl.simulation import Injector, NormalBroadcastProfile, Scenario
 from stormctl import tracefile
 
+from .test_simulation import small_scenarios
+
 finite_times = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
 finite_counts = st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)
 
@@ -155,6 +157,19 @@ class TestScenarioDocuments:
         path = tmp_path / "scenario.json"
         tracefile.write_scenario(scenario, path)
         assert tracefile.read_scenario(path) == scenario
+
+    @given(small_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_random(self, scenario):
+        doc = json.loads(json.dumps(tracefile.scenario_to_dict(scenario)))
+        assert tracefile.scenario_from_dict(doc) == scenario
+
+    def test_omitted_keys_take_defaults(self):
+        doc = {"schema": tracefile.SCENARIO_SCHEMA, "node_count": 3,
+               "injectors": [{"kind": "loop"}], "agents": {"thresholds": {}}}
+        assert tracefile.scenario_from_dict(doc) == Scenario(
+            node_count=3, injectors=(Injector(kind="loop"),),
+            agents=AgentConfig())
 
     def test_unsupported_schema_rejected(self):
         doc = tracefile.scenario_to_dict(self.full_scenario())

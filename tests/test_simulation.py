@@ -75,7 +75,7 @@ class TestScenarioValidation:
 
     def test_duration_covers_a_tick(self):
         with pytest.raises(ScenarioError):
-            Scenario(duration=0.5, tick=1.0)
+            Scenario(node_count=5, duration=0.5, tick=1.0)
 
     def test_injector_origin_must_exist(self):
         with pytest.raises(ScenarioError):
@@ -84,7 +84,7 @@ class TestScenarioValidation:
 
     def test_link_must_carry_one_frame_per_tick(self):
         with pytest.raises(ScenarioError):
-            Scenario(link_rate=1e5, tick=1.0, duration=10.0)
+            Scenario(node_count=5, link_rate=1e5, tick=1.0, duration=10.0)
 
     def test_unknown_injector_kind(self):
         with pytest.raises(ScenarioError):
@@ -103,43 +103,45 @@ class TestSilentFrameLoss:
     def test_tick_shorter_than_one_step(self):
         # 0.004 ms is 0 steps: every frame would be scheduled, none handled
         with pytest.raises(ScenarioError, match="whole number of 0.01 ms"):
-            Scenario(link_rate=100e9, tick=0.004, duration=1.0,
-                     frame_size=64)
+            Scenario(node_count=5, link_rate=100e9, tick=0.004,
+                     duration=1.0, frame_size=64)
 
     def test_loop_hop_shorter_than_one_step(self):
         # 0.001 ms rounds to a 0-step hop onto an already handled step
         with pytest.raises(ScenarioError, match="pass_interval"):
-            Scenario(duration=10.0, injectors=(
+            Scenario(node_count=5, duration=10.0, injectors=(
                 Injector(kind="loop", pass_interval=0.001),))
 
     def test_tick_between_steps(self):
         # 0.015 ms would run 2 steps per tick while `t` advances 1.5 steps
         with pytest.raises(ScenarioError, match="whole number of 0.01 ms"):
-            Scenario(link_rate=100e9, tick=0.015, duration=0.15,
-                     frame_size=64)
+            Scenario(node_count=5, link_rate=100e9, tick=0.015,
+                     duration=0.15, frame_size=64)
 
     def test_duration_between_ticks(self):
         # 30.6 ms would run 31 ticks, past the duration
         with pytest.raises(ScenarioError, match="whole number of ticks"):
-            Scenario(tick=1.0, duration=30.6)
+            Scenario(node_count=5, tick=1.0, duration=30.6)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
                                        float("nan")])
     def test_non_finite_values(self, value):
         with pytest.raises(ScenarioError, match="scenario.duration"):
-            Scenario(duration=value)
+            Scenario(node_count=5, duration=value)
         with pytest.raises(ScenarioError, match="generator.burst_scale"):
-            Scenario(generator=NormalBroadcastProfile(burst_scale=value))
+            Scenario(node_count=5,
+                     generator=NormalBroadcastProfile(burst_scale=value))
         with pytest.raises(ScenarioError, match=r"injectors.0.start_t"):
-            Scenario(injectors=(Injector(kind="smurf", start_t=abs(value)),))
+            Scenario(node_count=5,
+                     injectors=(Injector(kind="smurf", start_t=abs(value)),))
 
     def test_sample_period_must_equal_tick(self):
         with pytest.raises(ScenarioError, match="sample"):
-            Scenario(tick=1.0, duration=10.0,
+            Scenario(node_count=5, tick=1.0, duration=10.0,
                      agents=AgentConfig(sample_period=0.5))
 
     def test_step_aligned_values_accepted(self):
-        sc = Scenario(tick=0.07, duration=0.7, link_rate=10e9,
+        sc = Scenario(node_count=5, tick=0.07, duration=0.7, link_rate=10e9,
                       injectors=(Injector(kind="loop", pass_interval=0.03),),
                       agents=AgentConfig(sample_period=0.07))
         assert len(run(sc).records) == 10
