@@ -217,8 +217,8 @@ class Scenario:
                     f"agents sample every {self.agents.sample_period} ms but "
                     f"the tick is {self.tick} ms; they must be equal")
             th = self.agents.thresholds
-            if th.ipid_min_repeats < 1:
-                raise ScenarioError("ipid_min_repeats must be at least 1")
+            if th.ipid_min_repeats < 2:
+                raise ScenarioError("ipid_min_repeats must be at least 2")
             if th.ipid_window_ms < 0:
                 raise ScenarioError("ipid_window_ms must be nonnegative")
             if th.byte_threshold_mb is not None and th.byte_threshold_mb <= 0:
@@ -304,7 +304,9 @@ class SimTrace:
 class _IpidWindow:
     """Sliding window of delivered broadcast frames, as counted entries.
 
-    An entry is `count` deliveries of one IPID from one node at time t.
+    Only runs that reuse an IPID enter it: a fresh IPID is seen once, and
+    a loop needs at least 2 sightings.  An entry is `count` deliveries of
+    one IPID from one node at time t.
     """
 
     def __init__(self, window_ms: float, min_repeats: int) -> None:
@@ -313,18 +315,8 @@ class _IpidWindow:
         self._order: deque[tuple[float, int]] = deque()
         self._per_ipid: dict[int, deque[tuple[float, int, int]]] = {}
 
-    def add(self, t: float, ipid: int, src: int, count: int,
-            fresh: bool) -> Optional[int]:
-        """Record a run's deliveries; the IPID that now qualifies, if any.
-
-        A fresh run's IPIDs are never seen again: only a single sighting
-        can qualify them, and only the last can stay the tick's candidate,
-        so for a fresh run `ipid` and `src` are its last delivered frame's.
-        """
-        if fresh:
-            if self.min_repeats > 1:
-                return None
-            count = 1
+    def add(self, t: float, ipid: int, src: int, count: int) -> Optional[int]:
+        """Record a run's deliveries; the IPID that now qualifies, if any."""
         self._order.append((t, ipid))
         entries = self._per_ipid.setdefault(ipid, deque())
         entries.append((t, src, count))
@@ -537,7 +529,7 @@ def run(scenario: Scenario) -> SimTrace:
                 # again only then.  The frame at `over` broke its budget and
                 # goes on to the link (detect only).
                 done = sent = dropped = 0
-                over = last = -1    # last: the last frame delivered
+                over = -1
                 while True:
                     room = cap - delivered - sent
                     cut = n             # the first capped frame, if any
@@ -582,8 +574,6 @@ def run(scenario: Scenario) -> SimTrace:
                                 if fresh else (ipid,) * k)
                             if budget:
                                 byte_acc[v] += k * size
-                            if q + (k - 1) * period > last:
-                                last, last_src = q + (k - 1) * period, v
                     if end == n:
                         break
                     _, v, node, _ = breaker
@@ -606,10 +596,8 @@ def run(scenario: Scenario) -> SimTrace:
                     continue
                 delivered += sent
                 kinds[kind] += sent
-                if bcast:
-                    # a fresh run is known by its last frame alone
-                    hit = ipid_win.add(t_s, ipid + last if fresh else ipid,
-                                       last_src, sent, fresh)
+                if bcast and not fresh:     # fresh IPIDs never repeat
+                    hit = ipid_win.add(t_s, ipid, src, sent)
                     if hit is not None:
                         ipid_candidate = hit
                 if kind in ("seed", "replica"):

@@ -350,7 +350,14 @@ class TestRejectedScenarioFiles:
         err = self.run_edited(
             tmp_path, capsys,
             lambda doc: doc["agents"]["thresholds"].update(ipid_min_repeats=0))
-        assert "ipid_min_repeats must be at least 1" in err
+        assert "ipid_min_repeats must be at least 2" in err
+
+    def test_one_ipid_repeat(self, tmp_path, capsys):
+        # accepted before: every delivered broadcast frame was a loop
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["agents"]["thresholds"].update(ipid_min_repeats=1))
+        assert "ipid_min_repeats must be at least 2" in err
 
     def test_negative_byte_budget(self, tmp_path, capsys):
         # accepted before: every broadcast frame was silently suppressed

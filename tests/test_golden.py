@@ -178,15 +178,6 @@ EDGE_GOLDEN = {
         'trace.csv': '6b0e0c475e30a349c9957a4b07b20f77fe09783abb037c21fac887f76504cfe0',
         'triggers': '03ad140b34c2c444805ddaa5fa45d6c40ba560cff13129c59cd509ab1901aec3',
     },
-    'ipid-repeats-1': {
-        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
-        'scenario.json': '927cf2cc30b163f8f7c2d82e297b9665d92fba51599c30eccc0cb7096a001ede',
-        'summary.json': 'e43debb0389a5e2b241d437e5fc6b68133280fe2acedc7112be3ab4d8b6915f6',
-        'tickets.jsonl': '2c01f4652e9ebc96b8b7946f05d2a1b7a6a91fa652555b9689a457f4b36ce2ec',
-        'trace.csv': 'f962e664442b8e08b4edfc2439210766dcd2206da05fc7eb7978348dd01ed62d',
-        'triggers': '33b99608af5fe091e7a3e1a8057415c9d6f4c094873379a1045812550e5c97e1',
-    },
     'ipid-repeats-2': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
@@ -277,15 +268,6 @@ EDGE_GOLDEN = {
         'trace.csv': '00d9159e9455a8462712a77438978cd0d1352d925b6bb36b485bf7ccbd93ee25',
         'triggers': '658bb87405f64f721d126da397d8afc1d562bcb1e812ba22f419d37c436cda28',
     },
-    'dense-ipid-repeats-1': {
-        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': 'ccb5eff92320aeb5a93194685a495ce71cd9538140c69a2a2b57e591db25c0db',
-        'scenario.json': '27068845050595a043ff16c37f8c39f2f11ef97c4f7a2ccc79d5a55d1b355723',
-        'summary.json': '26fb394a3f46e882e03e4a1cfadd8fbf7052b00d88b67726c262e6b7edbf2fc1',
-        'tickets.jsonl': '88ae180b14f47cf237b96852202f5ed35f869f425479af8350309579d90e8ad7',
-        'trace.csv': '8b39bb7e9c1313158072bbd00b68142870e2219a728d7e90518af2faaf497d22',
-        'triggers': '008b57dcf5e69a0f3b8a9eb01dcda3095cf1e33c1aa6ab4ebc9d4bf80925d4de',
-    },
 }
 
 FIT_GOLDEN = {
@@ -305,7 +287,7 @@ FIT_GOLDEN = {
 }
 
 
-def _ipid_scenario(repeats: int, window_ms: float) -> Scenario:
+def _ipid_scenario(repeats: int) -> Scenario:
     # the factor-1 loop shows its IPID 4 times per 1 ms: enough for 2
     # repeats, not for 5; the later factor-2 loop floods the window
     return Scenario(
@@ -317,7 +299,7 @@ def _ipid_scenario(repeats: int, window_ms: float) -> Scenario:
             Injector(kind="loop", start_t=10.0, end_t=13.0, origin_node=0),
         ),
         agents=AgentConfig(policy=None, thresholds=ThresholdDb(
-            ipid_min_repeats=repeats, ipid_window_ms=window_ms)))
+            ipid_min_repeats=repeats, ipid_window_ms=1.0)))
 
 
 def edge_scenarios() -> dict[str, Scenario]:
@@ -362,10 +344,8 @@ def edge_scenarios() -> dict[str, Scenario]:
                          pass_interval=0.25, reuse_ipid=False),
             ),
             agents=AgentConfig(suppression_window=3.0)),
-        # one sighting qualifies, and the window is shorter than the tick
-        _ipid_scenario(1, 0.5),
-        _ipid_scenario(2, 1.0),
-        _ipid_scenario(5, 1.0),
+        _ipid_scenario(2),
+        _ipid_scenario(5),
         Scenario(
             name="factor-1-loop", node_count=2, link_rate=100e6, tick=1.0,
             duration=20.0, seed=1, generator=NormalBroadcastProfile(),
@@ -441,9 +421,6 @@ def _dense_generator_scenarios() -> list[Scenario]:
               injectors=(Injector(kind="faulty_nic", start_t=0.3,
                                   origin_node=3, rate=40.0),),
               suppression_window=0.3),
-        dense("dense-ipid-repeats-1", 4, 26, policy=None,
-              thresholds=ThresholdDb(ipid_min_repeats=1,
-                                     ipid_window_ms=0.05)),
     ]
 
 

@@ -518,7 +518,7 @@ def small_scenarios(draw) -> Scenario:
                 nbw_permissible=draw(st.sampled_from([None, 500.0, 5000.0])),
                 byte_threshold_mb=draw(st.sampled_from(
                     [None, 0.002, 0.02, 1.0])),
-                ipid_min_repeats=draw(st.integers(1, 5)),
+                ipid_min_repeats=draw(st.integers(2, 5)),
                 ipid_window_ms=draw(st.sampled_from([0.0, 0.05, 0.5, 100.0]))))
     return Scenario(
         name="random", node_count=nodes, link_rate=link_rate,
