@@ -378,7 +378,6 @@ def run(scenario: Scenario) -> SimTrace:
     window_ms = config.suppression_window
     enforce = config.policy is not None
 
-    schedule: dict[int, list[Run]] = {}
     loop_idx = [i for i, inj in enumerate(sc.injectors) if inj.kind == "loop"]
     pending = {i: 0 for i in loop_idx}
     boundaries: dict[int, set[int]] = {}
@@ -392,9 +391,11 @@ def run(scenario: Scenario) -> SimTrace:
             t += inj.pass_interval
         boundaries[i] = steps
     loops = [(i, sc.injectors[i], boundaries[i]) for i in loop_idx]
-    # heap of the steps to visit: those holding runs, and loop boundaries
-    due = sorted(step for steps in boundaries.values() for step in steps
-                 if step < total_steps)
+    # heap of the steps to visit: those holding runs, and loop boundaries,
+    # each boundary with a batch from the start so `put` never pushes it
+    due = sorted({step for steps in boundaries.values() for step in steps
+                  if step < total_steps})
+    schedule: dict[int, list[Run]] = {step: [] for step in due}
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
     ipid_win = _IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
@@ -477,7 +478,7 @@ def run(scenario: Scenario) -> SimTrace:
         stop = base + steps_per_tick
         while due and due[0] < stop:
             step = heappop(due)
-            if step <= last_step:       # pushed twice: a boundary with runs
+            if step <= last_step:       # put after its visit: never handled
                 continue
             last_step = step
             t_s = step / STEPS_PER_MS
@@ -486,7 +487,7 @@ def run(scenario: Scenario) -> SimTrace:
                     put(step, Run(inj.origin_node, next_ipid, True, "seed", i,
                                   1, not inj.reuse_ipid))
                     next_ipid += 1
-            batch = schedule.pop(step, ())
+            batch = schedule.pop(step)
             for src, ipid, bcast, kind, owner, n, fresh, rotates in batch:
                 if kind == "replica":
                     replicated += n
