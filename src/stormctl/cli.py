@@ -218,10 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--reference-dataset",
                           choices=datasets.dataset_names(),
                           help="bundled reference instead of --reference")
-    p_detect.add_argument("--threshold", type=float, default=0.05,
-                          help="deviation threshold (default 0.05)")
-    p_detect.add_argument("--consecutive", type=int, default=3,
-                          help="breaches needed to raise (default 3)")
+    defaults = agents.AgentConfig()
+    p_detect.add_argument("--threshold", type=float,
+                          default=defaults.deviation_threshold,
+                          help="deviation threshold (default %(default)s)")
+    p_detect.add_argument("--consecutive", type=int,
+                          default=defaults.consecutive_required,
+                          help="breaches needed to raise (default %(default)s)")
     p_detect.add_argument("--out", help="write tickets as JSON lines here")
     p_detect.set_defaults(func=_cmd_detect)
 
