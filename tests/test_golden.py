@@ -6,15 +6,15 @@ sha256 of `trace.csv`, `tickets.jsonl`, `summary.json` and
 `scenario.json` (as `sim --out` writes them, the scenario after the
 run), and of fixed renderings of the run's triggers, ticket closures
 and per-tick records (ledger, deliveries by kind, and every node's
-attempted, suppressed and delivered IPIDs, which no artifact carries)
-must match the tables below, and `trace.csv` must
-equal the reference formatter's output.  Each fit input below (the
-bundled packet traces, the calibration profile at every preset's
-capacity, and seeded rises that together take every branch of the
-least-squares solver) has the sha256 of its `FitResult`, taken over
-`float.hex` of every field.  A refactor must leave every digest
-unchanged.  Only an intentional change of behaviour may
-update the tables, and the change that does so must say why.
+attempted and suppressed frames, which no artifact carries) must match
+the tables below, and `trace.csv` must equal the reference formatter's
+output.  Each fit input below (the bundled packet traces, the
+calibration profile at every preset's capacity, and seeded rises that
+together take every branch of the least-squares solver) has the sha256
+of its `FitResult`, taken over `float.hex` of every field.  A refactor
+must leave every digest unchanged.  Only an intentional change of
+behaviour may update the tables, and the change that does so must say
+why.
 
 To print the current tables:
 
@@ -51,7 +51,7 @@ from .oracles import reference_channel_csv
 GOLDEN = {
     ('normal', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '332834951a357c3d43b44eb3a88d5a3d0e53fd6c814b1c39214108490913c18c',
+        'records': '44e3e05a97d4e05a111d6c3e3c937996751dd2c0b38caedf4655b37a592d64ec',
         'scenario.json': 'fceb23330b8b95d8fa30d4c5ce15c260843f9fff8d808db499175b8320e0a17e',
         'summary.json': 'ca68b247c472c68bd8ac320e05cf8a61c23ae38501750fd02eb14e3782cad4a1',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -60,7 +60,7 @@ GOLDEN = {
     },
     ('normal', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '332834951a357c3d43b44eb3a88d5a3d0e53fd6c814b1c39214108490913c18c',
+        'records': '44e3e05a97d4e05a111d6c3e3c937996751dd2c0b38caedf4655b37a592d64ec',
         'scenario.json': '87468f951aa08d3fe105715561913bc08767135f902f5b5633ff241454f3be25',
         'summary.json': 'ca68b247c472c68bd8ac320e05cf8a61c23ae38501750fd02eb14e3782cad4a1',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -69,7 +69,7 @@ GOLDEN = {
     },
     ('loop-storm', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': 'ea068f61aa1aff8c7b344b187a799019b98c9491ad25b163d86038944735b7ab',
+        'records': '1d761fa84b2f7054ff843a17a7cece7d0702b87735086dbd5050b72af2372c18',
         'scenario.json': '81078e0aa1fa2362542a0bb1c13ee698e1fc86256d3a4e5a0534eacc0c2a04e0',
         'summary.json': '86b16c7afbfdde53984544410ec7fce8fe0d5c8b724f280568acf6bb50a554b8',
         'tickets.jsonl': '2f9777c8a5e564441401cb06bf280ab12f50692ec6f72f6ec4a102d3a4125753',
@@ -78,7 +78,7 @@ GOLDEN = {
     },
     ('loop-storm', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '786269d298b48cb92a613698bf8412c8863f0b555d94d21b706f76ec9a31cf1a',
+        'records': 'b2acb6b6ec16e19eda15508a0bbf2faaa40388b2b38750df254c7b5a7a40b895',
         'scenario.json': '8845fd1ac1285878a070d77827b9414adace6c0abfa97b3072b37d9e424f485b',
         'summary.json': 'ad33282e86d24545b467361fff40303ca31cec91b8bc82cded00f7194dc358a6',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -87,7 +87,7 @@ GOLDEN = {
     },
     ('smurf', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '8633b9b733fee6368203e00621c8bcd0c4bf6fc90b44aeb185d6d9492ca1597f',
+        'records': '4e3ea4bc30ad0ac3f1a65a8b2f81b6a60d9309700107ac649928cb13c759219c',
         'scenario.json': 'f24af7174de6df5b2af63627596fe6e88bd550a7dfde783f7155a226a8b9d507',
         'summary.json': 'b03544495127f35b02fd662aa38c5f55f05c9684f8394893cd79ac9c12fcb4c7',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -96,7 +96,7 @@ GOLDEN = {
     },
     ('smurf', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '8633b9b733fee6368203e00621c8bcd0c4bf6fc90b44aeb185d6d9492ca1597f',
+        'records': '4e3ea4bc30ad0ac3f1a65a8b2f81b6a60d9309700107ac649928cb13c759219c',
         'scenario.json': 'f24af7174de6df5b2af63627596fe6e88bd550a7dfde783f7155a226a8b9d507',
         'summary.json': 'b03544495127f35b02fd662aa38c5f55f05c9684f8394893cd79ac9c12fcb4c7',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -105,7 +105,7 @@ GOLDEN = {
     },
     ('faulty-nic', True): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '0a2939d36abf0a5f0bb2cb9ef64e50d263afafc88a7b556cfc7ea0da3c031c7e',
+        'records': '380a5a2fc0e339fd492e171624219848c51e9a66043d4bfa53feae101b510a7d',
         'scenario.json': '6fdaf487d881ec2298f00e8d14a965ceac4780c4e65c7d36649bd2203a355102',
         'summary.json': '38e85bc7f171dc97e9993c03255cc01e1d7534d040c1d228fa2cf3cdfc0520dc',
         'tickets.jsonl': '3bd775964f101fd688954ba7f3b70b8d90abbf2abb3ea3be62a92f5476b6a54d',
@@ -114,7 +114,7 @@ GOLDEN = {
     },
     ('faulty-nic', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '0a2939d36abf0a5f0bb2cb9ef64e50d263afafc88a7b556cfc7ea0da3c031c7e',
+        'records': '380a5a2fc0e339fd492e171624219848c51e9a66043d4bfa53feae101b510a7d',
         'scenario.json': '87b179f175b3007b41d19296752fd20b602a27de3229ee68a6a5c789beb1eebd',
         'summary.json': '44d39d33fc91abe76fbfaf048dc98f89e344fd31cd7e4e99351e70798e6234b8',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -123,7 +123,7 @@ GOLDEN = {
     },
     ('table5-control', True): {
         'closed': '019e81b11cfc768f9d48364750133ea0786a91edaa67456a3f9e166138fad331',
-        'records': '1abec0a978cce315ee848a8260314f68111334240be720661507909e648785a3',
+        'records': 'aa2080c68f5d2294020a2481258420db63322576d45672351da46bec984a4eb5',
         'scenario.json': '12d5db8897a8696d8d695af2998bec057e43be5c70ab4f6801e2666319a9c505',
         'summary.json': '9babfeab203de704afa6a364b038d733e941915a09d2482780a84498fbe88f0f',
         'tickets.jsonl': '5aa207842861cd7c8a7f72cf08a2182e387eb8e3e8e0eaf2f7506365904f0839',
@@ -132,7 +132,7 @@ GOLDEN = {
     },
     ('table5-control', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': 'def8860b07a722a0f9f01beb5974e2f9bd6900ba468be4d771ee1986b93a88ed',
+        'records': '9da447142a4e25f76027336d9c6e7089f2f746c2f1c0564078b1932e9e33acc1',
         'scenario.json': 'ba542ad48a1130bb4c80d0719b73c7879594e9ded2263cd9536503161dd0f417',
         'summary.json': '37bc0687326721d47650849cdefb4c10ac27d5984b85cad0e2d61cad75d0090e',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -144,7 +144,7 @@ GOLDEN = {
 EDGE_GOLDEN = {
     'detect-only-budget': {
         'closed': 'c4f79e5b13368886fd664a21d006f0f99af6bc4b9a78e3ef63b4e190d57e0726',
-        'records': 'c33f233bccd4163768c259dd0ec3bb3e3edfece532939d9226b9f7d93080b58d',
+        'records': '3d9100a9d3a41f35969496fdefedf8ba8daa56b026efd39c4de7e6d741da0eb0',
         'scenario.json': 'b6b4356fc371e90fbd8be5622bb350aad539725638588e2df366beed1c494e64',
         'summary.json': 'bd3002850ad633608263f12e94aaeb3b887ec80eebfdbba4bdcd402d5f4e5c76',
         'tickets.jsonl': 'bf5246457e2b332efeee08afd267408f0ac171fcd74d059dcc578a4341bd9bf7',
@@ -153,7 +153,7 @@ EDGE_GOLDEN = {
     },
     'bandwidth-policy': {
         'closed': '7780903082b71aa551d1f2e378ab0c73e7123706f965c581e4fe88625d09cff2',
-        'records': '1cb5bf106d7e0e638b2afc666da92234ded16d6d9e718aa9532cbfe3495907c9',
+        'records': '3f690f3bf3a8cf7b0a509e5a2e7aebfdf80f5bdc45d3b3f34572b9f121fd3f75',
         'scenario.json': 'e03862baf1e1ff0baf5a3727ef1cf21a40535289207af8b981f96b4d1c4b7fd0',
         'summary.json': '70ed3dadeb9e17a9be5929b35bf5fa731a7b6e8a7c6e58b2b658c0c721988c64',
         'tickets.jsonl': '0eb92e0c019d94bc3c740e276e3d5824b6df41a0f077d955a8551704d92243fa',
@@ -162,7 +162,7 @@ EDGE_GOLDEN = {
     },
     'capacity-cut-10g': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '85c5f226153ec31547bd9f4b613f1d82eacbfc9765262514642d28b886f969c1',
+        'records': 'b7e9ad6c4e1f4709868691106c82d47ab1568adcb120cda16ec17855fe161677',
         'scenario.json': 'a7eac03687f292914aa987f3072187f7e31c3919d9573f5a8d4d2349f939a623',
         'summary.json': '3826ea712ac3e45b45d9dc14d8735efd7f3343b39f0bf57b6beb80a483780d4c',
         'tickets.jsonl': '9e08eb2f2769ee3418e7eaadfb565224151052d20e8eea0586899d2a95ec57d3',
@@ -171,7 +171,7 @@ EDGE_GOLDEN = {
     },
     'smurf-and-loop': {
         'closed': 'b4dd1478d4ad891b19e63c816f5029198a6af2b850984bec99d919df599a4dcf',
-        'records': 'd697ac557c469705a41c1e58861c062a4a363523efc1616da53915a57d32da7e',
+        'records': 'a64d52f362d4370754ec7f329c3807fba565cebab37a5284d45809ace8ad07d9',
         'scenario.json': 'c5ed489bca549e1df27541d5ca221d43b6b0c30a8aee8be0684a892fd2d3f0c6',
         'summary.json': '9c88bf1aafe6dc07594718931a63bf024bc4f56ebaf0a2114eb8a567b67579cd',
         'tickets.jsonl': 'c590a56ec392ba240aab6a4520902c65580925a452be33e0d304bb68af6276a6',
@@ -180,7 +180,7 @@ EDGE_GOLDEN = {
     },
     'ipid-repeats-2': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
+        'records': '0f13b9d6fbb7df0ff9e70f5016ca2d7e916ddffece34c486dee2f4b9b7396a72',
         'scenario.json': '5ed08e8303e32f2a29dcbe9fa1c24b99590dfcd6f867e6ad8db5e43b6ddc3947',
         'summary.json': 'b47bf88a35950c7c677310ea5f7097513b159ea24b2cd3db6e96115c0bd7ed6e',
         'tickets.jsonl': '21178cd2ecb3150bf46a8690373c8c0bc3cff54e1df6d8ca78ae4727c8da1a3a',
@@ -189,7 +189,7 @@ EDGE_GOLDEN = {
     },
     'ipid-repeats-5': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '7fd36ea75e71dbe87c11b965b37eaa6264f56bce6eb384fb83e0a02846b471e2',
+        'records': '0f13b9d6fbb7df0ff9e70f5016ca2d7e916ddffece34c486dee2f4b9b7396a72',
         'scenario.json': '96240354048efc0562861e3f4cf2771fd9833e18a62fee00a6378058f34e225f',
         'summary.json': '7bea3e8686d7f9423acd7c07c71720076b948f45f60d9e945bc5317cbe5d43e4',
         'tickets.jsonl': '27e529d2b49f1344efa969b0fa0368f470130d9d5dc3257fe1ffbc9f7afc8ea7',
@@ -198,7 +198,7 @@ EDGE_GOLDEN = {
     },
     'factor-1-loop': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': '59287072e78d69c64bfd4fa076c3569ebde2568f108463ea3699e217f25b4bd8',
+        'records': 'c1cde00114b5eebaf8eb7aac8b837eaaf0888dbc1416354d59b8ec7c25ab1503',
         'scenario.json': '6befd931fbf617f2370c2ef636e9cc0375d466e96b303531ed6eb3536e6251d5',
         'summary.json': '635bf7cf761b8fccd2bfa3d1da0720d9e7b19ac0cffa2ae4ecdba0db6f7e8ef7',
         'tickets.jsonl': '1fc9739c4fa5cb98cd4021a3780fd211fff6a3f53d6fb12f32d070a0f6f3a9c4',
@@ -207,7 +207,7 @@ EDGE_GOLDEN = {
     },
     'wide-loop-packet': {
         'closed': '0783b08711e5a221ca3ea736e42de1de4042648f996f2b10fdc2ba88f3fd12c1',
-        'records': 'f45f01c47337d9de7696e84171c5c26c419afd37af59353bcad7faf1e2d2841c',
+        'records': '8b4f64b8795e863c6c6974769406a94326cc801e6fa902aa655c21a5d3356aa7',
         'scenario.json': '8c7d848b9fe932083d94a06789abee2490ebe4dbd125bf23dbb63496181cd5fc',
         'summary.json': 'f3f3b6ed472fc206a6e5263bd55372358e386e16914ef1cfd01422f398a7f224',
         'tickets.jsonl': '50e6e5bc7a4ccd9941fee4bc4f3128786a7c32698e9eb5617745151565af7240',
@@ -216,7 +216,7 @@ EDGE_GOLDEN = {
     },
     'wide-faulty-nic-bandwidth': {
         'closed': '2a3fec759cc64543077985bb37f563dca99347d0379307db6fb79783fb74674d',
-        'records': 'b02cbc582207af9d779e95b24a4acf79e8c294aae8af7482c6385b2d77a967be',
+        'records': 'b10635f0a8db4d5cdfa46b9fd3b91bab9e43b7bc737eca1d4c6bbe4e81c48d75',
         'scenario.json': '276739acddd17e586d41a7b6abd01f7164495d3118512b52238d45572f212f69',
         'summary.json': 'db091850033ddc13c52f9e75cddd7fe715f7ffdd806d166b9d4429148dd69a3d',
         'tickets.jsonl': 'aecf7b3d1940b461e56f764eb3e50e90e2a3e6703eecedd3b1be5fa0318ddccb',
@@ -225,7 +225,7 @@ EDGE_GOLDEN = {
     },
     'dense-packet-block': {
         'closed': 'c285d594c9f5e686f8b8412141f19f88adb7bb6e40eca3cac915b64e9ce10966',
-        'records': 'acd1945358c7331944ecaaf0b4b5cd6894e1708642350fe0778f95b3e164d24f',
+        'records': 'eb7e2a08ed6b07912ffde7a23879771c0a46cfeaffd072812b7f59062ab28359',
         'scenario.json': '8fb832027671701bdc9f3e5f9b2a0bd660da7eaa73c3e546acf3889dd409ad87',
         'summary.json': 'c7bf46a97b60f50aa5bf828c0a883f553b6b40a0514bed0d393521412735ef26',
         'tickets.jsonl': '3cff757558b9d2de468d1fdc6cacfb8555a79848695d3a65404523e17a09247b',
@@ -234,7 +234,7 @@ EDGE_GOLDEN = {
     },
     'dense-bandwidth-block': {
         'closed': '2be4ef576931031e55a0e745513b13d2eaa7c9b24e58ea1e82a4c1a3859ce3ba',
-        'records': '58f1ee1c631a05b6bdd660acfe1038234dc268321000b80f837e79eb32b0271b',
+        'records': 'aa051abe55c876c43b46109105194c7b1508880c58b0daee4fe95b418cb4a2f7',
         'scenario.json': '3234cf9023884165e99a6225efe2287374f37b7e98215fa6147ca1cab1f2922c',
         'summary.json': '7234e95c747dd6287c5a676d4996decf16c98938ecaa8466a3d5649083942222',
         'tickets.jsonl': '13e5c92c6dd5746c217987ddc9ab2cb07cb34a5bcd7fb0be9e85ddf63b53ce1a',
@@ -243,7 +243,7 @@ EDGE_GOLDEN = {
     },
     'dense-budget-enforce': {
         'closed': '9e02a6d44446a90b9a4243e9d5303d251c9d85ed97dc96fc1e68176716801a74',
-        'records': '78a276fdc9064c2f8e0d4ae4bd3c4e6180751d05419586784f3171c2e26fd89a',
+        'records': '1481f0c04b7dad68d71dc342a8d4ec3c396e0d04e1ee93db989af994db66aff1',
         'scenario.json': '08c48cc2b1c4a433aef5e452a12d0e7bc5a775d66f367d1b66197c04cb251a76',
         'summary.json': '87642159d591fa1c3c1f743c70b98bc5b1df9ef959a457227e4589600fd5fe49',
         'tickets.jsonl': '1ad372c18b4715c03ff47286f2cc291b40df02dc9f8858b88bd39ac60bf2edc5',
@@ -252,7 +252,7 @@ EDGE_GOLDEN = {
     },
     'dense-budget-detect': {
         'closed': '88fcbbe3d983e09a1bfa1cbfbe5737e53d592874466a91c3cf4e2901cffafd16',
-        'records': '71a0a5096ec407bbcf2e47391b72e5b09142b654140485100744f5e0d3c64298',
+        'records': 'bbbb82673e19e3e6f6591723599a5820f9653e8fd157837a456eab6fa9b7e158',
         'scenario.json': '9ca49e295a52e53fca662490c14a1c8502ddcceaf9f7d05d17d220cd11bead7b',
         'summary.json': 'c613e1e56f41a9c680b7401ecb60a02046bdac521dd70bb5358f6601c8eb47f6',
         'tickets.jsonl': '1b30b93ffcce7f034bcaa8ee60babc50c6834c119a7c97a737732c3773ad1b9a',
@@ -261,7 +261,7 @@ EDGE_GOLDEN = {
     },
     'dense-capacity-cut': {
         'closed': 'e934f23dd3541521d16aa4dbc819285faa09ca530378cc6c3ee57521369012a9',
-        'records': '5ad7edbadd67936dd6aca0246388af019f688abbd2769aca549a0b277fc7292f',
+        'records': 'b6fd42733a3919d3db64be4d3c717eeb7da12fde28fdc90fdd318262b9f6c0de',
         'scenario.json': '975bc509e99e2f54bc24e27b670cf78c2818da683ab25d434827034ba737e7b8',
         'summary.json': 'a59a1ba934b2a2f3444803c64f0d9af87f5597a279fb46530ad4262ac28af82f',
         'tickets.jsonl': 'e58e144e00c41c7700d72992309f498d69149d5c86c3f258500dd09ba41aaae8',
@@ -496,7 +496,7 @@ def render_records(trace: SimTrace) -> str:
     for rec in trace.records:
         lines.append(f"{rec.t!r} {tuple(rec.ledger)} {rec.delivered_by_kind}")
         lines.extend(f"  {s.node} {s.attempted_bcast} {s.attempted_total} "
-                     f"{s.suppressed} {s.ipids}" for s in rec.samples)
+                     f"{s.suppressed}" for s in rec.samples)
     return "".join(line + "\n" for line in lines)
 
 
