@@ -294,7 +294,6 @@ class StaticAgent:
             attempted_bcast=stats.broadcast_pkts,
             attempted_total=stats.total_pkts,
             suppressed=0,
-            ipids=(),
         )
 
     def _evaluate(self, first: bool) -> CompareResult:
@@ -402,14 +401,15 @@ class AgentFleet:
         t: float,
         stats: ChannelStats,
         node_samples: Sequence[TrafficSample],
-        ipid_entries: Sequence[tuple[float, int, int]] = (),
+        ipid_entries: Sequence[tuple[float, int, int, int]] = (),
     ) -> list[TroubleTicket]:
         """Run one sampling tick; returns any tickets opened at this tick.
 
         node_samples holds, in any order, at least the samples of the nodes
         that sent in this tick; a node without one sent nothing.
-        ipid_entries are (t, ipid, src) for broadcast frames seen inside
-        the loop-scan window ending at this tick.
+        ipid_entries are (t, ipid, src, count) for runs of broadcast frames
+        seen inside the loop-scan window ending at this tick: `count`
+        frames of one IPID from one node at time t.
         """
         self.detector.sample_channel(stats)
         verdict = self.detector.compare_ptr(t)
@@ -454,7 +454,7 @@ class AgentFleet:
                         thresholds.nbw_factor * thresholds.nbw_permissible))
         if ipid_entries:
             looped, offenders = detect_ipid_loop(
-                [(ipid, t_seen) for t_seen, ipid, _ in ipid_entries],
+                [(ipid, t_seen, n) for t_seen, ipid, _, n in ipid_entries],
                 min_repeats=thresholds.ipid_min_repeats,
                 window_ms=thresholds.ipid_window_ms,
             )

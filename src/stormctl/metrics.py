@@ -90,7 +90,7 @@ class TrafficSample(NamedTuple):
 
     Delivered counters reflect frames that actually crossed the channel;
     attempted counters include frames dropped by suppression or
-    saturation.  `ipids` are the delivered broadcast frame ids.
+    saturation.
     """
 
     node: int
@@ -101,7 +101,6 @@ class TrafficSample(NamedTuple):
     attempted_bcast: int
     attempted_total: int
     suppressed: int
-    ipids: tuple[int, ...]
 
 
 class NodeBandwidth(NamedTuple):
@@ -171,30 +170,35 @@ def broadcast_ratio(stats: ChannelStats) -> BroadcastRatio:
 
 
 def detect_ipid_loop(
-    window: Iterable[tuple[int, float]],
+    window: Iterable[tuple[int, float, int]],
     min_repeats: int = IPID_MIN_REPEATS,
     window_ms: float = IPID_WINDOW_MS,
 ) -> tuple[bool, tuple[int, ...]]:
-    """Looping-frame check over (ipid, t_ms) observations.
+    """Looping-frame check over (ipid, t_ms, count) observations.
 
-    An IPID observed min_repeats or more times within any sliding
-    window_ms span marks a loop; frames are being recirculated rather
+    An observation is `count` sightings of one IPID at time t_ms.  An
+    IPID seen min_repeats or more times within any window_ms span (both
+    ends included) marks a loop; frames are being recirculated rather
     than freshly generated.  Returns (found, offending ipids sorted).
     """
     if min_repeats < 1:
         raise ValueError("min_repeats must be at least 1")
     if window_ms < 0:
         raise ValueError("window_ms must be nonnegative")
-    times: dict[int, list[float]] = defaultdict(list)
-    for ipid, t in window:
-        times[ipid].append(t)
+    seen: dict[int, list[tuple[float, int]]] = defaultdict(list)
+    for ipid, t, count in window:
+        seen[ipid].append((t, count))
     offenders = []
-    for ipid, ts in times.items():
-        if len(ts) < min_repeats:
-            continue
-        ts.sort()
-        for i in range(len(ts) - min_repeats + 1):
-            if ts[i + min_repeats - 1] - ts[i] <= window_ms:
+    for ipid, runs in seen.items():
+        # slide a span ending at each observation, oldest first
+        runs.sort()
+        inside = lo = 0
+        for t, count in runs:
+            inside += count
+            while t - runs[lo][0] > window_ms:
+                inside -= runs[lo][1]
+                lo += 1
+            if inside >= min_repeats:
                 offenders.append(ipid)
                 break
     return bool(offenders), tuple(sorted(offenders))

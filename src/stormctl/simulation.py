@@ -338,10 +338,9 @@ class _IpidWindow:
             if not entries:
                 del self._per_ipid[ipid]
 
-    def run_entries(self, ipid: int) -> list[tuple[float, int, int]]:
-        """One (t, ipid, src) per frame of ipid still in the window."""
-        return [(t, ipid, src) for t, src, n in self._per_ipid.get(ipid, ())
-                for _ in range(n)]
+    def run_entries(self, ipid: int) -> list[tuple[float, int, int, int]]:
+        """One (t, ipid, src, count) per run of ipid still in the window."""
+        return [(t, ipid, src, n) for t, src, n in self._per_ipid.get(ipid, ())]
 
 
 def run(scenario: Scenario) -> SimTrace:
@@ -402,7 +401,7 @@ def run(scenario: Scenario) -> SimTrace:
     byte_acc: dict[int, int] = {}   # per node, from its first budgeted frame
     byte_wid: dict[int, int] = {}
     # a node that sends nothing in a tick shows this same sample in it
-    idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0, ())
+    idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0)
                  for n in range(sc.node_count))
     # counters of the nodes in `active`, the nodes that sent this tick;
     # every other slot is None
@@ -473,7 +472,7 @@ def run(scenario: Scenario) -> SimTrace:
         active: list[int] = []
         kinds: Counter = Counter()
         ipid_candidate: Optional[int] = None
-        candidate_entries: list[tuple[float, int, int]] = []
+        candidate_entries: list[tuple[float, int, int, int]] = []
 
         stop = base + steps_per_tick
         while due and due[0] < stop:
@@ -507,7 +506,7 @@ def run(scenario: Scenario) -> SimTrace:
                     node = per_node[v]
                     if node is None:
                         node = per_node[v] = {"d_b": 0, "d_t": 0, "a_b": 0,
-                                              "a_t": 0, "sup": 0, "ipids": []}
+                                              "a_t": 0, "sup": 0}
                         active.append(v)
                     c = (n - 1 - j) // period + 1
                     node["a_t"] += c
@@ -570,9 +569,6 @@ def run(scenario: Scenario) -> SimTrace:
                         node["d_t"] += k
                         if bcast:
                             node["d_b"] += k
-                            node["ipids"].extend(
-                                range(ipid + q, ipid + q + k * period, period)
-                                if fresh else (ipid,) * k)
                             if budget:
                                 byte_acc[v] += k * size
                     if end == n:
@@ -638,7 +634,7 @@ def run(scenario: Scenario) -> SimTrace:
             d_b += d["d_b"]
             slots[n] = TrafficSample(
                 n, d["d_b"], d["d_t"], d["d_b"] * size, d["d_t"] * size,
-                d["a_b"], d["a_t"], d["sup"], tuple(d["ipids"]))
+                d["a_b"], d["a_t"], d["sup"])
         samples = tuple(slots)
         load = min(1.0, delivered / cap) if cap else 0.0
         stats = ChannelStats(

@@ -263,8 +263,8 @@ class _FrameIpidWindow:
             if not times:
                 del self._per_ipid[ipid]
 
-    def run_entries(self, ipid: int) -> list[tuple[float, int, int]]:
-        return [(t, ipid, src) for t, src in self._per_ipid.get(ipid, ())]
+    def run_entries(self, ipid: int) -> list[tuple[float, int, int, int]]:
+        return [(t, ipid, src, 1) for t, src in self._per_ipid.get(ipid, ())]
 
 
 def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
@@ -367,12 +367,12 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
 
         generated = replicated = suppressed = capped = delivered = 0
         per_node = [
-            {"d_b": 0, "d_t": 0, "a_b": 0, "a_t": 0, "sup": 0, "ipids": []}
+            {"d_b": 0, "d_t": 0, "a_b": 0, "a_t": 0, "sup": 0}
             for _ in range(sc.node_count)
         ]
         kinds: Counter = Counter()
         ipid_candidate: Optional[int] = None
-        candidate_entries: list[tuple[float, int, int]] = []
+        candidate_entries: list[tuple[float, int, int, int]] = []
 
         for step in range(base, base + steps_per_tick):
             t_s = step / sim.STEPS_PER_MS
@@ -425,7 +425,6 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                 kinds[frame.kind] += 1
                 if frame.is_broadcast:
                     node["d_b"] += 1
-                    node["ipids"].append(frame.ipid)
                     if byte_limit is not None:
                         byte_acc[frame.src] += frame.size
                     if ipid_win.add(t_s, frame.ipid, frame.src):
@@ -479,7 +478,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                 bcast_bytes=d["d_b"] * sc.frame_size,
                 total_bytes=d["d_t"] * sc.frame_size,
                 attempted_bcast=d["a_b"], attempted_total=d["a_t"],
-                suppressed=d["sup"], ipids=tuple(d["ipids"]),
+                suppressed=d["sup"],
             )
             for n, d in enumerate(per_node)
         )

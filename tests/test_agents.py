@@ -53,7 +53,7 @@ def sample(node: int, bcast: int = 0, bcast_bytes: int = None,
         node=node, bcast_pkts=bcast, total_pkts=bcast,
         bcast_bytes=bcast_bytes, total_bytes=bcast_bytes,
         attempted_bcast=attempted, attempted_total=attempted,
-        suppressed=0, ipids=(),
+        suppressed=0,
     )
 
 
@@ -289,7 +289,7 @@ class TestFleet:
         fleet = self.fleet(nbw_permissible=1000.0)
         samples = [sample(0, 61), sample(1, 0, bcast_bytes=3000),
                    sample(2, 0)]
-        entries = [(0.0, 77, 2), (1.0, 77, 2), (2.0, 77, 2)]
+        entries = [(0.0, 77, 2, 1), (1.0, 77, 2, 2)]
         tickets = fleet.observe(0.0, stats(0.0, 61, total=61), samples,
                                 entries)
         causes = [t.cause for t in tickets]
@@ -344,7 +344,7 @@ class TestFleet:
 
     def test_ipid_loop_attributed_to_frame_source(self):
         fleet = self.fleet()
-        entries = [(0.0, 9, 2), (0.1, 9, 2), (0.2, 9, 2)]
+        entries = [(0.0, 9, 2, 2), (0.1, 9, 2, 1)]
         tickets = fleet.observe(0.0, stats(0.0, 3, total=3),
                                 [sample(0, 0), sample(1, 0), sample(2, 3)],
                                 entries)

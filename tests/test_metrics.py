@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,33 +174,38 @@ class TestClassify:
 class TestIpidLoop:
     def test_three_repeats_inside_window(self):
         found, who = detect_ipid_loop(
-            [(7, 0.0), (7, 50.0), (7, 100.0), (8, 1.0)])
+            [(7, 0.0, 2), (7, 100.0, 1), (8, 1.0, 2)])
         assert found
         assert who == (7,)
 
     def test_repeats_spread_past_window_are_clean(self):
-        found, who = detect_ipid_loop(
-            [(7, 0.0), (7, 60.0), (7, 120.0)])
+        found, who = detect_ipid_loop([(7, 0.0, 2), (7, 120.0, 2)])
         assert not found
         assert who == ()
 
     def test_window_span_is_inclusive(self):
-        found, _ = detect_ipid_loop([(7, 0.0), (7, 1.0), (7, 100.0)])
+        found, _ = detect_ipid_loop([(7, 0.0, 1), (7, 100.0, 2)])
         assert found
 
     def test_unsorted_observations_allowed(self):
-        found, _ = detect_ipid_loop([(7, 90.0), (7, 0.0), (7, 45.0)])
+        found, _ = detect_ipid_loop([(7, 90.0, 1), (7, 0.0, 1), (7, 45.0, 1)])
         assert found
 
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_agrees_with_bruteforce_on_random_windows(self, seed):
-        rng = random.Random(seed)
-        entries = [
-            (rng.randint(1, 6), round(rng.uniform(0.0, 400.0), 3))
-            for _ in range(rng.randint(0, 60))
-        ]
-        k = rng.randint(2, 5)
-        w = rng.choice([25.0, 100.0, 250.0])
-        assert detect_ipid_loop(entries, k, w) == \
-            ipid_loop_bruteforce(entries, k, w)
+    def test_one_run_can_repeat_alone(self):
+        assert detect_ipid_loop([(7, 5.0, 3)]) == (True, (7,))
+        assert detect_ipid_loop([(7, 5.0, 2)]) == (False, ())
+
+    # times are multiples of 2.5 ms, exact in binary, so spans that end
+    # exactly on the window's edge are drawn too; the draw is unsorted
+    # and repeats times
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 60),
+                              st.integers(1, 5)), max_size=40),
+           st.integers(2, 6), st.sampled_from([0.0, 2.5, 25.0, 100.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_bruteforce_on_random_windows(self, draws, k, w):
+        observations = [(ipid, slot * 2.5, count)
+                        for ipid, slot, count in draws]
+        frames = [(ipid, t) for ipid, t, count in observations
+                  for _ in range(count)]
+        assert detect_ipid_loop(observations, k, w) == \
+            ipid_loop_bruteforce(frames, k, w)
