@@ -315,8 +315,8 @@ class _IpidWindow:
         self._order: deque[tuple[float, int]] = deque()
         self._per_ipid: dict[int, deque[tuple[float, int, int]]] = {}
 
-    def add(self, t: float, ipid: int, src: int, count: int) -> Optional[int]:
-        """Record a run's deliveries; the IPID that now qualifies, if any."""
+    def add(self, t: float, ipid: int, src: int, count: int) -> bool:
+        """Record a run's deliveries; whether its IPID now qualifies."""
         self._order.append((t, ipid))
         entries = self._per_ipid.setdefault(ipid, deque())
         entries.append((t, src, count))
@@ -326,8 +326,8 @@ class _IpidWindow:
         for seen, _, n in reversed(entries):
             need -= n
             if need <= 0:
-                return ipid if t - seen <= self.window_ms else None
-        return None
+                return t - seen <= self.window_ms
+        return False
 
     def evict(self, now: float) -> None:
         cutoff = now - self.window_ms
@@ -471,8 +471,7 @@ def run(scenario: Scenario) -> SimTrace:
         generated = replicated = suppressed = capped = delivered = 0
         active: list[int] = []
         kinds: Counter = Counter()
-        ipid_candidate: Optional[int] = None
-        candidate_entries: list[tuple[float, int, int, int]] = []
+        hits: set[int] = set()      # the IPIDs that qualified this tick
 
         stop = base + steps_per_tick
         while due and due[0] < stop:
@@ -594,9 +593,8 @@ def run(scenario: Scenario) -> SimTrace:
                 delivered += sent
                 kinds[kind] += sent
                 if bcast and not fresh:     # fresh IPIDs never repeat
-                    hit = ipid_win.add(t_s, ipid, src, sent)
-                    if hit is not None:
-                        ipid_candidate = hit
+                    if ipid_win.add(t_s, ipid, src, sent):
+                        hits.add(ipid)
                 if kind in ("seed", "replica"):
                     loop = sc.injectors[owner]
                     nxt = step + round(loop.pass_interval * STEPS_PER_MS)
@@ -623,8 +621,8 @@ def run(scenario: Scenario) -> SimTrace:
 
         tick_end = (t_idx + 1) * sc.tick
         ipid_win.evict(tick_end)
-        if ipid_candidate is not None:
-            candidate_entries = ipid_win.run_entries(ipid_candidate)
+        hit_entries = [entry for ipid in hits
+                       for entry in ipid_win.run_entries(ipid)]
 
         d_b = 0
         slots = list(idle)
@@ -648,11 +646,11 @@ def run(scenario: Scenario) -> SimTrace:
             interval_ms=sc.tick,
         )
         classification = classify(stats, history,
-                                  ipid_loop=ipid_candidate is not None,
+                                  ipid_loop=bool(hits),
                                   capacity_pkts=cap)
         if fleet is not None:
             tickets.extend(fleet.observe(t0, stats, [slots[n] for n in active],
-                                         candidate_entries))
+                                         hit_entries))
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
         records.append(TickRecord(t0, stats, classification, samples, ledger,
                                   tuple(sorted(kinds.items()))))

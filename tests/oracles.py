@@ -371,8 +371,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
             for _ in range(sc.node_count)
         ]
         kinds: Counter = Counter()
-        ipid_candidate: Optional[int] = None
-        candidate_entries: list[tuple[float, int, int, int]] = []
+        hits: set[int] = set()      # the IPIDs that qualified this tick
 
         for step in range(base, base + steps_per_tick):
             t_s = step / sim.STEPS_PER_MS
@@ -428,7 +427,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                     if byte_limit is not None:
                         byte_acc[frame.src] += frame.size
                     if ipid_win.add(t_s, frame.ipid, frame.src):
-                        ipid_candidate = frame.ipid
+                        hits.add(frame.ipid)
                 if chain:
                     inj = sc.injectors[frame.inj]
                     if inj.active(t_s):
@@ -454,8 +453,8 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
 
         tick_end = (t_idx + 1) * sc.tick
         ipid_win.evict(tick_end)
-        if ipid_candidate is not None:
-            candidate_entries = ipid_win.run_entries(ipid_candidate)
+        hit_entries = [entry for ipid in hits
+                       for entry in ipid_win.run_entries(ipid)]
 
         d_b = sum(n["d_b"] for n in per_node)
         load = min(1.0, delivered / cap) if cap else 0.0
@@ -470,7 +469,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
             interval_ms=sc.tick,
         )
         classification = classify(stats, history,
-                                  ipid_loop=ipid_candidate is not None,
+                                  ipid_loop=bool(hits),
                                   capacity_pkts=cap)
         samples = tuple(
             TrafficSample(
@@ -483,7 +482,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
             for n, d in enumerate(per_node)
         )
         if fleet is not None:
-            tickets.extend(fleet.observe(t0, stats, samples, candidate_entries))
+            tickets.extend(fleet.observe(t0, stats, samples, hit_entries))
         ledger = sim.TickLedger(generated, replicated, suppressed, capped,
                                 delivered)
         records.append(sim.TickRecord(t0, stats, classification, samples,

@@ -185,7 +185,7 @@ EDGE_GOLDEN = {
         'summary.json': 'b47bf88a35950c7c677310ea5f7097513b159ea24b2cd3db6e96115c0bd7ed6e',
         'tickets.jsonl': '21178cd2ecb3150bf46a8690373c8c0bc3cff54e1df6d8ca78ae4727c8da1a3a',
         'trace.csv': '52eee29260df51714083338cea3b3208c680b89111a907d13e917e189963ba65',
-        'triggers': '545cb3fd6417c1726f833de5d2820d6d1acf97d420b321d5c2d90b7ec96603f3',
+        'triggers': '2f04ffe79792d0650100e7ea882e3ce3f91ace34a27bc06e627c42fc1c2677a6',
     },
     'ipid-repeats-5': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',

@@ -348,6 +348,23 @@ class TestLoopChain:
         trace = run(scenario)
         assert not any(r.classification.ipid_loop for r in trace.records)
 
+    def test_every_qualifying_ipid_offends(self):
+        # two reused-IPID loops, from nodes 2 and 1, qualify in the same
+        # ticks: the IPID trigger counts both and blames the lower source
+        loop = Injector(kind="loop", start_t=1.0, pass_interval=0.3, factor=1)
+        sc = Scenario(
+            name="two-loops", node_count=3, duration=6.0,
+            injectors=(dataclasses.replace(loop, origin_node=2),
+                       dataclasses.replace(loop, origin_node=1)),
+            agents=AgentConfig(policy=None, thresholds=ThresholdDb(
+                ipid_min_repeats=2, ipid_window_ms=1.0)))
+        trace = run(sc)
+        loops = [tr for tr in trace.triggers
+                 if tr.cause is TriggerCause.IPID_LOOP]
+        assert len(loops) == 5
+        assert all(tr.observed == 2.0 and tr.node == 1 for tr in loops)
+        assert trace.triggers == reference_run(sc).triggers
+
     def test_sim_window_matches_bruteforce_scan(self):
         # every frame of this chain carries the seed's IPID and is
         # delivered at the start of its tick, so a tick's broadcast count
