@@ -229,8 +229,12 @@ def _decode(hint, value, path: str):
         for f in fields(hint):
             if f.name not in value and f.default is f.default_factory is MISSING:
                 raise ScenarioError(f"{path}.{f.name}: missing")
-        return hint(**{key: _decode(hints[key], item, f"{path}.{key}")
-                       for key, item in value.items()})
+        kwargs = {key: _decode(hints[key], item, f"{path}.{key}")
+                  for key, item in value.items()}
+        try:
+            return hint(**kwargs)
+        except ValueError as exc:   # the dataclass's own checks
+            raise ScenarioError(f"{path}: {exc}") from exc
     if get_origin(hint) is tuple:                       # tuple[X, ...]
         if not isinstance(value, list):
             raise _mismatch(path, "a list", value)

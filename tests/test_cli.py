@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stormctl
+from stormctl.agents import AgentConfig, ThresholdDb
 from stormctl.cli import EXIT_DETECTED, EXIT_OK, EXIT_USAGE, main
 from stormctl.datasets import load_trace
 from stormctl import simulation, tracefile
@@ -319,6 +326,25 @@ class TestRejectedScenarioFiles:
         err = self.run_edited(tmp_path, capsys, edit)
         assert err.startswith(f"stormctl: {message}")
 
+    # a dataclass's own check names the object it rejected
+    CHECKED = {
+        "unknown-injector-kind": (
+            lambda doc: doc.update(injectors=[{"kind": "gremlin"}]),
+            "scenario.injectors[0]: unknown injector kind 'gremlin'"),
+        "zero-suppression-window": (
+            lambda doc: doc["agents"].update(suppression_window=0.0),
+            "scenario.agents: suppression_window must be positive"),
+        "negative-jitter": (
+            lambda doc: doc.update(generator={"jitter": -0.1}),
+            "scenario.generator: jitter must be in [0, 1)"),
+    }
+
+    @pytest.mark.parametrize("case", CHECKED)
+    def test_dataclass_check_names_its_path(self, tmp_path, capsys, case):
+        edit, message = self.CHECKED[case]
+        err = self.run_edited(tmp_path, capsys, edit)
+        assert err == f"stormctl: {message}\n"
+
     def test_document_not_an_object(self, tmp_path, capsys):
         doc = [tracefile.scenario_to_dict(simulation.preset("loop-storm"))]
         err = self.rejected(tmp_path, capsys, doc)
@@ -381,6 +407,76 @@ class TestRejectedScenarioFiles:
             tmp_path, capsys,
             lambda doc: doc["agents"]["thresholds"].update(ipid_window_ms=-5.0))
         assert "ipid_window_ms must be nonnegative" in err
+
+
+def _slots(doc) -> list:
+    """(container, key or index) of every value inside a JSON document."""
+    found = []
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        found.append((doc, key))
+        found.extend(_slots(value))
+    return found
+
+
+class TestMutatedScenarioFiles:
+    """A valid document with one random defect never crashes `sim`."""
+
+    BASE = tracefile.scenario_to_dict(simulation.Scenario(
+        name="mutated", node_count=3, link_rate=100e6, duration=5.0, seed=3,
+        generator=simulation.NormalBroadcastProfile(),
+        injectors=(
+            simulation.Injector(kind="loop", start_t=1.0, origin_node=1,
+                                pass_interval=0.5),
+            simulation.Injector(kind="smurf", start_t=2.0, end_t=4.0,
+                                rate=2.0),
+            simulation.Injector(kind="faulty_nic", origin_node=2, rate=0.5),
+        ),
+        agents=AgentConfig(thresholds=ThresholdDb(
+            nbw_permissible=1200.0, byte_threshold_mb=0.5))))
+
+    # no large numbers: a valid scenario could then run for hours
+    OUT_OF_RANGE = (0, -1, -0.5, float("inf"), float("nan"))
+    WRONG_TYPE = ("x", True, None, [], {}, [1], 2.5)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exits_cleanly(self, data):
+        doc = copy.deepcopy(self.BASE)
+        slots = _slots(doc)
+        kind = data.draw(st.sampled_from(
+            ["drop", "wrong-type", "out-of-range", "unknown-key"]))
+        if kind == "unknown-key":
+            objects = [doc] + [box[key] for box, key in slots
+                               if isinstance(box[key], dict)]
+            data.draw(st.sampled_from(objects))["bogus"] = 1
+        elif kind == "out-of-range":
+            box, key = data.draw(st.sampled_from(
+                [(box, key) for box, key in slots
+                 if type(box[key]) in (int, float)]))
+            box[key] = data.draw(st.sampled_from(
+                self.OUT_OF_RANGE + (-box[key],)))
+        else:
+            box, key = data.draw(st.sampled_from(slots))
+            if kind == "drop":
+                del box[key]
+            else:
+                box[key] = data.draw(st.sampled_from(self.WRONG_TYPE))
+
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["sim", "--scenario-file", str(path)])
+        # a defect either is rejected, or leaves a scenario that runs to
+        # a verdict (1 when its agents raise a ticket)
+        assert code in (EXIT_OK, EXIT_DETECTED, EXIT_USAGE)
+        if code == EXIT_USAGE:
+            assert err.getvalue().startswith("stormctl: ")
+        assert "Traceback" not in err.getvalue()
 
 
 class TestEntryPoint:
