@@ -44,7 +44,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields, is_dataclass, replace
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, TroubleTicket
 from .datasets import interpolate, table4_hump
@@ -338,9 +338,10 @@ class _IpidWindow:
             if not entries:
                 del self._per_ipid[ipid]
 
-    def run_entries(self, ipid: int) -> list[tuple[float, int, int, int]]:
-        """One (t, ipid, src, count) per run of ipid still in the window."""
-        return [(t, ipid, src, n) for t, src, n in self._per_ipid.get(ipid, ())]
+    def run_entries(self, ipids: Iterable[int]) -> list[tuple[float, int, int, int]]:
+        """One (t, ipid, src, count) per run of these IPIDs in the window."""
+        return [(t, ipid, src, n) for ipid in ipids
+                for t, src, n in self._per_ipid.get(ipid, ())]
 
 
 def run(scenario: Scenario) -> SimTrace:
@@ -592,9 +593,9 @@ def run(scenario: Scenario) -> SimTrace:
                     continue
                 delivered += sent
                 kinds[kind] += sent
-                if bcast and not fresh:     # fresh IPIDs never repeat
-                    if ipid_win.add(t_s, ipid, src, sent):
-                        hits.add(ipid)
+                # fresh IPIDs never repeat, so they never enter the window
+                if bcast and not fresh and ipid_win.add(t_s, ipid, src, sent):
+                    hits.add(ipid)
                 if kind in ("seed", "replica"):
                     loop = sc.injectors[owner]
                     nxt = step + round(loop.pass_interval * STEPS_PER_MS)
@@ -621,8 +622,6 @@ def run(scenario: Scenario) -> SimTrace:
 
         tick_end = (t_idx + 1) * sc.tick
         ipid_win.evict(tick_end)
-        hit_entries = [entry for ipid in hits
-                       for entry in ipid_win.run_entries(ipid)]
 
         d_b = 0
         slots = list(idle)
@@ -650,7 +649,7 @@ def run(scenario: Scenario) -> SimTrace:
                                   capacity_pkts=cap)
         if fleet is not None:
             tickets.extend(fleet.observe(t0, stats, [slots[n] for n in active],
-                                         hit_entries))
+                                         ipid_win.run_entries(hits)))
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
         records.append(TickRecord(t0, stats, classification, samples, ledger,
                                   tuple(sorted(kinds.items()))))
