@@ -241,12 +241,12 @@ def _non_finite(value, where: str) -> Optional[str]:
     if isinstance(value, float):
         return None if math.isfinite(value) else where
     if is_dataclass(value):
-        items = [(f.name, getattr(value, f.name)) for f in fields(value)]
+        items = [(f".{f.name}", getattr(value, f.name)) for f in fields(value)]
     elif isinstance(value, tuple):
-        items = list(enumerate(value))
+        items = [(f"[{i}]", item) for i, item in enumerate(value)]
     else:
         return None
-    paths = (_non_finite(item, f"{where}.{key}") for key, item in items)
+    paths = (_non_finite(item, where + key) for key, item in items)
     return next((path for path in paths if path is not None), None)
 
 

@@ -234,7 +234,10 @@ def _decode(hint, value, path: str):
         try:
             return hint(**kwargs)
         except ValueError as exc:   # the dataclass's own checks
-            raise ScenarioError(f"{path}: {exc}") from exc
+            message = str(exc)      # prefixed unless it names its own path
+            if not message.startswith(f"{path}."):
+                message = f"{path}: {message}"
+            raise ScenarioError(message) from exc
     if get_origin(hint) is tuple:                       # tuple[X, ...]
         if not isinstance(value, list):
             raise _mismatch(path, "a list", value)

@@ -131,7 +131,8 @@ class TestSilentFrameLoss:
         with pytest.raises(ScenarioError, match="generator.burst_scale"):
             Scenario(node_count=5,
                      generator=NormalBroadcastProfile(burst_scale=value))
-        with pytest.raises(ScenarioError, match=r"injectors.0.start_t"):
+        with pytest.raises(ScenarioError,
+                           match=r"scenario\.injectors\[0\]\.start_t"):
             Scenario(node_count=5,
                      injectors=(Injector(kind="smurf", start_t=abs(value)),))
 
