@@ -13,31 +13,39 @@ where Ps is the start-of-interval rate (packets per interval), Pe the
 safe threshold rate, and m the growth constant (1/ms).  Time is in
 milliseconds throughout.  P(0) == 0 exactly by construction.
 
-`fit_model` recovers (Ps, Pe, m) from an observed trace by searching a
-fixed grid over m (the only nonlinear parameter), solving the remaining
-linear coefficients exactly at each step, then refining m by
-golden-section.  The least-squares sums that do not depend on m are
-taken once per trace; the rest, once per m.  The procedure is fully
-deterministic.
+`fit_model` recovers (Ps, Pe, m) from an observed trace.  For a fixed m
+the curve is linear in its coefficients, so the least-squares a and b
+are solved exactly (with Ps >= 0 and Pe >= 0 held), and only m is
+searched: variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
+10(2), 1973).  The search scans a coarse geometric grid over a declared
+domain of m, then runs Brent's bounded minimiser (Brent, Algorithms for
+Minimization Without Derivatives, 1973, ch. 5) in the cells around
+every strict local minimum of the grid, and keeps the lowest RMSE seen.
+The domain's top is lowered per trace so that e^(m t) stays finite over
+the rise.  The least-squares sums that do not depend on m are taken once
+per trace; the rest, once per m.  The procedure is fully deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 TAU = math.tau  # 2*pi
 
-# fit search grid (1/ms); declared constants so runs are reproducible
-FIT_M_MIN = 0.05
-FIT_M_MAX = 10.0
-FIT_M_STEP = 0.05
-FIT_REFINE_ITERS = 80
+# domain of the growth constant m (1/ms) that the fit searches; declared
+# constants so runs are reproducible
+FIT_M_MIN = 0.025
+FIT_M_MAX = 10.05
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_CELLS = 20                         # geometric cells of the coarse grid
+_M_RTOL = math.sqrt(sys.float_info.epsilon)  # Brent's tolerance, relative to m
+_G_MAX_LOG = 256 * math.log(2.0)         # rises keep t*e^(m t) <= 2**256
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class FitError(ValueError):
@@ -168,11 +176,7 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
         return math.sqrt(acc / n)
 
     def solve(m: float):
-        try:
-            gs = [t * exp(m * t) for t in ts]
-        except OverflowError:
-            raise FitError(f"a rise of {ts[-1]:g} ms is too long to fit: "
-                           f"e^(m t) overflows at m = {m:g}") from None
+        gs = [t * exp(m * t) for t in ts]
         s_gg = sum(map(mul, gs, gs))
         s_tg = sum(map(mul, ts, gs))
         s_gy = sum(map(mul, gs, ys))
@@ -204,6 +208,80 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
     return solve
 
 
+def _m_top(t_end: float) -> float:
+    """Top of the m domain for a rise that ends at t_end (ms).
+
+    It keeps t*e^(m t) <= 2**256 at every time of the rise, so every sum
+    of `_solver`, and every product of two sums, stays finite.
+    """
+    if t_end <= 0:
+        return FIT_M_MAX
+    return min(FIT_M_MAX, (_G_MAX_LOG - math.log(t_end)) / t_end)
+
+
+def _grid(top: float) -> list[float]:
+    """The coarse grid: _GRID_CELLS geometric cells from FIT_M_MIN to top."""
+    ratio = top / FIT_M_MIN
+    return [FIT_M_MIN * ratio ** (k / _GRID_CELLS)
+            for k in range(_GRID_CELLS)] + [top]
+
+
+def _brent(solve, lo: float, hi: float):
+    """(m, solve(m)) at a local minimum of the RMSE inside (lo, hi).
+
+    Brent's localmin: parabolic steps through the best three points,
+    golden-section steps where a parabola would not shrink the bracket.
+    Stops once m is known to within _M_RTOL relative.
+    """
+    x = w = v = lo + _GOLDEN_STEP * (hi - lo)
+    sx = solve(x)
+    fx = fw = fv = sx[2]
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        tol = _M_RTOL * abs(x)
+        if abs(x - mid) <= 2 * tol - 0.5 * (hi - lo):
+            return x, sx
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if (abs(p) < abs(0.5 * q * e_prev)
+                    and q * (lo - x) < p < q * (hi - x)):
+                d = p / q
+                parabolic = True
+                if x + d - lo < 2 * tol or hi - (x + d) < 2 * tol:
+                    d = tol if x < mid else -tol
+        if not parabolic:
+            e = (hi - x) if x < mid else (lo - x)
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        su = solve(u)
+        fu = su[2]
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw = w, fw, x, fx
+            x, sx, fx = u, su, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def fit_model(trace: Iterable) -> FitResult:
     """Fit (Ps, Pe, m) to a trace, minimizing RMSE over its rise segment.
 
@@ -224,36 +302,26 @@ def fit_model(trace: Iterable) -> FitResult:
     peak = rise[-1].count
     if peak <= 0:
         raise FitError("trace shows no growth to fit")
+    top = _m_top(rise[-1].t)
+    if top < FIT_M_MIN:
+        raise FitError(f"a rise of {rise[-1].t:g} ms is too long to fit: "
+                       f"t*e^(m t) passes 2**256 for every m from "
+                       f"{FIT_M_MIN:g}")
 
     solve = _solver([p.t for p in rise], [p.count for p in rise])
-
-    best_m, best = None, None
-    steps = int(round((FIT_M_MAX - FIT_M_MIN) / FIT_M_STEP))
-    for i in range(steps + 1):
-        m = FIT_M_MIN + i * FIT_M_STEP
-        sol = solve(m)
-        if best is None or sol[2] < best[2]:
-            best_m, best = m, sol
-
-    # golden-section refinement of m around the best grid cell
-    lo = max(best_m - FIT_M_STEP, FIT_M_MIN / 2)
-    hi = best_m + FIT_M_STEP
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc = solve(c)
-    fd = solve(d)
-    for _ in range(FIT_REFINE_ITERS):
-        if fc[2] < fd[2]:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = solve(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = solve(d)
-    for m, sol in ((c, fc), (d, fd)):
-        if sol[2] < best[2]:
-            best_m, best = m, sol
+    grid = _grid(top)
+    sols = [solve(m) for m in grid]
+    rmses = [math.inf] + [sol[2] for sol in sols] + [math.inf]
+    best_m, best = min(zip(grid, sols), key=lambda c: c[1][2])
+    # Brent in the two cells around every strict local minimum of the
+    # grid; a flat run (the Ps = 0 boundary, where m has no effect)
+    # starts at most one search
+    for i in range(len(grid)):
+        if rmses[i + 1] < rmses[i] and rmses[i + 1] <= rmses[i + 2]:
+            m, sol = _brent(solve, grid[max(i - 1, 0)],
+                            grid[min(i + 1, len(grid) - 1)])
+            if sol[2] < best[2]:
+                best_m, best = m, sol
 
     a, b, rmse = best
     p_start = b / TAU

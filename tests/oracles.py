@@ -35,6 +35,13 @@ GRID_PS = np.arange(0.0, 20000.0 + 1, 50.0)          # 401 points
 GRID_PE = np.arange(0.0, 120000.0 + 1, 250.0)        # 481 points
 GRID_M = np.arange(0.025, 10.0 + 1e-12, 0.025)       # 400 points
 
+# Frozen search of the fit that `growth.fit_model` replaced: a 200-point
+# grid over m with golden-section refinement of its best cell.
+REF_FIT_M_MIN = 0.05
+REF_FIT_M_MAX = 10.0
+REF_FIT_M_STEP = 0.05
+REF_FIT_REFINE_ITERS = 80
+
 
 def mp_eval(p_start: float, p_end: float, m: float, t: float) -> mpmath.mpf:
     """The growth curve in 50-digit arithmetic."""
@@ -87,7 +94,7 @@ def grid_fit_rmse(trace) -> float:
     return math.sqrt(max(best, 0.0) / n)
 
 
-def _reference_solve_coeffs(m: float, ts, ys):
+def reference_solve(m: float, ts, ys):
     """Least-squares (a, b, rmse) for fixed m, every sum taken afresh."""
     n = len(ts)
     gs = [t * math.exp(m * t) for t in ts]
@@ -130,7 +137,8 @@ def _reference_solve_coeffs(m: float, ts, ys):
 
 
 def reference_fit_model(trace) -> growth.FitResult:
-    """`growth.fit_model` with every sum of the solver retaken per m."""
+    """The 282-solve grid and golden-section fit, every sum of the solver
+    retaken per m."""
     points = [growth.TracePoint(float(t), float(c)) for t, c in trace]
     if any(b.t <= a.t for a, b in zip(points, points[1:])):
         raise growth.FitError("trace times must be strictly increasing")
@@ -147,30 +155,30 @@ def reference_fit_model(trace) -> growth.FitResult:
     ys = [p.count for p in rise]
 
     best_m, best = None, None
-    steps = int(round((growth.FIT_M_MAX - growth.FIT_M_MIN) / growth.FIT_M_STEP))
+    steps = int(round((REF_FIT_M_MAX - REF_FIT_M_MIN) / REF_FIT_M_STEP))
     for i in range(steps + 1):
-        m = growth.FIT_M_MIN + i * growth.FIT_M_STEP
-        sol = _reference_solve_coeffs(m, ts, ys)
+        m = REF_FIT_M_MIN + i * REF_FIT_M_STEP
+        sol = reference_solve(m, ts, ys)
         if best is None or sol[2] < best[2]:
             best_m, best = m, sol
 
     # golden-section refinement of m around the best grid cell
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = max(best_m - growth.FIT_M_STEP, growth.FIT_M_MIN / 2)
-    hi = best_m + growth.FIT_M_STEP
+    lo = max(best_m - REF_FIT_M_STEP, REF_FIT_M_MIN / 2)
+    hi = best_m + REF_FIT_M_STEP
     c = hi - golden * (hi - lo)
     d = lo + golden * (hi - lo)
-    fc = _reference_solve_coeffs(c, ts, ys)
-    fd = _reference_solve_coeffs(d, ts, ys)
-    for _ in range(growth.FIT_REFINE_ITERS):
+    fc = reference_solve(c, ts, ys)
+    fd = reference_solve(d, ts, ys)
+    for _ in range(REF_FIT_REFINE_ITERS):
         if fc[2] < fd[2]:
             hi, d, fd = d, c, fc
             c = hi - golden * (hi - lo)
-            fc = _reference_solve_coeffs(c, ts, ys)
+            fc = reference_solve(c, ts, ys)
         else:
             lo, c, fc = c, d, fd
             d = lo + golden * (hi - lo)
-            fd = _reference_solve_coeffs(d, ts, ys)
+            fd = reference_solve(d, ts, ys)
     for m, sol in ((c, fc), (d, fd)):
         if sol[2] < best[2]:
             best_m, best = m, sol

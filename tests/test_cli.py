@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -93,8 +94,8 @@ class TestFitCommand:
         capsys.readouterr()
         assert err.value.code == EXIT_USAGE
 
-    # e^(m t) overflows a double once m t passes about 709.78; the grid
-    # reaches m = 10, so a rise longer than about 71 ms cannot be fitted
+    # e^(m t) overflows a double once m t passes about 709.78; the fit
+    # lowers the top of its m domain for a long rise instead
     def long_rise(self, tmp_path, t_end):
         path = tmp_path / "rise.csv"
         tracefile.write_trace([(t_end * k / 4, c) for k, c in
@@ -102,15 +103,27 @@ class TestFitCommand:
                               path)
         return str(path)
 
-    def test_rise_too_long_to_fit_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("t_end", [200.0, 1500.0])
+    def test_long_rise_fits(self, tmp_path, capsys, t_end):
         out = tmp_path / "params.json"
-        code = main(["fit", "--trace", self.long_rise(tmp_path, 80.0),
+        code = main(["fit", "--trace", self.long_rise(tmp_path, t_end),
+                     "--out", str(out)])
+        record = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert all(map(math.isfinite, record.values()))
+        assert record["m"] > 0
+        assert tracefile.read_params(out).params.m == record["m"]
+
+    def test_rise_too_long_for_the_domain_exits_2(self, tmp_path, capsys):
+        # at 10 s even m = 0.025 makes t*e^(m t) pass 2**256
+        out = tmp_path / "params.json"
+        code = main(["fit", "--trace", self.long_rise(tmp_path, 10000.0),
                      "--out", str(out)])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
-        assert captured.err.startswith("stormctl: fit failed: ")
-        assert "overflows" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err == ("stormctl: fit failed: a rise of 10000 ms is "
+                                "too long to fit: t*e^(m t) passes 2**256 for "
+                                "every m from 0.025\n")
         assert captured.out == ""
         assert not out.exists()
 

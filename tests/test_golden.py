@@ -165,9 +165,9 @@ EDGE_GOLDEN = {
         'records': 'b7e9ad6c4e1f4709868691106c82d47ab1568adcb120cda16ec17855fe161677',
         'scenario.json': 'a7eac03687f292914aa987f3072187f7e31c3919d9573f5a8d4d2349f939a623',
         'summary.json': '3826ea712ac3e45b45d9dc14d8735efd7f3343b39f0bf57b6beb80a483780d4c',
-        'tickets.jsonl': '9e08eb2f2769ee3418e7eaadfb565224151052d20e8eea0586899d2a95ec57d3',
+        'tickets.jsonl': 'e689c99c158b0fbdf4ee67d24774b27dcf07d8644264a40318cf0b883bd3ad1e',
         'trace.csv': 'a7e3a053d22ac58e1b9bfa22893a5fd9f4f46ed9d5122acdcc3668f8045bee60',
-        'triggers': '8518db2987e224e41ba46514dfe8c02e8aa936af65e33685165962e2fb200af2',
+        'triggers': '2fee95134412d6ff6ea08773066c20c5cc1c513bf531795302afc5dc0f941096',
     },
     'smurf-and-loop': {
         'closed': 'b4dd1478d4ad891b19e63c816f5029198a6af2b850984bec99d919df599a4dcf',
@@ -224,66 +224,66 @@ EDGE_GOLDEN = {
         'triggers': '91ba1a10c7ca7408efbb798992cf80c48ad2590e270d9f8fbb2e32fc81627f0e',
     },
     'dense-packet-block': {
-        'closed': 'c285d594c9f5e686f8b8412141f19f88adb7bb6e40eca3cac915b64e9ce10966',
+        'closed': '3d13f40050ff101e7b282ce89d51d44a7d7744ed0ef47f69cae4d96952b2b98e',
         'records': 'eb7e2a08ed6b07912ffde7a23879771c0a46cfeaffd072812b7f59062ab28359',
         'scenario.json': '8fb832027671701bdc9f3e5f9b2a0bd660da7eaa73c3e546acf3889dd409ad87',
         'summary.json': 'c7bf46a97b60f50aa5bf828c0a883f553b6b40a0514bed0d393521412735ef26',
-        'tickets.jsonl': '3cff757558b9d2de468d1fdc6cacfb8555a79848695d3a65404523e17a09247b',
+        'tickets.jsonl': '95319518259ff7c78efaa5ca562e7f09be342cdd771ad2874b50fd74094f6825',
         'trace.csv': 'f6be57852f996195c0d523f49b01fa85e50fc1b95a2d10b048fc94ac0dc121da',
-        'triggers': 'cf9b5969e1c375e09981e78be21ce246aae0f059112a22648860353a91a0b25d',
+        'triggers': 'a3a1685e8afd1056c07e00f8a24baf5144e45dad6015d6872f1b2c36eda9636b',
     },
     'dense-bandwidth-block': {
-        'closed': '2be4ef576931031e55a0e745513b13d2eaa7c9b24e58ea1e82a4c1a3859ce3ba',
+        'closed': '67be9ec26979e2764fb0efdd2e24a29fb4384e5ed3e8e717d90ed87faf9883ac',
         'records': 'aa051abe55c876c43b46109105194c7b1508880c58b0daee4fe95b418cb4a2f7',
         'scenario.json': '3234cf9023884165e99a6225efe2287374f37b7e98215fa6147ca1cab1f2922c',
         'summary.json': '7234e95c747dd6287c5a676d4996decf16c98938ecaa8466a3d5649083942222',
-        'tickets.jsonl': '13e5c92c6dd5746c217987ddc9ab2cb07cb34a5bcd7fb0be9e85ddf63b53ce1a',
+        'tickets.jsonl': '20cfdb7ae6cecd7010f783b3553706bb6e2718951ac98b6bc68d0a56276db635',
         'trace.csv': '8362eff369885038893ecf17aa0c9e4ada3a2082e2e42ab0ec069cba050460cd',
-        'triggers': '9406041598b71d18cff19974c0210cc2d14848cf87f3cb8d765d313c82543c96',
+        'triggers': 'c11d4acce7bd52c0e488b16d75ef4521edb4047b1aad617abc99e205055a49d7',
     },
     'dense-budget-enforce': {
-        'closed': '9e02a6d44446a90b9a4243e9d5303d251c9d85ed97dc96fc1e68176716801a74',
+        'closed': '363aa0cfacec667aa737feca90fa4120adc0a9352485ce6359dc267c4c446734',
         'records': '1481f0c04b7dad68d71dc342a8d4ec3c396e0d04e1ee93db989af994db66aff1',
         'scenario.json': '08c48cc2b1c4a433aef5e452a12d0e7bc5a775d66f367d1b66197c04cb251a76',
         'summary.json': '87642159d591fa1c3c1f743c70b98bc5b1df9ef959a457227e4589600fd5fe49',
-        'tickets.jsonl': '1ad372c18b4715c03ff47286f2cc291b40df02dc9f8858b88bd39ac60bf2edc5',
+        'tickets.jsonl': '97a65dca25378f7f3235c75eb3bfad16ed9d648727aaa7c2afe57799a73db4df',
         'trace.csv': '0b3faf36a713ba129764a14bfdfca00a365b07e23bc6dd6c80a09097981a529f',
-        'triggers': '9fce338948e73fb3b5614ccb30e8150f09bee3706a12bc94c1c42861c4d41cd1',
+        'triggers': 'd296075b518f3084f62b716c64c7b469371a54c27809f5a5fe31cda257fe9df0',
     },
     'dense-budget-detect': {
-        'closed': '88fcbbe3d983e09a1bfa1cbfbe5737e53d592874466a91c3cf4e2901cffafd16',
+        'closed': '6592c0f86a6e1b2cd298ea5dbadb4fd41ed8a4fe7f1ac4d00a1ddc4167954126',
         'records': 'bbbb82673e19e3e6f6591723599a5820f9653e8fd157837a456eab6fa9b7e158',
         'scenario.json': '9ca49e295a52e53fca662490c14a1c8502ddcceaf9f7d05d17d220cd11bead7b',
         'summary.json': 'c613e1e56f41a9c680b7401ecb60a02046bdac521dd70bb5358f6601c8eb47f6',
-        'tickets.jsonl': '1b30b93ffcce7f034bcaa8ee60babc50c6834c119a7c97a737732c3773ad1b9a',
+        'tickets.jsonl': '94c6f07ffeb4240cdf73b10040a544c24e8988d6c3c69d0c0a31020a92e4dc0b',
         'trace.csv': '4091c0857fb56efeba98911d89c4b00c4b70bce73da648dd1aa3058c77ae0e6c',
-        'triggers': 'eb1b760ca8a2deff09b72e2f85a5b2469b06f3466fc35f6a2c7eb904e18312a5',
+        'triggers': 'f70203e4b8310248a4e2654137420f92eeca1d37c4440198da7e848cb69f6a58',
     },
     'dense-capacity-cut': {
         'closed': 'e934f23dd3541521d16aa4dbc819285faa09ca530378cc6c3ee57521369012a9',
         'records': 'b6fd42733a3919d3db64be4d3c717eeb7da12fde28fdc90fdd318262b9f6c0de',
         'scenario.json': '975bc509e99e2f54bc24e27b670cf78c2818da683ab25d434827034ba737e7b8',
         'summary.json': 'a59a1ba934b2a2f3444803c64f0d9af87f5597a279fb46530ad4262ac28af82f',
-        'tickets.jsonl': 'e58e144e00c41c7700d72992309f498d69149d5c86c3f258500dd09ba41aaae8',
+        'tickets.jsonl': '37ccda4453b8bbd28f612b552e424b82842aa5c2284bef98997d1c12302fd8dc',
         'trace.csv': '00d9159e9455a8462712a77438978cd0d1352d925b6bb36b485bf7ccbd93ee25',
-        'triggers': '658bb87405f64f721d126da397d8afc1d562bcb1e812ba22f419d37c436cda28',
+        'triggers': '2daf9e39a697263d58a7dcf6f75fb7271fb7fa56bcba3df2137c8e5310e688a0',
     },
 }
 
 FIT_GOLDEN = {
-    'table1': 'b6b802c76954f652e676cb885ddb38322873bda8f7d27e572766eb6ac57e3bf8',
-    'table3': 'b6b802c76954f652e676cb885ddb38322873bda8f7d27e572766eb6ac57e3bf8',
-    'table4': '7ffb622dbb2def8ddaadc426b66c4c2b9837ed6141c67f7c89417a80ae453fbd',
-    'ideal-profile-2': '9e3f2fa2717a059ab685d75f566487dbf3ad94689882e711f7cc991d5cb27691',
-    'ideal-profile-238': 'f0010fc1bad0addfcb4cf42573c7931bcb962cfc9a9ebf7e86fba684f42795cc',
-    'ideal-profile-5963': 'a1fc19e41adf62f60b411f077e6e3d1ee4d7d77eef3f01bd1cd09058766eedd4',
-    'interior-growth-curve': '1173edc74a21aad1c9422dbeae092a3722e1121ab237bcfef1a37ebd3b52870c',
-    'interior-linear': 'c207fa0c477d7af70badbc92e94dc5a437909c4766fe58af8cc2007d32447a8b',
-    'ps0-concave': 'cbfa01cd96137ec189e4bf7a59d5ca0e9fcd3131d88d9f0830967e344d1a0337',
-    'pe0-convex': '19e543b26e8d96cd78d06efa371cddd5dc3cae7a0ce0b91182e8193a5cf7b8e1',
-    'det0-short-span': 'bce57bf89575f6128a35aa2a164b490aef2c12f0cd782617b4e3296373956478',
-    'det0-short-span-ps0': '0d2977c6100126a1a5469459e389fbbf4fde74275756467d03ed12587a724386',
-    'zero-fallback-underflow': '43bb60745e2ad2950add8f7e5165f67ce0b22b87722ae75f056eb771998239c2',
+    'table1': '239de2fe1cf4960379c8fae09ce6e35d42dd0922af474a2b73405d2d1f6267d7',
+    'table3': '239de2fe1cf4960379c8fae09ce6e35d42dd0922af474a2b73405d2d1f6267d7',
+    'table4': '46437945a5513314ceafabc102fffe0f737ce4a67d69c98f1a471a3133acb0de',
+    'ideal-profile-2': 'abe18dde61ab9bfef319a0ce518af85bd72248bd9a328735c021f47507220227',
+    'ideal-profile-238': '1828dcb22766e96c933a0a09edda6847307a87946f80b7fb63922b432dc30c31',
+    'ideal-profile-5963': '463ed1820e80b6f49e7be4260e824aa6452ad39d9028a2d1be6800570669aa81',
+    'interior-growth-curve': '653644a624b45c2dbb5f5ff6514763e038f80cee783d6d469f81dbcaef904b63',
+    'interior-linear': '36a6c4bb2924fe79b76b424f69a50be78ce059fab5a042a096bcfd083b4550d2',
+    'ps0-concave': '1134a2425e8b4244da0d5bcac49e3ee290a4e4277d419d95b1eb6fe8d587fb4a',
+    'pe0-convex': '6e0d19f9b762e265e7b57d10949d1d9a92949cac78d53b5eee18a48986788117',
+    'det0-short-span': 'e3e1ecbfa861362c3134a6d7de49492df0b9b8b7dadbb34f2e845ee1e92451e4',
+    'det0-short-span-ps0': '038d972d60adea73cf663afe3f8e296e88f400a85056dbd386ad7faa0074c756',
+    'zero-fallback-underflow': '4bc7bcf582b980c6b8342128ea356b5524355d71480bc6803e4cb1bdad517eab',
 }
 
 
