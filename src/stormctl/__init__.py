@@ -16,7 +16,6 @@ Layers, importable a la carte:
 from .agents import (
     AgentConfig,
     AgentFleet,
-    AgentMode,
     CalibrationError,
     Policy,
     StaticAgent,
@@ -68,8 +67,8 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentConfig", "AgentFleet", "AgentMode", "CalibrationError", "Policy",
-    "StaticAgent", "ThresholdDb", "Trigger", "TriggerCause", "TroubleTicket",
+    "AgentConfig", "AgentFleet", "CalibrationError", "Policy", "StaticAgent",
+    "ThresholdDb", "Trigger", "TriggerCause", "TroubleTicket",
     "replay_elementwise",
     "dataset_names", "interpolate", "load_trace", "table4_hump",
     "FitError", "FitResult", "PtrArray", "PtrModelParams", "TracePoint",

@@ -3,9 +3,9 @@
 An agent has three cooperating parts:
 
   * a communication part that samples channel counters once per
-    sampling period and appends the broadcast rate to a compare array;
+    sampling period;
   * a control part that holds a calibrated reference curve of normal
-    burst growth and measures the live deviation from it;
+    burst growth and measures each sample's deviation from it;
   * a storm handler that, on a confirmed trigger, blocks the offending
     node's port for the remainder of the current one-second window and
     raises a trouble ticket.
@@ -42,6 +42,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .datasets import interpolate
 from .growth import FitError, PtrArray, TracePoint, eval_ptr, fit_model, rise_segment
 from .metrics import (
+    IPID_MIN_REPEATS,
+    IPID_WINDOW_MS,
+    NBW_FACTOR,
+    STORM_UTILIZATION,
     ChannelStats,
     TrafficSample,
     detect_ipid_loop,
@@ -70,12 +74,6 @@ class Policy(enum.Enum):
     BANDWIDTH_BASED = "bandwidth"  # hardware flavor: broadcast frames only
 
 
-class AgentMode(enum.Enum):
-    CALIBRATING = "calibrating"
-    ARMED = "armed"
-    SUPPRESSING = "suppressing"
-
-
 class TriggerCause(enum.Enum):
     PTR_DEVIATION = "ptr_deviation"
     UTILIZATION_EXCEEDED = "utilization_exceeded"
@@ -87,13 +85,23 @@ class TriggerCause(enum.Enum):
 class ThresholdDb:
     """Per-agent threshold database."""
 
-    utilization_max: float = 0.60
+    utilization_max: float = STORM_UTILIZATION
     nbw_permissible: Optional[float] = None  # bytes per rolling window; None disables
-    nbw_factor: float = 2.0
+    nbw_factor: float = NBW_FACTOR
     nbw_window_ticks: int = 10
     byte_threshold_mb: Optional[float] = None  # broadcast MB per window; None disables
-    ipid_min_repeats: int = 3
-    ipid_window_ms: float = 100.0
+    ipid_min_repeats: int = IPID_MIN_REPEATS
+    ipid_window_ms: float = IPID_WINDOW_MS
+
+    def __post_init__(self) -> None:
+        if self.ipid_min_repeats < 2:
+            raise ValueError("ipid_min_repeats must be at least 2")
+        if self.ipid_window_ms < 0:
+            raise ValueError("ipid_window_ms must be nonnegative")
+        if self.byte_threshold_mb is not None and self.byte_threshold_mb <= 0:
+            raise ValueError("byte_threshold_mb must be positive")
+        if self.nbw_factor < 0 or (self.nbw_permissible or 0) < 0:
+            raise ValueError("nbw_permissible and nbw_factor must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,12 @@ class CompareResult(NamedTuple):
 _NO_RESULT = CompareResult(None, False, None, 0.0, 0.0)
 
 
+def _deviation(count: float, ref: float, eps: float) -> float:
+    """A count's relative deviation from its reference; eps floors the
+    denominator where the reference is near zero."""
+    return abs(count - ref) / max(ref, eps)
+
+
 class StaticAgent:
     """One node's monitor; see the module docstring for the protocol."""
 
@@ -151,12 +165,10 @@ class StaticAgent:
         self,
         config: AgentConfig,
         node_id: int = 0,
-        link_rate: Optional[float] = None,
         ticket_ids: Optional[Iterator[int]] = None,
     ) -> None:
         self.config = config
         self.node_id = node_id
-        self.link_rate = link_rate
         self.ticket_ids = ticket_ids if ticket_ids is not None else itertools.count(1)
         self.reference: Optional[PtrArray] = None
         self._ref_active: list[float] = []
@@ -169,19 +181,9 @@ class StaticAgent:
         self._dev_run = 0
         self._count = 0.0
         self._prev_count = 0.0
-        self.compare: list[float] = []
-        self._last_eval: CompareResult = _NO_RESULT
         self._suppress_until: Optional[float] = None
 
     # -- state ---------------------------------------------------------
-
-    @property
-    def mode(self) -> AgentMode:
-        if not self._armed:
-            return AgentMode.CALIBRATING
-        if self.blocked(self._now if self._now is not None else -math.inf):
-            return AgentMode.SUPPRESSING
-        return AgentMode.ARMED
 
     def blocked(self, t: float) -> bool:
         """Whether time t falls inside this port's suppression window."""
@@ -245,11 +247,11 @@ class StaticAgent:
 
     # -- sampling and comparison ----------------------------------------
 
-    def sample_channel(self, stats: ChannelStats) -> TrafficSample:
-        """Ingest one sampling tick of channel counters.
+    def sample_channel(self, stats: ChannelStats) -> CompareResult:
+        """Ingest one sampling tick of channel counters; returns its verdict.
 
         Ticks must arrive in increasing order, and only after the agent
-        is armed.  Returns the node-level view of the tick.
+        is armed.
         """
         if not self._armed:
             raise AgentError("sample before calibration")
@@ -263,45 +265,24 @@ class StaticAgent:
         self._count = count
 
         if self.reference is None:
-            self._last_eval = _NO_RESULT
-        elif not self._in_burst:
-            if count > 0:
-                self._in_burst = True
-                self._j = 0
-                self._dev_run = 0
-                self.compare = [count]
-                self._last_eval = self._evaluate(first=True)
-            else:
-                self._last_eval = _NO_RESULT
-        elif count == 0:
-            self._in_burst = False
-            self._j = -1
+            return _NO_RESULT
+        if not self._in_burst:
+            if count == 0:
+                return _NO_RESULT
+            self._in_burst = True
+            self._j = 0
             self._dev_run = 0
-            self.compare = []
-            self._last_eval = _NO_RESULT
-        else:
-            self._j += 1
-            if self._j < len(self._ref_active):
-                self.compare.append(count)
-            self._last_eval = self._evaluate(first=False)
-
-        return TrafficSample(
-            node=self.node_id,
-            bcast_pkts=stats.broadcast_pkts,
-            total_pkts=stats.total_pkts,
-            bcast_bytes=stats.broadcast_bytes,
-            total_bytes=stats.total_bytes,
-            attempted_bcast=stats.broadcast_pkts,
-            attempted_total=stats.total_pkts,
-            suppressed=0,
-        )
+            return self._evaluate(first=True)
+        if count == 0:
+            self._in_burst = False
+            return _NO_RESULT
+        self._j += 1
+        return self._evaluate(first=False)
 
     def _evaluate(self, first: bool) -> CompareResult:
         thr = self.config.deviation_threshold
         if self._j < len(self._ref_active):
-            ref = self._ref_active[self._j]
-            denom = max(ref, self._eps) if self._eps > 0 else max(ref, 1.0)
-            dev = abs(self._count - ref) / denom
+            dev = _deviation(self._count, self._ref_active[self._j], self._eps)
             self._dev_run = self._dev_run + 1 if dev > thr else 0
             breach = self._dev_run >= self.config.consecutive_required
             return CompareResult(dev, breach, "deviation" if breach else None,
@@ -311,14 +292,6 @@ class StaticAgent:
         if growing:
             return CompareResult(None, True, "outlived", self._count, self.pe)
         return CompareResult(None, False, None, 0.0, thr)
-
-    def compare_ptr(self, t: float) -> CompareResult:
-        """Deviation and decision for the sample taken at time t."""
-        if not self._armed:
-            raise AgentError("compare before calibration")
-        if self._now is None or t != self._now:
-            raise AgentError(f"no sample at t={t}; last sample at {self._now}")
-        return self._last_eval
 
     # -- suppression -----------------------------------------------------
 
@@ -341,14 +314,14 @@ class StaticAgent:
         )
         return ticket
 
-    def reconnect(self, t: Optional[float] = None) -> bool:
-        """Operator-forced reconnect; no-op with a warning when not blocked."""
-        now = t if t is not None else self._now
-        if not self.blocked(now if now is not None else -math.inf):
+    def reconnect(self, t: float) -> bool:
+        """Operator-forced reconnect at time t; no-op with a warning when
+        the port is not blocked then."""
+        if not self.blocked(t):
             log.warning("reconnect of node %s: port is not blocked", self.node_id)
             return False
         self._suppress_until = None
-        log.info("node %s reconnected by operator at t=%s ms", self.node_id, now)
+        log.info("node %s reconnected by operator at t=%s ms", self.node_id, t)
         return True
 
 
@@ -370,14 +343,15 @@ class AgentFleet:
         config: AgentConfig,
         node_count: int,
         link_rate: Optional[float] = None,
-        capacity_pkts: Optional[float] = None,
+        *,
+        capacity_pkts: float,
     ) -> None:
         if node_count < 1:
             raise ValueError("node_count must be at least 1")
         self.config = config
         self.capacity_pkts = capacity_pkts
         self.ticket_ids = itertools.count(1)
-        self.detector = StaticAgent(config, link_rate=link_rate)
+        self.detector = StaticAgent(config)
         self.ports: dict[int, StaticAgent] = {}
         self.tickets: list[TroubleTicket] = []
         self.trigger_log: list[Trigger] = []
@@ -411,19 +385,17 @@ class AgentFleet:
         seen inside the loop-scan window ending at this tick: `count`
         frames of one IPID from one node at time t.
         """
-        self.detector.sample_channel(stats)
-        verdict = self.detector.compare_ptr(t)
+        verdict = self.detector.sample_channel(stats)
         thresholds = self.config.thresholds
 
         triggers: list[Trigger] = []
         if verdict.breach:
             triggers.append(Trigger(TriggerCause.PTR_DEVIATION, 0, t,
                                     verdict.observed, verdict.threshold))
-        if self.capacity_pkts:
-            util = utilization(stats.total_pkts, self.capacity_pkts)
-            if util > thresholds.utilization_max:
-                triggers.append(Trigger(TriggerCause.UTILIZATION_EXCEEDED, 0,
-                                        t, util, thresholds.utilization_max))
+        util = utilization(stats.total_pkts, self.capacity_pkts)
+        if util > thresholds.utilization_max:
+            triggers.append(Trigger(TriggerCause.UTILIZATION_EXCEEDED, 0,
+                                    t, util, thresholds.utilization_max))
         if triggers:
             # channel-wide causes blame the top talker, lowest id on a tie;
             # when no node attempted a broadcast, node 0
@@ -520,7 +492,8 @@ class AgentFleet:
 
     def finish(self, t: float) -> None:
         """Advance window bookkeeping to the end of the run."""
-        self._roll_window(t + 2 * self.config.suppression_window)
+        self._roll_window(t + CLEAN_WINDOWS_TO_CLOSE
+                          * self.config.suppression_window)
 
     @property
     def open_tickets(self) -> list[TroubleTicket]:
@@ -571,7 +544,7 @@ def replay_elementwise(
         if port.blocked(t):
             continue
         ref = ref_counts[idx] if idx < len(ref_counts) else 0.0
-        dev = abs(count - ref) / max(ref, eps)
+        dev = _deviation(count, ref, eps)
         if dev > thr:
             run += 1
             breaches.append(ReplayDeviation(idx, t, count, ref, dev))

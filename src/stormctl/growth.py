@@ -294,6 +294,8 @@ def fit_model(trace: Iterable) -> FitResult:
         raise FitError("trace times and counts must be finite")
     if any(b.t <= a.t for a, b in zip(points, points[1:])):
         raise FitError("trace times must be strictly increasing")
+    if points and points[0].t < 0:
+        raise FitError("trace times must be nonnegative")
     if points and points[0].t > 0:
         points.insert(0, TracePoint(0.0, 0.0))
     rise = rise_segment(points) if points else []

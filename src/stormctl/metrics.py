@@ -208,18 +208,17 @@ def classify(
     stats: ChannelStats,
     history: Sequence[ChannelStats] = (),
     ipid_loop: bool = False,
-    capacity_pkts: Optional[float] = None,
+    *,
+    capacity_pkts: float,
 ) -> StormClassification:
     """Verdict and build-up stage for one sampling tick.
 
     `history` is the preceding ticks, oldest first; the broadcast-share
     rule only escalates to a storm verdict while the broadcast count is
     still rising tick over tick.  `capacity_pkts` is the interval's
-    packet capacity; when omitted it is inferred from the link rate and
-    the interval's mean frame size.
+    packet capacity.
     """
-    cap = capacity_pkts if capacity_pkts is not None else _capacity(stats)
-    util = utilization(stats.total_pkts, cap) if cap else 0.0
+    util = utilization(stats.total_pkts, capacity_pkts)
     ratio, rule_breach = broadcast_ratio(stats)
     shrunk = ipg_shrinkage(stats.observed_ipg, stats.link_rate)
     rising = bool(history) and stats.broadcast_pkts > history[-1].broadcast_pkts
@@ -247,12 +246,3 @@ def classify(
         ipg_shrunk=shrunk,
         ipid_loop=ipid_loop,
     )
-
-
-def _capacity(stats: ChannelStats) -> Optional[float]:
-    """Packets the interval could carry, inferred from stats alone."""
-    if stats.total_pkts == 0:
-        return None
-    mean_size = stats.total_bytes / stats.total_pkts
-    frame_bits = 8 * mean_size + IPG_BIT_TIMES
-    return stats.link_rate * stats.interval_ms * 1e-3 / frame_bits

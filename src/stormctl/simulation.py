@@ -216,16 +216,6 @@ class Scenario:
                 raise ScenarioError(
                     f"agents sample every {self.agents.sample_period} ms but "
                     f"the tick is {self.tick} ms; they must be equal")
-            th = self.agents.thresholds
-            if th.ipid_min_repeats < 2:
-                raise ScenarioError("ipid_min_repeats must be at least 2")
-            if th.ipid_window_ms < 0:
-                raise ScenarioError("ipid_window_ms must be nonnegative")
-            if th.byte_threshold_mb is not None and th.byte_threshold_mb <= 0:
-                raise ScenarioError("byte_threshold_mb must be positive")
-            if th.nbw_factor < 0 or (th.nbw_permissible or 0) < 0:
-                raise ScenarioError(
-                    "nbw_permissible and nbw_factor must be nonnegative")
         if saturation_cap(self.link_rate, self.tick, self.frame_size) < 1:
             raise ScenarioError("one tick cannot carry a single frame")
 
@@ -432,7 +422,6 @@ def run(scenario: Scenario) -> SimTrace:
     uni_rr = 0
     last_step = -1
     records: list[TickRecord] = []
-    tickets: list[TroubleTicket] = []
     history: tuple[ChannelStats, ...] = ()
 
     for t_idx in range(n_ticks):
@@ -574,10 +563,7 @@ def run(scenario: Scenario) -> SimTrace:
                     if end == n:
                         break
                     _, v, node, _ = breaker
-                    ticket = fleet.byte_breach(v, t_s,
-                                               (byte_acc[v] + size) / 1e6)
-                    if ticket is not None:
-                        tickets.append(ticket)
+                    fleet.byte_breach(v, t_s, (byte_acc[v] + size) / 1e6)
                     if enforce:
                         node["sup"] += 1
                         dropped += 1
@@ -648,8 +634,8 @@ def run(scenario: Scenario) -> SimTrace:
                                   ipid_loop=bool(hits),
                                   capacity_pkts=cap)
         if fleet is not None:
-            tickets.extend(fleet.observe(t0, stats, [slots[n] for n in active],
-                                         ipid_win.run_entries(hits)))
+            fleet.observe(t0, stats, [slots[n] for n in active],
+                          ipid_win.run_entries(hits))
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
         records.append(TickRecord(t0, stats, classification, samples, ledger,
                                   tuple(sorted(kinds.items()))))
@@ -663,7 +649,7 @@ def run(scenario: Scenario) -> SimTrace:
         scenario=sc,
         capacity_pkts=cap,
         records=records,
-        tickets=tickets,
+        tickets=fleet.tickets if fleet else [],
         triggers=list(fleet.trigger_log) if fleet else [],
         closed=list(fleet.closed) if fleet else [],
     )

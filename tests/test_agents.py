@@ -12,7 +12,6 @@ from stormctl.agents import (
     AgentConfig,
     AgentError,
     AgentFleet,
-    AgentMode,
     CalibrationError,
     Policy,
     StaticAgent,
@@ -58,9 +57,24 @@ def sample(node: int, bcast: int = 0, bcast_bytes: int = None,
 
 
 def calibrated_agent(**config_kw) -> StaticAgent:
-    agent = StaticAgent(AgentConfig(**config_kw), node_id=0, link_rate=1e9)
+    agent = StaticAgent(AgentConfig(**config_kw), node_id=0)
     agent.calibrate(rising_burst())
     return agent
+
+
+class TestThresholdDb:
+    @pytest.mark.parametrize("bad, message", [
+        ({"ipid_min_repeats": 1}, "ipid_min_repeats must be at least 2"),
+        ({"ipid_window_ms": -5.0}, "ipid_window_ms must be nonnegative"),
+        ({"byte_threshold_mb": 0.0}, "byte_threshold_mb must be positive"),
+        ({"nbw_permissible": -1.0},
+         "nbw_permissible and nbw_factor must be nonnegative"),
+        ({"nbw_factor": -1.0},
+         "nbw_permissible and nbw_factor must be nonnegative"),
+    ])
+    def test_rejects_bad_value(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ThresholdDb(**bad)
 
 
 class TestCalibration:
@@ -103,12 +117,6 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             agent.calibrate([(0, 0), (1, 9), (2, 3), (3, 1)])
 
-    def test_mode_before_and_after(self):
-        agent = StaticAgent(AgentConfig())
-        assert agent.mode is AgentMode.CALIBRATING
-        agent.calibrate(rising_burst())
-        assert agent.mode is AgentMode.ARMED
-
 
 class TestSamplingProtocol:
     def test_sample_before_calibration_rejected(self):
@@ -122,27 +130,11 @@ class TestSamplingProtocol:
         with pytest.raises(AgentError):
             agent.sample_channel(stats(0.0, 5))
 
-    def test_compare_requires_matching_tick(self):
-        agent = calibrated_agent()
-        agent.sample_channel(stats(0.0, 5))
-        with pytest.raises(AgentError):
-            agent.compare_ptr(1.0)
-
-    def test_returns_node_view_of_tick(self):
-        agent = calibrated_agent()
-        view = agent.sample_channel(stats(0.0, 5, total=9))
-        assert view.bcast_pkts == 5
-        assert view.total_pkts == 9
-
 
 class TestBurstComparison:
     def feed(self, agent, counts, t0=0.0):
-        results = []
-        for i, c in enumerate(counts):
-            t = t0 + float(i)
-            agent.sample_channel(stats(t, c))
-            results.append(agent.compare_ptr(t))
-        return results
+        return [agent.sample_channel(stats(t0 + float(i), c))
+                for i, c in enumerate(counts)]
 
     def test_quiet_channel_never_compares(self):
         agent = calibrated_agent()
@@ -234,13 +226,6 @@ class TestSuppression:
         agent = calibrated_agent(policy=None)
         agent.handle_storm(self.trigger(0.0))
         assert not agent.is_suppressed(10.0, is_broadcast=True)
-
-    def test_mode_reports_suppressing(self):
-        agent = calibrated_agent()
-        agent.sample_channel(stats(0.0, 0))
-        agent.handle_storm(self.trigger(0.5))
-        agent.sample_channel(stats(1.0, 0))
-        assert agent.mode is AgentMode.SUPPRESSING
 
     def test_reconnect_clears_the_block(self):
         agent = calibrated_agent()
@@ -372,9 +357,8 @@ class TestFleet:
     def test_one_detector_calibrated_for_the_domain(self):
         fleet = AgentFleet(AgentConfig(), 3, link_rate=1e9, capacity_pkts=1000)
         fleet.calibrate(rising_burst())
-        alone = StaticAgent(AgentConfig(), link_rate=1e9)
+        alone = StaticAgent(AgentConfig())
         alone.calibrate(rising_burst())
-        assert fleet.detector.mode is AgentMode.ARMED
         assert fleet.detector.reference == alone.reference
         assert fleet.ports == {}
 
@@ -427,6 +411,14 @@ class TestSuppressionTable:
         assert [tk.t for tk in opened] == [100.0, 1100.0]
         assert [tk.ticket_id for tk in opened] == [1, 2]
         assert fleet.tickets == opened
+
+    def test_reconnect_unblocks_a_port_of_the_fleet(self):
+        fleet = self.fleet(Policy.PACKET_BASED)
+        self.overload(fleet, 100.0)
+        assert fleet.is_suppressed(1, 200.0, True)
+        assert fleet.ports[1].reconnect(200.0)
+        assert not fleet.is_suppressed(1, 200.0, True)
+        assert not fleet.is_suppressed(1, 200.0, False)
 
 
 class TestReplay:

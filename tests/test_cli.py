@@ -132,6 +132,20 @@ class TestFitCommand:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["rmse"] >= 0
 
+    def test_negative_times_exit_2(self, tmp_path, capsys):
+        # the curve is defined only for t >= 0, so --model-out could not
+        # evaluate a fit of this rise
+        path = tmp_path / "rise.csv"
+        tracefile.write_trace(zip(range(-4, 1), (0, 100, 300, 700, 1500)), path)
+        model = tmp_path / "model.csv"
+        code = main(["fit", "--trace", str(path), "--model-out", str(model)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == ("stormctl: fit failed: trace times must be "
+                                "nonnegative\n")
+        assert captured.out == ""
+        assert not model.exists()
+
 
 class TestDetectCommand:
     def test_identity_replay_is_clean(self, capsys):
