@@ -2,16 +2,27 @@
 
 Models one shared Ethernet segment as a discrete-event loop on 0.01 ms
 internal steps, visiting only the steps that hold frames or may seed a
-loop.  Frames travel as runs, `count` frames at one step, so the
+loop.  Frames travel as runs, `count` frames handled in order, so the
 thousands of copies a loop pass puts on one step are handled as one.  A
-run's frames come from one node, or, for the background generator's
-frames at a step, from the nodes in turn; either way each node's share
-is handled by arithmetic, not frame by frame.  Every sampling tick the
-delivered traffic is rolled up into channel counters, classified, and
-offered to the agent fleet; per-node counters exist only for the nodes
-that sent in that tick, and every other node shows one shared idle
-sample.  All randomness flows from one seeded generator, so a scenario
-replays bit-identically.
+run's frames come from one node, or from the nodes in turn; either way
+each node's share is handled by arithmetic, not frame by frame.
+
+The background generator's frames are never scheduled.  Each tick they
+form two streams, broadcast then unicast, frame i of n at step
+base + i * steps_per_tick // n, and the frames of both between two steps
+that hold other runs are handled as one rotating run per stream.  Such a
+stretch also ends wherever frame order could change a count: at a
+suppression-window edge, where a block lapses and a byte-budget window
+begins; at the step of a frame that breaks a byte budget; and at the step
+where the tick's link room runs out.  That step is handled on its own.
+At a step holding other runs, its background frames follow the runs put
+there in an earlier tick and precede the rest.
+
+Every sampling tick the delivered traffic is rolled up into channel
+counters, classified, and offered to the agent fleet; per-node counters
+exist only for the nodes that sent in that tick, and every other node
+shows one shared idle sample.  All randomness flows from one seeded
+generator, so a scenario replays bit-identically.
 
 Traffic sources:
 
@@ -39,12 +50,11 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields, is_dataclass, replace
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, TroubleTicket
 from .datasets import interpolate, table4_hump
@@ -70,11 +80,12 @@ class ScenarioError(ValueError):
 
 
 class Run(NamedTuple):
-    """`count` frames at one step, handled in order.
+    """`count` frames at one step, or background frames over a stretch of
+    steps, handled in order.
 
     Frame j comes from node `src`, or from node (src + j) % node_count
-    when the run rotates: the background generator's frames at one step
-    take the nodes in turn.  A fresh run numbers its IPIDs consecutively
+    when the run rotates: the background generator's frames take the
+    nodes in turn.  A fresh run numbers its IPIDs consecutively
     from `ipid`, and none of them ever recurs; otherwise every frame
     carries `ipid` (the seed and replicas of a reused-IPID loop).
     """
@@ -397,9 +408,12 @@ def run(scenario: Scenario) -> SimTrace:
     # counters of the nodes in `active`, the nodes that sent this tick;
     # every other slot is None
     per_node: list[Optional[dict]] = [None] * sc.node_count
+    held: dict[int, int] = {}   # per step, the runs put there before its tick
 
     def put(step: int, r: Run) -> None:
         if 0 <= step < total_steps:
+            if step >= stop:    # held over: handled before the step's background
+                held[step] = held.get(step, 0) + 1
             batch = schedule.get(step)
             if batch is None:
                 schedule[step] = [r]
@@ -407,16 +421,67 @@ def run(scenario: Scenario) -> SimTrace:
             else:
                 batch.append(r)
 
-    def spread(n: int, base: int) -> Iterator[tuple[int, int]]:
-        """n frames spread evenly over the tick from step base, frame i at
-        step base + i * steps_per_tick // n, as (step, frames there)."""
-        if n <= steps_per_tick:
-            return ((base + i * steps_per_tick // n, 1) for i in range(n))
-        # step k holds frames ceil(k * n / steps_per_tick) onwards
-        firsts = [-(-k * n // steps_per_tick)
-                  for k in range(steps_per_tick + 1)]
-        return zip(range(base, base + steps_per_tick),
-                   map(operator.sub, firsts[1:], firsts))
+    def before(n: int, step: int) -> int:
+        """How many of a tick's n background frames, frame i at step
+        base + i * steps_per_tick // n, lie before step."""
+        return -(-(step - base) * n // steps_per_tick)
+
+    def background(a: int, b: int) -> list[Run]:
+        """The background frames at steps [a, b): one rotating run per stream."""
+        runs = []
+        for rr, ipid, bcast, n in streams:
+            i = before(n, a)
+            c = before(n, b) - i
+            if c:
+                runs.append(Run((rr + i) % nodes, ipid + i, bcast, "data", None,
+                                c, True, True))
+        return runs
+
+    def background_end(a: int, b: int, room: int) -> int:
+        """The end k of a stretch [a, k), k <= b, of steps holding only
+        background frames that can be handled as one run per stream,
+        because frame order changes no count in it: no port's block or
+        budget window changes, the link carries every frame or none, and
+        no frame breaks a byte budget.  At least a + 1: a single step is
+        always handled frame-exact."""
+        # a block lapses and a budget window begins only at a multiple of
+        # the suppression window: end at the first step at or past one of
+        # the next few, or at a step either side of it for float rounding
+        m = math.floor(a / STEPS_PER_MS / window_ms)
+        for k in (m, m + 1, m + 2):
+            c = math.ceil(k * window_ms * STEPS_PER_MS)
+            b = min([b] + [s for s in (c - 1, c, c + 1) if s > a])
+
+        def frames(k: int) -> int:
+            return sum(before(n, k) - before(n, a) for _, _, _, n in streams)
+
+        if room and frames(b) > room:
+            lo = a              # the step holding the first frame with no room
+            while b - lo > 1:
+                mid = (lo + b) // 2
+                if frames(mid) > room:
+                    b = mid
+                else:
+                    lo = mid
+            b = lo
+        if byte_limit is not None:
+            t_a = a / STEPS_PER_MS
+            wid = int(t_a // window_ms)
+            for rr, _, bcast, n in streams:
+                if not bcast:
+                    continue
+                i0, i1 = before(n, a), before(n, b)
+                for i in range(i0, min(i1, i0 + nodes)):
+                    v = (rr + i) % nodes
+                    if enforce and fleet.is_suppressed(v, t_a, True):
+                        continue
+                    acc = byte_acc[v] if byte_wid.get(v) == wid else 0
+                    fit = max(0, (byte_limit - acc) // size)
+                    if room or not fit:     # a capped frame adds no bytes
+                        brk = i + fit * nodes
+                        if brk < i1:
+                            b = min(b, base + brk * steps_per_tick // n)
+        return max(b, a + 1)
 
     bcast_rr = 0
     uni_rr = 0
@@ -427,7 +492,10 @@ def run(scenario: Scenario) -> SimTrace:
     for t_idx in range(n_ticks):
         t0 = t_idx * sc.tick
         base = t_idx * steps_per_tick
-
+        stop = base + steps_per_tick
+        # this tick's background: one stream of broadcast frames, one of
+        # unicast, as (node of frame 0, IPID of frame 0, is_broadcast, frames)
+        streams = ()
         if sc.generator is not None:
             g = sc.generator
             u_b = 1 + g.jitter * (2 * rng.random() - 1)
@@ -435,16 +503,12 @@ def run(scenario: Scenario) -> SimTrace:
             phase = math.fmod(t0, g.burst_period)
             n_b = int(g.ideal_broadcast(phase, cap) * u_b + 0.5)
             n_u = int(g.ideal_unicast(cap) * u_u + 0.5)
-            for step, c in spread(n_b, base):
-                put(step, Run(bcast_rr, next_ipid, True, "data", None, c,
-                              True, True))
-                next_ipid += c
-                bcast_rr = (bcast_rr + c) % nodes
-            for step, c in spread(n_u, base):
-                put(step, Run(uni_rr, next_ipid, False, "data", None, c,
-                              True, True))
-                next_ipid += c
-                uni_rr = (uni_rr + c) % nodes
+            streams = ((bcast_rr, next_ipid, True, n_b),
+                       (uni_rr, next_ipid + n_b, False, n_u))
+            next_ipid += n_b + n_u
+            bcast_rr = (bcast_rr + n_b) % nodes
+            uni_rr = (uni_rr + n_u) % nodes
+        bg_step = base if streams else stop     # first background step left
         for i, inj in enumerate(sc.injectors):
             if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
                 continue
@@ -452,30 +516,42 @@ def run(scenario: Scenario) -> SimTrace:
             n = int(rate_acc[i])
             rate_acc[i] -= n
             kind = "spoof" if inj.kind == "smurf" else "data"
-            for step, c in spread(n, base):
-                for _ in range(c):      # a spoof draws replies per frame
-                    put(step, Run(inj.origin_node, next_ipid, True, kind, i,
-                                  1, True))
-                    next_ipid += 1
+            for j in range(n):      # a spoof draws replies per frame
+                put(base + j * steps_per_tick // n,
+                    Run(inj.origin_node, next_ipid, True, kind, i, 1, True))
+                next_ipid += 1
 
         generated = replicated = suppressed = capped = delivered = 0
         active: list[int] = []
         kinds: Counter = Counter()
         hits: set[int] = set()      # the IPIDs that qualified this tick
 
-        stop = base + steps_per_tick
-        while due and due[0] < stop:
-            step = heappop(due)
-            if step <= last_step:       # put after its visit: never handled
-                continue
-            last_step = step
-            t_s = step / STEPS_PER_MS
-            for i, inj, passes in loops:
-                if step in passes and pending[i] == 0 and inj.active(t_s):
-                    put(step, Run(inj.origin_node, next_ipid, True, "seed", i,
-                                  1, not inj.reuse_ipid))
-                    next_ipid += 1
-            batch = schedule.pop(step)
+        while True:
+            nxt = due[0] if due and due[0] < stop else stop
+            if bg_step < nxt:
+                # background frames before the next step that holds runs
+                step = bg_step
+                bg_step = background_end(step, nxt, cap - delivered)
+                batch = background(step, bg_step)
+                t_s = step / STEPS_PER_MS
+            elif nxt == stop:
+                break
+            else:
+                step = heappop(due)
+                if step <= last_step:   # put after its visit: never handled
+                    continue
+                last_step = step
+                t_s = step / STEPS_PER_MS
+                for i, inj, passes in loops:
+                    if step in passes and pending[i] == 0 and inj.active(t_s):
+                        put(step, Run(inj.origin_node, next_ipid, True, "seed",
+                                      i, 1, not inj.reuse_ipid))
+                        next_ipid += 1
+                batch = schedule.pop(step)
+                early = held.pop(step, 0)
+                if bg_step == step:
+                    bg_step += 1
+                    batch[early:early] = background(step, bg_step)
             for src, ipid, bcast, kind, owner, n, fresh, rotates in batch:
                 if kind == "replica":
                     replicated += n

@@ -138,7 +138,7 @@ def reference_solve(m: float, ts, ys):
 
 def reference_fit_model(trace) -> growth.FitResult:
     """The 282-solve grid and golden-section fit, every sum of the solver
-    retaken per m."""
+    retaken per m, over the growth constants `growth` may use."""
     points = [growth.TracePoint(float(t), float(c)) for t, c in trace]
     if any(b.t <= a.t for a, b in zip(points, points[1:])):
         raise growth.FitError("trace times must be strictly increasing")
@@ -154,18 +154,33 @@ def reference_fit_model(trace) -> growth.FitResult:
     ts = [p.t for p in rise]
     ys = [p.count for p in rise]
 
+    # m stays in [m_lo, m_hi]: where t*e^(m t) <= 2**256 at every time of
+    # the rise, the ceiling `growth` keeps too.  A rise short enough to
+    # reach the old search's top keeps its grid; a longer one gets a grid
+    # of 200 cells over its shorter domain.
+    m_lo, m_hi = REF_FIT_M_MIN / 2, REF_FIT_M_MAX + REF_FIT_M_STEP
+    ceiling = (256 * math.log(2.0) - math.log(ts[-1])) / ts[-1]
+    if ceiling < m_lo:
+        raise growth.FitError("the rise is too long to fit")
+    if ceiling >= m_hi:
+        step = REF_FIT_M_STEP
+        steps = int(round((REF_FIT_M_MAX - REF_FIT_M_MIN) / step))
+        grid = [REF_FIT_M_MIN + i * step for i in range(steps + 1)]
+    else:
+        m_hi = ceiling
+        step = (m_hi - m_lo) / 200
+        grid = [m_lo + i * step for i in range(201)]
+
     best_m, best = None, None
-    steps = int(round((REF_FIT_M_MAX - REF_FIT_M_MIN) / REF_FIT_M_STEP))
-    for i in range(steps + 1):
-        m = REF_FIT_M_MIN + i * REF_FIT_M_STEP
+    for m in grid:
         sol = reference_solve(m, ts, ys)
         if best is None or sol[2] < best[2]:
             best_m, best = m, sol
 
     # golden-section refinement of m around the best grid cell
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = max(best_m - REF_FIT_M_STEP, REF_FIT_M_MIN / 2)
-    hi = best_m + REF_FIT_M_STEP
+    lo = max(best_m - step, m_lo)
+    hi = min(best_m + step, m_hi)
     c = hi - golden * (hi - lo)
     d = lo + golden * (hi - lo)
     fc = reference_solve(c, ts, ys)

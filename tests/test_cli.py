@@ -533,3 +533,17 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == EXIT_USAGE
+
+    # xml.sax.saxutils pulls these in, and they cost more of a cold start
+    # than the rest of the CLI's imports together
+    def test_import_leaves_out_the_network_stack(self):
+        heavy = ("urllib.request", "http.client", "email", "ssl")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import stormctl.cli; "
+                f"print(*[m for m in {heavy!r} if m in sys.modules])")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, PACKAGE_ROOT],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

@@ -353,6 +353,29 @@ class TestCaptureSweep:
         assert max(counts) <= 100
         assert statistics.median(counts) <= 60
 
+    # rises of 0.2 to 6 s: the growth constant's ceiling, not the old
+    # search's top of 10, bounds their domains
+    @pytest.mark.parametrize("span", [200.0, 700.0, 2000.0, 6000.0])
+    @pytest.mark.parametrize("power", [0.6, 1.7, 3.0])
+    def test_long_rise_no_worse_than_the_old_search(self, span, power):
+        self.check_long_rise(span, lambda k: 1e4 * (k / 19) ** power)
+
+    @pytest.mark.parametrize("span,m", [(200.0, 0.1), (700.0, 0.026),
+                                        (2000.0, 0.025)])
+    def test_long_curve_no_worse_than_the_old_search(self, span, m):
+        truth = make_params(800.0, 9000.0, m)
+        self.check_long_rise(span, lambda k: eval_ptr(truth, span * k / 19))
+
+    @staticmethod
+    def check_long_rise(span, count_at):
+        """Twenty points over span ms, with +/-3% noise."""
+        rng = random.Random(f"long-rise/{span}")
+        points = [(span * k / 19, float(round(
+            count_at(k) * (1 + 0.03 * (2 * rng.random() - 1)))))
+            for k in range(20)]
+        fit = fit_model(points)
+        assert fit.rmse <= reference_fit_model(points).rmse * (1 + 1e-9)
+
     @pytest.mark.parametrize("name", CALIBRATION_INPUTS)
     def test_calibration_input(self, name):
         points = CALIBRATION_INPUTS[name]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stormctl import agents, simulation, tracefile
@@ -214,6 +214,14 @@ class TestOperationCounts:
             agents=AgentConfig(policy=None)))
         assert sum(r.ledger.capped for r in trace.records)
         assert 0 < len(made) < frames_handled(trace) * 0.05
+
+    # without a loop the normal preset's steps hold background frames only,
+    # which travel as one run per stream between the steps that hold others
+    def test_background_pops_no_heap_step_per_frame(self, monkeypatch):
+        popped = self.count_calls(monkeypatch, simulation, "heappop")
+        trace = run(preset("normal"))
+        assert sum(r.ledger.generated for r in trace.records) > 2000
+        assert len(popped) <= 2 * len(trace.records)
 
     # loop-storm over 1000 nodes with the per-node bandwidth rule on: about
     # a hundred nodes send per tick, and a few hold a bandwidth window
@@ -548,6 +556,55 @@ def small_scenarios(draw) -> Scenario:
         generator=generator, injectors=tuple(injectors), agents=agents)
 
 
+@st.composite
+def merged_background_scenarios(draw) -> Scenario:
+    """Scenarios that reach every point where a tick's background run must
+    split: a generator always runs, and a loop's replicas cross tick
+    boundaries; the loop, or the background alone, outgrows the link's
+    room in mid-tick.  Suppression windows of 0.5 ms (or 0.3 ms, not a
+    binary fraction) end inside a tick, and byte budgets of a few frames
+    per window break.  Every draw carries at least 5 frames per tick."""
+    nodes = draw(st.integers(2, 5))
+    tick_steps = draw(st.sampled_from([25, 100]))
+    n_ticks = draw(st.integers(2, 10))
+    total_steps = n_ticks * tick_steps
+    link_rate = draw(st.sampled_from([100e6, 1e9]))
+    frame_size = draw(st.sampled_from([64, 512]))
+    loop = Injector(kind="loop",
+                    start_t=draw(st.integers(0, 2 * tick_steps - 1)) / 100,
+                    origin_node=draw(st.integers(0, nodes - 1)),
+                    pass_interval=draw(st.sampled_from([7, 13, 30, 45])) / 100,
+                    factor=draw(st.integers(2, 4)),
+                    reuse_ipid=draw(st.booleans()))
+    injectors = [loop]
+    if draw(st.booleans()):
+        injectors.append(Injector(
+            kind=draw(st.sampled_from(["faulty_nic", "smurf"])),
+            start_t=draw(st.integers(0, total_steps - 1)) / 100,
+            origin_node=draw(st.integers(0, nodes - 1)),
+            rate=draw(st.sampled_from([1.0, 2.5]))))
+    generator = NormalBroadcastProfile(
+        burst_period=draw(st.sampled_from([1.0, 3.0])),
+        jitter=draw(st.sampled_from([0.0, 0.2])),
+        unicast_fraction=draw(st.sampled_from([0.1, 0.4, 0.75])),
+        broadcast_peak_fraction=draw(st.sampled_from([0.08, 0.3])))
+    agents = AgentConfig(
+        sample_period=tick_steps / 100,
+        suppression_window=draw(st.sampled_from([0.5, 0.3])),
+        policy=draw(st.sampled_from([None, Policy.PACKET_BASED,
+                                     Policy.BANDWIDTH_BASED])),
+        thresholds=ThresholdDb(
+            utilization_max=draw(st.sampled_from([0.6, 0.95])),
+            byte_threshold_mb=draw(st.sampled_from(
+                [None, 0.0006, 0.002, 0.005])),
+            ipid_min_repeats=draw(st.integers(2, 3))))
+    return Scenario(
+        name="merged-background", node_count=nodes, link_rate=link_rate,
+        tick=tick_steps / 100, duration=total_steps / 100,
+        seed=draw(st.integers(0, 2 ** 16)), frame_size=frame_size,
+        generator=generator, injectors=tuple(injectors), agents=agents)
+
+
 class TestReferenceRun:
     """`run` against the per-frame, every-step oracle."""
 
@@ -562,3 +619,20 @@ class TestReferenceRun:
         assert got.triggers == expected.triggers
         assert got.closed == expected.closed
         assert tracefile.format_channel_csv(got) == reference_channel_csv(got)
+
+    # with 0.3 ms windows a budget window can begin a step after the
+    # blocks lapse: 10.2 // 0.3 == 33.0, so window 34 begins at 10.21 ms
+    @given(merged_background_scenarios())
+    @example(Scenario(
+        name="rounded-window-edge", node_count=3, tick=0.25, duration=12.0,
+        generator=NormalBroadcastProfile(broadcast_peak_fraction=0.3),
+        agents=AgentConfig(sample_period=0.25, suppression_window=0.3,
+                           thresholds=ThresholdDb(byte_threshold_mb=0.002))))
+    @settings(max_examples=150, deadline=None)
+    def test_merged_background_matches_per_frame_reference(self, sc):
+        expected = reference_run(sc)
+        got = run(sc)
+        assert got.records == expected.records
+        assert got.tickets == expected.tickets
+        assert got.triggers == expected.triggers
+        assert got.closed == expected.closed
