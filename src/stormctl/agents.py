@@ -451,7 +451,9 @@ class AgentFleet:
         return self._blame(trigger)
 
     def is_suppressed(self, node: int, t: float, is_broadcast: bool) -> bool:
-        return node in self.ports and self.ports[node].is_suppressed(t, is_broadcast)
+        """A node with no port is never suppressed."""
+        port = self.ports.get(node)
+        return port is not None and port.is_suppressed(t, is_broadcast)
 
     # -- ticket lifecycle --------------------------------------------------
 

@@ -9,7 +9,8 @@ Four subcommands:
 
 Exit status: 0 on success with nothing detected, 1 when detection or a
 simulation raised at least one trouble ticket, 2 for usage or input
-errors.  Set STORMCTL_LOG=debug|info|warning to see the agent log.
+errors and for outputs that cannot be written.  Set
+STORMCTL_LOG=debug|info|warning to see the agent log.
 """
 
 from __future__ import annotations
@@ -252,6 +253,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SystemExit2 as exc:
         print(f"stormctl: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:      # reads map their own errors: this is a write
+        print(f"stormctl: cannot write {exc.filename or 'output'}: "
+              f"{exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,10 +19,11 @@ At a step holding other runs, its background frames follow the runs put
 there in an earlier tick and precede the rest.
 
 Every sampling tick the delivered traffic is rolled up into channel
-counters, classified, and offered to the agent fleet; per-node counters
-exist only for the nodes that sent in that tick, and every other node
-shows one shared idle sample.  All randomness flows from one seeded
-generator, so a scenario replays bit-identically.
+counters, classified, and offered to the agent fleet.  Per-node counters
+are five integer columns indexed by node; only the nodes that sent in a
+tick get a sample built from them (their entries then reset to 0), and
+every other node shows one shared idle sample.  All randomness flows
+from one seeded generator, so a scenario replays bit-identically.
 
 Traffic sources:
 
@@ -405,9 +406,10 @@ def run(scenario: Scenario) -> SimTrace:
     # a node that sends nothing in a tick shows this same sample in it
     idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0)
                  for n in range(sc.node_count))
-    # counters of the nodes in `active`, the nodes that sent this tick;
-    # every other slot is None
-    per_node: list[Optional[dict]] = [None] * sc.node_count
+    # per node, this tick's broadcast and total attempted, broadcast and
+    # total delivered, and suppressed frames; nonzero only in `active`
+    att_b, att_t, del_b, del_t, sup = ([0] * nodes for _ in range(5))
+    ports = fleet.ports if enforce else {}  # the nodes that can be blocked
     held: dict[int, int] = {}   # per step, the runs put there before its tick
 
     def put(step: int, r: Run) -> None:
@@ -473,7 +475,7 @@ def run(scenario: Scenario) -> SimTrace:
                 i0, i1 = before(n, a), before(n, b)
                 for i in range(i0, min(i1, i0 + nodes)):
                     v = (rr + i) % nodes
-                    if enforce and fleet.is_suppressed(v, t_a, True):
+                    if v in ports and fleet.is_suppressed(v, t_a, True):
                         continue
                     acc = byte_acc[v] if byte_wid.get(v) == wid else 0
                     fit = max(0, (byte_limit - acc) // size)
@@ -561,30 +563,27 @@ def run(scenario: Scenario) -> SimTrace:
                 budget = byte_limit is not None and bcast
                 # Lane j holds frames j, j + period, ... of the run, all from
                 # one node; a run that does not rotate is its own one lane.
-                # A lane is [its next frame at or after done, node, the
-                # node's counters, whether its port is blocked].
+                # A lane is [its next frame at or after done, node, whether
+                # its port is blocked].
                 period = nodes if rotates else 1
                 lanes = []
                 breaks = False      # whether a lane may break its budget
                 for j in range(n if n < period else period):
                     v = (src + j) % nodes
-                    node = per_node[v]
-                    if node is None:
-                        node = per_node[v] = {"d_b": 0, "d_t": 0, "a_b": 0,
-                                              "a_t": 0, "sup": 0}
+                    if not att_t[v]:
                         active.append(v)
                     c = (n - 1 - j) // period + 1
-                    node["a_t"] += c
+                    att_t[v] += c
                     if bcast:
-                        node["a_b"] += c
+                        att_b[v] += c
                     if budget:
                         wid = int(t_s // window_ms)
                         if wid != byte_wid.get(v):
                             byte_wid[v] = wid
                             byte_acc[v] = 0
                         breaks = breaks or byte_acc[v] + c * size > byte_limit
-                    blocked = enforce and fleet.is_suppressed(v, t_s, bcast)
-                    lanes.append([j, v, node, blocked])
+                    blocked = v in ports and fleet.is_suppressed(v, t_s, bcast)
+                    lanes.append([j, v, blocked])
 
                 # Frames [done, n) are still to handle, in segments that end
                 # at the first frame breaking a byte budget.  A blocked
@@ -600,7 +599,7 @@ def run(scenario: Scenario) -> SimTrace:
                     cut = n             # the first capped frame, if any
                     if n - done > room:
                         # the frame after the first `room` not blocked
-                        opened = sorted(q for q, _, _, blocked in lanes
+                        opened = sorted(q for q, _, blocked in lanes
                                         if not blocked)
                         if opened:
                             full, rem = divmod(room, len(opened))
@@ -608,7 +607,7 @@ def run(scenario: Scenario) -> SimTrace:
                     end = n             # the frame breaking a budget, if any
                     if breaks:
                         for lane in lanes:
-                            q, v, _, blocked = lane
+                            q, v, blocked = lane
                             if blocked:
                                 continue
                             # its next `fit` frames keep within the budget
@@ -621,29 +620,29 @@ def run(scenario: Scenario) -> SimTrace:
                             if b < end and (not fit or b - period < cut):
                                 end, breaker = b, lane
                     carried = cut if cut < end else end
-                    for q, v, node, blocked in lanes:
+                    for q, v, blocked in lanes:
                         if blocked:
                             k = (end - 1 - q) // period + 1
-                            node["sup"] += k
+                            sup[v] += k
                             dropped += k
                             continue
                         k = (carried - 1 - q) // period + 1
                         if not k:
                             continue
                         sent += k
-                        node["d_t"] += k
+                        del_t[v] += k
                         if bcast:
-                            node["d_b"] += k
+                            del_b[v] += k
                             if budget:
                                 byte_acc[v] += k * size
                     if end == n:
                         break
-                    _, v, node, _ = breaker
+                    v = breaker[1]
                     fleet.byte_breach(v, t_s, (byte_acc[v] + size) / 1e6)
-                    if enforce:
-                        node["sup"] += 1
+                    if enforce:     # the breach gave v a port
+                        sup[v] += 1
                         dropped += 1
-                        breaker[3] = fleet.is_suppressed(v, t_s, bcast)
+                        breaker[2] = fleet.is_suppressed(v, t_s, bcast)
                         done = end + 1
                     else:
                         done = over = end
@@ -688,12 +687,11 @@ def run(scenario: Scenario) -> SimTrace:
         d_b = 0
         slots = list(idle)
         for n in active:
-            d = per_node[n]
-            per_node[n] = None
-            d_b += d["d_b"]
-            slots[n] = TrafficSample(
-                n, d["d_b"], d["d_t"], d["d_b"] * size, d["d_t"] * size,
-                d["a_b"], d["a_t"], d["sup"])
+            b, t = del_b[n], del_t[n]
+            d_b += b
+            slots[n] = TrafficSample(n, b, t, b * size, t * size, att_b[n],
+                                     att_t[n], sup[n])
+            att_b[n] = att_t[n] = del_b[n] = del_t[n] = sup[n] = 0
         samples = tuple(slots)
         load = min(1.0, delivered / cap) if cap else 0.0
         stats = ChannelStats(

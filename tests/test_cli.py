@@ -301,6 +301,41 @@ class TestSimCommand:
         assert code == EXIT_USAGE
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 with one line, not a
+    traceback: exit 1 would claim that tickets were raised."""
+
+    def rejected(self, capsys, argv, path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"stormctl: cannot write {path}: ")
+        assert err.count("\n") == 1
+
+    def test_model_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "curve.csv"
+        self.rejected(capsys, TestModelCommand.ARGS + ["--out", str(path)],
+                      path)
+
+    @pytest.mark.parametrize("flag", ["--out", "--model-out", "--plot"])
+    def test_fit_outputs(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "fit.out"
+        self.rejected(capsys, ["fit", "--dataset", "table3", flag, str(path)],
+                      path)
+
+    def test_detect_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "tickets.jsonl"
+        self.rejected(capsys, ["detect", "--dataset", "table1",
+                               "--reference-dataset", "table4",
+                               "--out", str(path)], path)
+
+    def test_sim_out_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "run"
+        path.write_text("")
+        self.rejected(capsys, ["sim", "--scenario", "normal",
+                               "--out", str(path)], path)
+
+
 class TestRejectedScenarioFiles:
     """Scenarios the simulator cannot honour exit 2, with no traceback."""
 

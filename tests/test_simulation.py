@@ -249,6 +249,21 @@ class TestOperationCounts:
             assert given == active < len(rec.samples) / 4
             assert visits <= active + holders
 
+    # a node with no port is never blocked, so asking about it is waste;
+    # in loop-storm over 1000 nodes one node ever holds a port
+    def test_suppression_asked_only_for_nodes_with_a_port(self, monkeypatch):
+        asked = []
+        original = AgentFleet.is_suppressed
+
+        def is_suppressed(fleet, node, t, is_broadcast):
+            asked.append(node in fleet.ports)
+            return original(fleet, node, t, is_broadcast)
+
+        monkeypatch.setattr(AgentFleet, "is_suppressed", is_suppressed)
+        trace = run(dataclasses.replace(preset("loop-storm"), node_count=1000))
+        assert trace.tickets
+        assert asked and all(asked)
+
     def test_node_samples_follow_the_active_nodes(self, monkeypatch):
         made = self.count_calls(monkeypatch, simulation, "TrafficSample")
         sc = dataclasses.replace(preset("loop-storm"), node_count=1000)
@@ -608,7 +623,29 @@ def merged_background_scenarios(draw) -> Scenario:
 class TestReferenceRun:
     """`run` against the per-frame, every-step oracle."""
 
+    # Wide domains carry fewer background frames per tick than they have
+    # nodes, so every lane of a rotating run holds one frame and the runs
+    # wrap past the last node mid-run: per-node bandwidth windows blocking
+    # the broadcasts of many ports, a loop whose origin a packet-based port
+    # blocks, and a byte budget breached under detect-only agents.
     @given(small_scenarios())
+    @example(Scenario(
+        name="wide-bandwidth-ports", node_count=200, duration=10.0, seed=11,
+        generator=NormalBroadcastProfile(broadcast_peak_fraction=0.3),
+        agents=AgentConfig(policy=Policy.BANDWIDTH_BASED,
+                           thresholds=ThresholdDb(nbw_permissible=200.0))))
+    @example(Scenario(
+        name="wide-loop-blocked", node_count=1000, duration=12.0, seed=5,
+        generator=NormalBroadcastProfile(),
+        injectors=(Injector(kind="loop", start_t=2.03, origin_node=998),),
+        agents=AgentConfig(policy=Policy.PACKET_BASED)))
+    @example(Scenario(
+        name="wide-budget-detect-only", node_count=600, duration=8.0, seed=9,
+        generator=NormalBroadcastProfile(),
+        injectors=(Injector(kind="loop", start_t=1.5, origin_node=450,
+                            pass_interval=0.3, reuse_ipid=False),),
+        agents=AgentConfig(policy=None, suppression_window=0.5,
+                           thresholds=ThresholdDb(byte_threshold_mb=0.002))))
     @settings(max_examples=150, deadline=None)
     def test_matches_per_frame_reference(self, sc):
         expected = reference_run(sc)
