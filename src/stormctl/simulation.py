@@ -54,6 +54,7 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Optional
 
@@ -134,6 +135,7 @@ class NormalBroadcastProfile:
         if not self.shape:
             object.__setattr__(self, "shape", tuple(table4_hump()))
 
+    @cached_property
     def _peak(self) -> float:
         return max(c for _, c in self.shape)
 
@@ -142,7 +144,7 @@ class NormalBroadcastProfile:
         raw = interpolate(self.shape, phase)
         if self.burst_scale is not None:
             return raw * self.burst_scale
-        peak = self._peak()
+        peak = self._peak
         if peak <= 0:
             return 0.0
         return raw / peak * self.broadcast_peak_fraction * capacity

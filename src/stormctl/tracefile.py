@@ -24,6 +24,7 @@ import io
 import json
 import math
 from dataclasses import MISSING, fields, is_dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -45,16 +46,28 @@ def _write_text(path: PathLike, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+def _csv_rows(fh, path: PathLike,
+              names: Sequence[str]) -> Iterable[tuple[str, ...]]:
+    """The cells named `names`, in that order, of each non-blank row under
+    the header; a row shorter than the header is an error."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if not set(names) <= set(header):
+        raise ValueError(f"{path}: expected a {','.join(names)} header")
+    pick = itemgetter(*map(header.index, names))
+    for row, cells in enumerate(filter(None, reader), start=1):
+        if len(cells) < len(header):
+            raise ValueError(f"{path}: row {row}: expected {len(header)} "
+                             f"cells, got {len(cells)}")
+        yield pick(cells)
+
+
 # -- count traces --------------------------------------------------------
 
 
 def format_trace(points: Iterable) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("t_ms", "count"))
-    for t, count in points:
-        writer.writerow((repr(float(t)), repr(float(count))))
-    return out.getvalue()
+    return "t_ms,count\n" + "".join(f"{float(t)!r},{float(count)!r}\n"
+                                     for t, count in points)
 
 
 def write_trace(points: Iterable, path: PathLike) -> None:
@@ -63,12 +76,8 @@ def write_trace(points: Iterable, path: PathLike) -> None:
 
 def read_trace(path: PathLike) -> list[TracePoint]:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "t_ms" not in reader.fieldnames \
-                or "count" not in reader.fieldnames:
-            raise ValueError(f"{path}: expected a t_ms,count header")
-        points = [TracePoint(float(row["t_ms"]), float(row["count"]))
-                  for row in reader]
+        points = [TracePoint(float(t), float(count))
+                  for t, count in _csv_rows(fh, path, ("t_ms", "count"))]
     for row, point in enumerate(points, start=1):
         if not all(map(math.isfinite, point)):
             raise ValueError(f"{path}: row {row}: t_ms and count must be "
@@ -83,9 +92,13 @@ def format_channel_csv(trace: SimTrace) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CHANNEL_HEADER)
-    # a node row is the tick's time and a suffix; a node that delivered
-    # nothing has the same suffix in every tick, formatted once
-    idle = [f",{n},0,0,0,0,,,,\n" for n in range(trace.scenario.node_count)]
+    # A node row is the tick's time, the node's prefix and the text of its
+    # four counts.  A tick's samples hold one per node, in node order, so
+    # each tick copies the idle rows and rewrites those of the nodes that
+    # delivered; each distinct counts text is formatted once per trace.
+    prefix = [f",{n}," for n in range(trace.scenario.node_count)]
+    idle = [p + "0,0,0,0,,,,\n" for p in prefix]
+    counts_text: dict[tuple, str] = {}
     for rec in trace.records:
         stats = rec.stats
         writer.writerow((
@@ -94,11 +107,15 @@ def format_channel_csv(trace: SimTrace) -> str:
             repr(rec.classification.utilization),
             rec.classification.verdict.value, rec.classification.stage.value,
         ))
+        rows = idle.copy()
+        for s in filter(itemgetter(2), rec.samples):     # total_pkts
+            counts = s[1:5]     # bcast_pkts .. total_bytes
+            text = counts_text.get(counts)
+            if text is None:
+                text = counts_text[counts] = "%s,%s,%s,%s,,,,\n" % counts
+            rows[s.node] = prefix[s.node] + text
         t = repr(rec.t)     # every tick has a row per node, at least two
-        out.write(t + t.join([
-            f",{s.node},{s.bcast_pkts},{s.total_pkts},{s.bcast_bytes},"
-            f"{s.total_bytes},,,,\n" if s.total_pkts else idle[s.node]
-            for s in rec.samples]))
+        out.write(t + t.join(rows))
     return out.getvalue()
 
 
@@ -108,16 +125,12 @@ def write_channel_csv(trace: SimTrace, path: PathLike) -> None:
 
 def read_channel_csv(path: PathLike) -> list[dict]:
     """Rows as dicts; numeric fields parsed, node_id left as written."""
-    numeric = ("t_ms", "bcast_pkts", "total_pkts", "bcast_bytes",
-               "total_bytes", "ipg_ns", "utilization")
-    rows = []
+    numeric = {"t_ms", "bcast_pkts", "total_pkts", "bcast_bytes",
+               "total_bytes", "ipg_ns", "utilization"}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            parsed = dict(row)
-            for key in numeric:
-                parsed[key] = float(row[key]) if row[key] else None
-            rows.append(parsed)
-    return rows
+        return [{key: (float(cell) if cell else None) if key in numeric
+                 else cell for key, cell in zip(CHANNEL_HEADER, cells)}
+                for cells in _csv_rows(fh, path, CHANNEL_HEADER)]
 
 
 def channel_broadcast_trace(trace: SimTrace) -> list[TracePoint]:

@@ -232,6 +232,28 @@ class TestNonFiniteGrowthInputs:
         assert captured.out == ""
 
 
+class TestShortTraceRows:
+    """A count trace row with a missing cell exits 2 and names the row;
+    it used to exit 1 (for `detect`, "tickets raised") with a TypeError."""
+
+    def rejected(self, tmp_path, capsys, argv):
+        path = tmp_path / "short.csv"
+        path.write_text("t_ms,count\n0,0\n0.1,5\n0.2\n0.3,9\n")
+        code = main(argv + ["--trace", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("stormctl: ")
+        assert "row 3: expected 2 cells, got 1" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_fit(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, ["fit"])
+
+    def test_detect(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys,
+                      ["detect", "--reference-dataset", "table4"])
+
+
 class TestSimCommand:
     def test_normal_preset_clean_exit(self, capsys):
         assert main(["sim", "--scenario", "normal"]) == EXIT_OK

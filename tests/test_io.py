@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import re
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stormctl.agents import (
@@ -17,10 +21,18 @@ from stormctl.agents import (
 )
 from stormctl.datasets import load_trace
 from stormctl.growth import FitResult, TracePoint, fit_model, make_params
+from stormctl.metrics import TrafficSample
 from stormctl.plotting import render_chart, write_chart
-from stormctl.simulation import Injector, NormalBroadcastProfile, Scenario
+from stormctl.simulation import (
+    Injector,
+    NormalBroadcastProfile,
+    Scenario,
+    preset,
+    run,
+)
 from stormctl import tracefile
 
+from .oracles import reference_channel_csv
 from .test_simulation import small_scenarios
 
 finite_times = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
@@ -49,6 +61,32 @@ class TestCountTraces:
         with pytest.raises(ValueError):
             tracefile.read_trace(path)
 
+    def test_columns_found_by_header_name(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("count,t_ms,extra\n5,0.1,x\n\n9,0.2,y\n")
+        assert tracefile.read_trace(path) == [TracePoint(0.1, 5.0),
+                                              TracePoint(0.2, 9.0)]
+
+    def test_short_row_names_its_path_and_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t_ms,count\n0,0\n\n0.1,5\n0.2\n0.3,9\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 3: expected 2 cells, got 1")):
+            tracefile.read_trace(path)
+
+    @given(st.lists(st.tuples(st.floats() | st.integers(-2**53, 2**53),
+                              st.floats()), max_size=20))
+    @example([(float("nan"), float("inf")), (float("-inf"), -0.0),
+              (1e300, -1e-300), (0, 5)])
+    @settings(max_examples=100)
+    def test_format_matches_csv_writer(self, points):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("t_ms", "count"))
+        for t, count in points:
+            writer.writerow((repr(float(t)), repr(float(count))))
+        assert tracefile.format_trace(points) == out.getvalue()
+
 
 class TestChannelCsv:
     def test_layout(self, tmp_path, normal_trace):
@@ -72,6 +110,42 @@ class TestChannelCsv:
         first = next(r for r in rows if r["node_id"] == "*")
         assert first["bcast_pkts"] == normal_trace.records[0].stats.broadcast_pkts
         assert first["t_ms"] == normal_trace.records[0].t
+
+    def test_short_row_names_its_path_and_row(self, tmp_path, normal_trace):
+        path = tmp_path / "trace.csv"
+        tracefile.write_channel_csv(normal_trace, path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[3].startswith("0.0,1,")
+        lines[3] = "0.0,1,0\n"         # the third row under the header
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 3: expected 10 cells, got 3")):
+            tracefile.read_channel_csv(path)
+
+    def test_crafted_node_rows_match_reference(self):
+        """Node rows the run seldom makes, against the csv.writer oracle:
+        one counts tuple on many nodes and ticks, tuples one column apart,
+        a node that delivered only unicast, and one that only had its
+        frames suppressed (its row is idle)."""
+        trace = run(replace(preset("normal"), node_count=50, duration=12.0))
+        repeated = (3, 7, 1536, 3584)
+        one_apart = [(4, 7, 1536, 3584), (3, 8, 1536, 3584),
+                     (3, 7, 1537, 3584), (3, 7, 1536, 3585)]
+        records = []
+        for i, rec in enumerate(trace.records):
+            samples = list(rec.samples)
+            for n in range(i % 2, 30, 2):
+                samples[n] = TrafficSample(n, *repeated, 3, 7, 0)
+            for n, counts in enumerate(one_apart, start=30 + i % 2):
+                samples[n] = TrafficSample(n, *counts, counts[0], counts[1], 0)
+            samples[40] = TrafficSample(40, 0, 5, 0, 2560, 0, 5, 0)
+            samples[41] = TrafficSample(41, 0, 0, 0, 0, 4, 9, 9)
+            records.append(rec._replace(samples=tuple(samples)))
+        crafted = replace(trace, records=records)
+        text = tracefile.format_channel_csv(crafted)
+        assert text == reference_channel_csv(crafted)
+        assert f"{records[1].t!r},41,0,0,0,0,,,,\n" in text
+        assert f"{records[1].t!r},40,0,5,0,2560,,,,\n" in text
 
     def test_broadcast_trace_extraction(self, normal_trace):
         points = tracefile.channel_broadcast_trace(normal_trace)
