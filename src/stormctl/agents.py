@@ -1,20 +1,19 @@
 """Static monitor agents: observe, detect, suppress.
 
-An agent has three cooperating parts:
+A broadcast domain has three cooperating parts:
 
   * a communication part that samples channel counters once per
     sampling period;
-  * a control part that holds a calibrated reference curve of normal
-    burst growth and measures each sample's deviation from it;
-  * a storm handler that, on a confirmed trigger, blocks the offending
-    node's port for the remainder of the current one-second window and
-    raises a trouble ticket.
+  * a detector, `StaticAgent`, that holds a calibrated reference curve
+    of normal burst growth and measures each sample's deviation from it;
+  * a storm handler, in `AgentFleet`, that on a confirmed trigger
+    blocks the offending node's port for the rest of the current
+    suppression window and raises a trouble ticket.
 
 Every node on a shared segment sees the same channel counters, so a
-broadcast domain runs one detector: the fleet's single agent calibrates
-and compares once per tick for all nodes.  Only port blocking is per
-node: a node gets its own suppression entry (an agent used for its storm
-handler alone) when it is first blamed for a trigger.
+domain runs one detector, which calibrates and compares once per tick
+for all nodes.  Only port blocking is per node: the fleet's port table
+gets a `Port` record for a node when it is first blamed for a trigger.
 
 Comparison is burst-anchored: a burst begins when the per-tick
 broadcast count rises from zero and ends when it returns to zero.
@@ -24,10 +23,12 @@ of the calibrated peak rate.  A trigger requires the deviation to
 exceed the threshold on `consecutive_required` successive samples, or
 the burst to outlive the reference while still growing.
 
-Suppression windows are wall-aligned: a trigger at t blocks until the
-next multiple of the window length, then the port resumes on its own.
-Re-triggering after resumption opens a new ticket; triggers during an
-active suppression are coalesced into the existing one.
+Suppression windows are wall-aligned, and one rule,
+`AgentConfig.window_of`, numbers them for blocking, ticket closing,
+replay and byte budgets: a trigger in window w blocks the port through
+w, then the port resumes on its own.  Re-triggering after resumption
+opens a new ticket; triggers during an active suppression are coalesced
+into the existing one.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import enum
 import itertools
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .datasets import interpolate
 from .growth import FitError, PtrArray, TracePoint, eval_ptr, fit_model, rise_segment
@@ -123,6 +124,10 @@ class AgentConfig:
         if self.suppression_window <= 0:
             raise ValueError("suppression_window must be positive")
 
+    def window_of(self, t: float) -> int:
+        """The number of the suppression window holding time t."""
+        return math.floor(t / self.suppression_window)
+
 
 class Trigger(NamedTuple):
     cause: TriggerCause
@@ -159,17 +164,10 @@ def _deviation(count: float, ref: float, eps: float) -> float:
 
 
 class StaticAgent:
-    """One node's monitor; see the module docstring for the protocol."""
+    """A domain's detector; see the module docstring for the protocol."""
 
-    def __init__(
-        self,
-        config: AgentConfig,
-        node_id: int = 0,
-        ticket_ids: Optional[Iterator[int]] = None,
-    ) -> None:
+    def __init__(self, config: AgentConfig) -> None:
         self.config = config
-        self.node_id = node_id
-        self.ticket_ids = ticket_ids if ticket_ids is not None else itertools.count(1)
         self.reference: Optional[PtrArray] = None
         self._ref_active: list[float] = []
         self._armed = False
@@ -181,20 +179,6 @@ class StaticAgent:
         self._dev_run = 0
         self._count = 0.0
         self._prev_count = 0.0
-        self._suppress_until: Optional[float] = None
-
-    # -- state ---------------------------------------------------------
-
-    def blocked(self, t: float) -> bool:
-        """Whether time t falls inside this port's suppression window."""
-        return self._suppress_until is not None and t < self._suppress_until
-
-    def is_suppressed(self, t: float, is_broadcast: bool = True) -> bool:
-        """Whether a frame from this node's port at time t is filtered."""
-        policy = self.config.policy
-        if policy is None or not self.blocked(t):
-            return False
-        return policy is Policy.PACKET_BASED or is_broadcast
 
     # -- calibration ---------------------------------------------------
 
@@ -236,8 +220,8 @@ class StaticAgent:
         self._ref_active = values[first:] if first is not None else []
         self._armed = True
         log.info(
-            "agent %s calibrated: pe=%.1f pkts/interval, reference of %d "
-            "samples; starting capture", self.node_id, pe, len(values),
+            "detector calibrated: pe=%.1f pkts/interval, reference of %d "
+            "samples; starting capture", pe, len(values),
         )
         return self.reference
 
@@ -293,49 +277,41 @@ class StaticAgent:
             return CompareResult(None, True, "outlived", self._count, self.pe)
         return CompareResult(None, False, None, 0.0, thr)
 
-    # -- suppression -----------------------------------------------------
 
-    def handle_storm(self, trigger: Trigger) -> Optional[TroubleTicket]:
-        """Apply suppression for a trigger; returns the new ticket.
+@dataclass
+class Port:
+    """A node's entry in the fleet's port table; a new port is not blocked."""
 
-        While already suppressing, further triggers collapse into the
-        open ticket and None is returned.
-        """
-        if self.blocked(trigger.t):
-            return None
-        window = self.config.suppression_window
-        self._suppress_until = (math.floor(trigger.t / window) + 1) * window
-        ticket = TroubleTicket(ticket_id=next(self.ticket_ids), **trigger._asdict())
-        log.info(
-            "ticket #%d: %s on node %d at t=%.3f ms (observed %.4g, "
-            "threshold %.4g); port blocked until %.1f ms",
-            ticket.ticket_id, trigger.cause.value, trigger.node, trigger.t,
-            trigger.observed, trigger.threshold, self._suppress_until,
-        )
-        return ticket
+    through: float = -math.inf  # the last window the port is blocked through
+    breach: int = 0             # the window of the node's last breach
+    tickets: list[TroubleTicket] = field(default_factory=list)  # open ones
 
-    def reconnect(self, t: float) -> bool:
-        """Operator-forced reconnect at time t; no-op with a warning when
-        the port is not blocked then."""
-        if not self.blocked(t):
-            log.warning("reconnect of node %s: port is not blocked", self.node_id)
-            return False
-        self._suppress_until = None
-        log.info("node %s reconnected by operator at t=%s ms", self.node_id, t)
-        return True
+
+def _issue_ticket(ticket_id: int, trigger: Trigger, through: int,
+                  config: AgentConfig) -> TroubleTicket:
+    """A ticket for a trigger whose port is blocked through that window."""
+    ticket = TroubleTicket(ticket_id=ticket_id, **trigger._asdict())
+    log.info(
+        "ticket #%d: %s on node %d at t=%.3f ms (observed %.4g, "
+        "threshold %.4g); port blocked until %.1f ms",
+        ticket_id, trigger.cause.value, trigger.node, trigger.t,
+        trigger.observed, trigger.threshold,
+        (through + 1) * config.suppression_window,
+    )
+    return ticket
 
 
 class AgentFleet:
-    """One broadcast domain: a single detector and a per-node suppression table.
+    """One broadcast domain: a single detector and a per-node port table.
 
     Every node sees the same channel counters (the medium is shared), so
     one agent, `detector`, calibrates and compares for the whole domain.
     Per tick the fleet runs, in priority order, the reference comparison,
     the utilization ceiling, per-node bandwidth windows, and the IPID
     loop scan, and attributes each trigger to a node.  Blocking is per
-    node: `ports` maps each node ever blamed for a trigger to an agent
-    whose storm handler opens the ticket and blocks that node's port.
-    Nodes never blamed have no entry and are never blocked.
+    node: `ports` maps each node ever blamed for a trigger to its `Port`,
+    which holds its block, its last breach and its open tickets.  Nodes
+    never blamed have no entry and are never blocked.
     """
 
     def __init__(
@@ -352,12 +328,10 @@ class AgentFleet:
         self.capacity_pkts = capacity_pkts
         self.ticket_ids = itertools.count(1)
         self.detector = StaticAgent(config)
-        self.ports: dict[int, StaticAgent] = {}
+        self.ports: dict[int, Port] = {}
         self.tickets: list[TroubleTicket] = []
         self.trigger_log: list[Trigger] = []
         self.closed: list[tuple[TroubleTicket, float]] = []
-        self._open: dict[int, list[TroubleTicket]] = {}
-        self._last_breach: dict[int, int] = {}   # node -> window of its last breach
         self._window_id: Optional[int] = None
         self._nbw_bytes: dict[int, list[int]] = {}
 
@@ -451,55 +425,72 @@ class AgentFleet:
         return self._blame(trigger)
 
     def is_suppressed(self, node: int, t: float, is_broadcast: bool) -> bool:
-        """A node with no port is never suppressed."""
+        """Whether a frame from node's port at time t is filtered; a node
+        with no port never is."""
         port = self.ports.get(node)
-        return port is not None and port.is_suppressed(t, is_broadcast)
+        policy = self.config.policy
+        if (port is None or policy is None
+                or self.config.window_of(t) > port.through):
+            return False
+        return policy is Policy.PACKET_BASED or is_broadcast
+
+    def reconnect(self, node: int, t: float) -> bool:
+        """Operator-forced reconnect of node's port at time t; no-op with a
+        warning when the port is not blocked then."""
+        port = self.ports.get(node)
+        if port is None or self.config.window_of(t) > port.through:
+            log.warning("reconnect of node %s: port is not blocked", node)
+            return False
+        port.through = -math.inf
+        log.info("node %s reconnected by operator at t=%s ms", node, t)
+        return True
 
     # -- ticket lifecycle --------------------------------------------------
 
     def _blame(self, trigger: Trigger) -> Optional[TroubleTicket]:
-        """Record a breach by trigger.node; its port opens a ticket or
-        coalesces the trigger into the open one."""
-        node = trigger.node
-        self._roll_window(trigger.t)
-        self._last_breach[node] = self._window_id
-        if node not in self.ports:
-            self.ports[node] = StaticAgent(self.config, node_id=node,
-                                           ticket_ids=self.ticket_ids)
-        ticket = self.ports[node].handle_storm(trigger)
-        if ticket is not None:
-            self.tickets.append(ticket)
-            self._open.setdefault(node, []).append(ticket)
+        """Record a breach by trigger.node: open a ticket and block its port
+        through the trigger's window, or, while the port is blocked,
+        coalesce the trigger into the open ticket."""
+        wid = self.config.window_of(trigger.t)
+        self._roll_window(wid)
+        port = self.ports.setdefault(trigger.node, Port())
+        port.breach = self._window_id
+        if wid <= port.through:
+            return None
+        port.through = wid
+        ticket = _issue_ticket(next(self.ticket_ids), trigger, wid, self.config)
+        self.tickets.append(ticket)
+        port.tickets.append(ticket)
         return ticket
 
-    def _roll_window(self, t: float) -> None:
-        """Advance to the window holding t (never back), closing the tickets
-        of every node whose last breach is CLEAN_WINDOWS_TO_CLOSE whole
-        windows behind; they close at the end of the last clean window."""
-        wid = math.floor(t / self.config.suppression_window)
+    def _roll_window(self, wid: int) -> None:
+        """Advance to window wid (never back), closing the tickets of every
+        node whose last breach is CLEAN_WINDOWS_TO_CLOSE whole windows
+        behind; they close at the end of the last clean window."""
         if self._window_id is not None and wid <= self._window_id:
             return
         self._window_id = wid
-        due = sorted((self._last_breach[node] + CLEAN_WINDOWS_TO_CLOSE, node)
-                     for node, tickets in self._open.items() if tickets)
+        due = sorted((port.breach + CLEAN_WINDOWS_TO_CLOSE, node)
+                     for node, port in self.ports.items() if port.tickets)
         for clean_until, node in due:
             if clean_until >= wid:
                 break
             when = (clean_until + 1) * self.config.suppression_window
-            for ticket in self._open[node]:
+            for ticket in self.ports[node].tickets:
                 self.closed.append((ticket, when))
                 log.info("ticket #%d closed: node %d healthy for %d windows",
                          ticket.ticket_id, node, CLEAN_WINDOWS_TO_CLOSE)
-            self._open[node].clear()
+            self.ports[node].tickets.clear()
 
     def finish(self, t: float) -> None:
         """Advance window bookkeeping to the end of the run."""
-        self._roll_window(t + CLEAN_WINDOWS_TO_CLOSE
-                          * self.config.suppression_window)
+        self._roll_window(self.config.window_of(
+            t + CLEAN_WINDOWS_TO_CLOSE * self.config.suppression_window))
 
     @property
     def open_tickets(self) -> list[TroubleTicket]:
-        return [tk for node in sorted(self._open) for tk in self._open[node]]
+        return [tk for node in sorted(self.ports)
+                for tk in self.ports[node].tickets]
 
 
 class ReplayDeviation(NamedTuple):
@@ -537,13 +528,13 @@ def replay_elementwise(
     eps = DEVIATION_DENOM_FLOOR * peak
     thr = config.deviation_threshold
 
-    port = StaticAgent(config, node_id=OFFLINE_NODE)
     tickets: list[TroubleTicket] = []
     breaches: list[ReplayDeviation] = []
     run = 0
+    through = -math.inf     # the last window a ticket blocks
     for idx, (t, count) in enumerate(data):
         t, count = float(t), float(count)
-        if port.blocked(t):
+        if config.window_of(t) <= through:
             continue
         ref = ref_counts[idx] if idx < len(ref_counts) else 0.0
         dev = _deviation(count, ref, eps)
@@ -553,7 +544,9 @@ def replay_elementwise(
         else:
             run = 0
         if run >= config.consecutive_required:
-            tickets.append(port.handle_storm(Trigger(
-                TriggerCause.PTR_DEVIATION, OFFLINE_NODE, t, dev, thr)))
+            through = config.window_of(t)
+            tickets.append(_issue_ticket(len(tickets) + 1, Trigger(
+                TriggerCause.PTR_DEVIATION, OFFLINE_NODE, t, dev, thr),
+                through, config))
             run = 0
     return tickets, breaches

@@ -53,8 +53,11 @@ def _load_points(path: Optional[str], dataset: Optional[str], flag: str):
             raise SystemExit2(str(exc.args[0])) from exc
     try:
         return tracefile.read_trace(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit2(f"cannot read trace {path}: {exc}") from exc
+    except OSError as exc:
+        raise SystemExit2(f"cannot read trace {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        reason = str(exc).removeprefix(f"{path}: ")
+        raise SystemExit2(f"cannot read trace {path}: {reason}") from exc
 
 
 class SystemExit2(Exception):

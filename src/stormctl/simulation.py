@@ -448,13 +448,15 @@ def run(scenario: Scenario) -> SimTrace:
         budget window changes, the link carries every frame or none, and
         no frame breaks a byte budget.  At least a + 1: a single step is
         always handled frame-exact."""
-        # a block lapses and a budget window begins only at a multiple of
-        # the suppression window: end at the first step at or past one of
-        # the next few, or at a step either side of it for float rounding
-        m = math.floor(a / STEPS_PER_MS / window_ms)
-        for k in (m, m + 1, m + 2):
-            c = math.ceil(k * window_ms * STEPS_PER_MS)
-            b = min([b] + [s for s in (c - 1, c, c + 1) if s > a])
+        # a block lapses and a budget window begins only where the window
+        # changes: end at the first step in a later window than a's, found
+        # from a step before the edge, as float rounding may move it a step
+        t_a = a / STEPS_PER_MS
+        wid = config.window_of(t_a)
+        edge = max(a + 1, math.ceil((wid + 1) * window_ms * STEPS_PER_MS) - 1)
+        while config.window_of(edge / STEPS_PER_MS) <= wid:
+            edge += 1
+        b = min(b, edge)
 
         def frames(k: int) -> int:
             return sum(before(n, k) - before(n, a) for _, _, _, n in streams)
@@ -469,8 +471,6 @@ def run(scenario: Scenario) -> SimTrace:
                     lo = mid
             b = lo
         if byte_limit is not None:
-            t_a = a / STEPS_PER_MS
-            wid = int(t_a // window_ms)
             for rr, _, bcast, n in streams:
                 if not bcast:
                     continue
@@ -563,6 +563,8 @@ def run(scenario: Scenario) -> SimTrace:
                 else:
                     generated += n
                 budget = byte_limit is not None and bcast
+                if budget:
+                    wid = config.window_of(t_s)
                 # Lane j holds frames j, j + period, ... of the run, all from
                 # one node; a run that does not rotate is its own one lane.
                 # A lane is [its next frame at or after done, node, whether
@@ -579,7 +581,6 @@ def run(scenario: Scenario) -> SimTrace:
                     if bcast:
                         att_b[v] += c
                     if budget:
-                        wid = int(t_s // window_ms)
                         if wid != byte_wid.get(v):
                             byte_wid[v] = wid
                             byte_acc[v] = 0
@@ -683,9 +684,6 @@ def run(scenario: Scenario) -> SimTrace:
                 f"conservation broken at t={t0}: {generated}+{replicated}"
                 f"-{suppressed}-{capped} != {delivered}")
 
-        tick_end = (t_idx + 1) * sc.tick
-        ipid_win.evict(tick_end)
-
         d_b = 0
         slots = list(idle)
         for n in active:
@@ -712,6 +710,8 @@ def run(scenario: Scenario) -> SimTrace:
         if fleet is not None:
             fleet.observe(t0, stats, [slots[n] for n in active],
                           ipid_win.run_entries(hits))
+        # after `observe`, which must scan every sighting the verdict counted
+        ipid_win.evict((t_idx + 1) * sc.tick)
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
         records.append(TickRecord(t0, stats, classification, samples, ledger,
                                   tuple(sorted(kinds.items()))))

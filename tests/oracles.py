@@ -322,7 +322,6 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
     byte_limit = None
     if thresholds.byte_threshold_mb is not None:
         byte_limit = thresholds.byte_threshold_mb * 1e6
-    window_ms = config.suppression_window
     enforce = config.policy is not None
 
     schedule: dict[int, list[_Frame]] = {}
@@ -425,7 +424,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                     node["sup"] += 1
                     continue
                 if byte_limit is not None and frame.is_broadcast:
-                    wid = int(t_s // window_ms)
+                    wid = config.window_of(t_s)
                     if wid != byte_wid[frame.src]:
                         byte_wid[frame.src] = wid
                         byte_acc[frame.src] = 0.0
@@ -474,8 +473,6 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
 
         assert generated + replicated - suppressed - capped == delivered
 
-        tick_end = (t_idx + 1) * sc.tick
-        ipid_win.evict(tick_end)
         hit_entries = [entry for ipid in hits
                        for entry in ipid_win.run_entries(ipid)]
 
@@ -506,6 +503,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
         )
         if fleet is not None:
             tickets.extend(fleet.observe(t0, stats, samples, hit_entries))
+        ipid_win.evict((t_idx + 1) * sc.tick)
         ledger = sim.TickLedger(generated, replicated, suppressed, capped,
                                 delivered)
         records.append(sim.TickRecord(t0, stats, classification, samples,

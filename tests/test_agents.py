@@ -57,7 +57,7 @@ def sample(node: int, bcast: int = 0, bcast_bytes: int = None,
 
 
 def calibrated_agent(**config_kw) -> StaticAgent:
-    agent = StaticAgent(AgentConfig(**config_kw), node_id=0)
+    agent = StaticAgent(AgentConfig(**config_kw))
     agent.calibrate(rising_burst())
     return agent
 
@@ -95,7 +95,7 @@ class TestCalibration:
         assert agent.config == AgentConfig()    # calibration writes no config
 
     def test_decline_comes_from_the_trace_itself(self):
-        agent = StaticAgent(AgentConfig(), node_id=0)
+        agent = StaticAgent(AgentConfig())
         agent.calibrate(table4_hump())
         hump = table4_hump()
         # offsets past the peak (1.8 ms) replay the recorded decline
@@ -192,51 +192,63 @@ class TestBurstComparison:
 
 
 class TestSuppression:
+    """The storm handler: one port of the fleet, node 0's."""
+
     def trigger(self, t, node=0):
         return Trigger(TriggerCause.UTILIZATION_EXCEEDED, node, t, 0.9, 0.6)
 
+    def fleet(self, **config_kw) -> AgentFleet:
+        fleet = AgentFleet(AgentConfig(**config_kw), 3, link_rate=1e9,
+                           capacity_pkts=100)
+        fleet.calibrate(rising_burst())
+        return fleet
+
+    def handle_storm(self, fleet, t):
+        """Blame node 0 for a trigger at t; returns the new ticket."""
+        return fleet._blame(self.trigger(t))
+
     def test_blocks_until_end_of_wall_aligned_window(self):
-        agent = calibrated_agent()
-        ticket = agent.handle_storm(self.trigger(1234.5))
+        fleet = self.fleet()
+        ticket = self.handle_storm(fleet, 1234.5)
         assert ticket is not None
-        assert agent.is_suppressed(1999.9, True)
-        assert not agent.is_suppressed(2000.0, True)
+        assert fleet.is_suppressed(0, 1999.9, True)
+        assert not fleet.is_suppressed(0, 2000.0, True)
 
     def test_coalesces_while_suppressing(self):
-        agent = calibrated_agent()
-        assert agent.handle_storm(self.trigger(100.0)) is not None
-        assert agent.handle_storm(self.trigger(500.0)) is None
-        again = agent.handle_storm(self.trigger(1000.0))
+        fleet = self.fleet()
+        assert self.handle_storm(fleet, 100.0) is not None
+        assert self.handle_storm(fleet, 500.0) is None
+        again = self.handle_storm(fleet, 1000.0)
         assert again is not None
         assert again.ticket_id == 2
 
     def test_packet_policy_blocks_everything(self):
-        agent = calibrated_agent(policy=Policy.PACKET_BASED)
-        agent.handle_storm(self.trigger(0.0))
-        assert agent.is_suppressed(10.0, is_broadcast=True)
-        assert agent.is_suppressed(10.0, is_broadcast=False)
+        fleet = self.fleet(policy=Policy.PACKET_BASED)
+        self.handle_storm(fleet, 0.0)
+        assert fleet.is_suppressed(0, 10.0, is_broadcast=True)
+        assert fleet.is_suppressed(0, 10.0, is_broadcast=False)
 
     def test_bandwidth_policy_blocks_broadcast_only(self):
-        agent = calibrated_agent(policy=Policy.BANDWIDTH_BASED)
-        agent.handle_storm(self.trigger(0.0))
-        assert agent.is_suppressed(10.0, is_broadcast=True)
-        assert not agent.is_suppressed(10.0, is_broadcast=False)
+        fleet = self.fleet(policy=Policy.BANDWIDTH_BASED)
+        self.handle_storm(fleet, 0.0)
+        assert fleet.is_suppressed(0, 10.0, is_broadcast=True)
+        assert not fleet.is_suppressed(0, 10.0, is_broadcast=False)
 
     def test_detect_only_never_blocks(self):
-        agent = calibrated_agent(policy=None)
-        agent.handle_storm(self.trigger(0.0))
-        assert not agent.is_suppressed(10.0, is_broadcast=True)
+        fleet = self.fleet(policy=None)
+        self.handle_storm(fleet, 0.0)
+        assert not fleet.is_suppressed(0, 10.0, is_broadcast=True)
 
     def test_reconnect_clears_the_block(self):
-        agent = calibrated_agent()
-        agent.handle_storm(self.trigger(0.0))
-        assert agent.reconnect(t=10.0)
-        assert not agent.is_suppressed(10.0, True)
+        fleet = self.fleet()
+        self.handle_storm(fleet, 0.0)
+        assert fleet.reconnect(0, t=10.0)
+        assert not fleet.is_suppressed(0, 10.0, True)
 
     def test_reconnect_of_free_port_warns(self, caplog):
-        agent = calibrated_agent()
+        fleet = self.fleet()
         with caplog.at_level(logging.WARNING, logger="stormctl.agents"):
-            assert not agent.reconnect(t=0.0)
+            assert not fleet.reconnect(0, t=0.0)
         assert any("not blocked" in r.message for r in caplog.records)
 
 
@@ -416,7 +428,7 @@ class TestSuppressionTable:
         fleet = self.fleet(Policy.PACKET_BASED)
         self.overload(fleet, 100.0)
         assert fleet.is_suppressed(1, 200.0, True)
-        assert fleet.ports[1].reconnect(200.0)
+        assert fleet.reconnect(1, 200.0)
         assert not fleet.is_suppressed(1, 200.0, True)
         assert not fleet.is_suppressed(1, 200.0, False)
 

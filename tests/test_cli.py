@@ -232,6 +232,30 @@ class TestNonFiniteGrowthInputs:
         assert captured.out == ""
 
 
+class TestTraceReadErrors:
+    """An unreadable trace exits 2 and names its path exactly once."""
+
+    def rejected(self, capsys, path) -> str:
+        code = main(["fit", "--trace", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.count(str(path)) == 1
+        return err
+
+    def test_short_row(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("t_ms,count\n0,0\n0.1,5\n0.2\n")
+        err = self.rejected(capsys, path)
+        assert err == (f"stormctl: cannot read trace {path}: row 3: "
+                       f"expected 2 cells, got 1\n")
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        err = self.rejected(capsys, path)
+        assert err == (f"stormctl: cannot read trace {path}: "
+                       f"No such file or directory\n")
+
+
 class TestShortTraceRows:
     """A count trace row with a missing cell exits 2 and names the row;
     it used to exit 1 (for `detect`, "tickets raised") with a TypeError."""

@@ -268,9 +268,8 @@ EDGE_GOLDEN = {
         'trace.csv': '00d9159e9455a8462712a77438978cd0d1352d925b6bb36b485bf7ccbd93ee25',
         'triggers': '2daf9e39a697263d58a7dcf6f75fb7271fb7fa56bcba3df2137c8e5310e688a0',
     },
-    # These two digests encode the known IPID float-span and
-    # evict-before-observe defects (see edge_scenarios); they are
-    # expected to move when those are mended.
+    # This digest encodes the known IPID float-span defect (see
+    # edge_scenarios); it is expected to move when that is mended.
     'ipid-span-float-edge': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': 'e574049f4f2ab903b26c51057e859b77a830c5d47435ce8b993e63ff2228621a',
@@ -284,10 +283,10 @@ EDGE_GOLDEN = {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': 'e5e51d4dd0740c9cd4fea75c8d9eff3fd42487ec4e5a6c9cf88a055cc2fc06ee',
         'scenario.json': '739b0f4d6173ce4d2c553b190eb6cdc799cf9919de3a607c59efd4d03908fcf0',
-        'summary.json': '082ab2a308656813152b7d30e6b4c7e8f885a30004f7bb5ac62a000df5da2aa4',
-        'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'summary.json': '003ebb1b54a1f25ff492621f2f6aa5cac48d24a96a035dbee472853005e78a02',
+        'tickets.jsonl': 'fc034b980635ebc695e1b208a32475ae92f0d8257165b4d962261c9145bdbf89',
         'trace.csv': '1fa8a12e4f4eeba70b152f1ae2c7ef260e6d12a2b0ecd44363a29a12d73f7988',
-        'triggers': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'triggers': 'e0985f1609ae3f25e88d70d2ff2fae56be802eca0297526f8a763e7422a9d511',
     },
 }
 
@@ -395,11 +394,10 @@ def edge_scenarios() -> dict[str, Scenario]:
                                suppression_window=5.0,
                                thresholds=ThresholdDb(nbw_permissible=1200.0))),
         *_dense_generator_scenarios(),
-        # Two known IPID-window defects, pinned as they stand; their
-        # digests are expected to move when the window keeps integer steps
-        # and hands `observe` its own verdict.  A reused IPID seen at
-        # 28.02, 78.02 and 128.02 ms spans 100.00000000000001 ms in floats,
-        # so the 3-in-100 ms rule never judges it a loop.
+        # A known IPID-window defect, pinned as it stands; its digests are
+        # expected to move when the window keeps integer steps.  A reused
+        # IPID seen at 28.02, 78.02 and 128.02 ms spans 100.00000000000001
+        # ms in floats, so the 3-in-100 ms rule never judges it a loop.
         Scenario(
             name="ipid-span-float-edge", node_count=2, tick=1.0,
             duration=140.0, seed=1,
@@ -407,8 +405,9 @@ def edge_scenarios() -> dict[str, Scenario]:
                                 pass_interval=50.0, factor=1),),
             agents=AgentConfig(policy=Policy.PACKET_BASED)),
         # Seen at 30.5, 80.45 and 130.4 ms: the tick at 130 ms is judged an
-        # IPID loop, but the window evicts the 30.5 ms sighting before
-        # `observe` scans it, so no trigger or ticket follows.
+        # IPID loop, and `observe` still scans the 30.5 ms sighting, which
+        # is older than the window ending at the tick's end, so an IPID_LOOP
+        # trigger and a ticket follow at 130 ms.
         Scenario(
             name="ipid-evict-before-observe", node_count=2, tick=1.0,
             duration=140.0, seed=1,

@@ -657,8 +657,9 @@ class TestReferenceRun:
         assert got.closed == expected.closed
         assert tracefile.format_channel_csv(got) == reference_channel_csv(got)
 
-    # with 0.3 ms windows a budget window can begin a step after the
-    # blocks lapse: 10.2 // 0.3 == 33.0, so window 34 begins at 10.21 ms
+    # with 0.3 ms windows the edges come from float division: 10.2 / 0.3
+    # == 34.0 though 10.2 // 0.3 == 33.0, and blocks through window 33
+    # lapse at 10.2 ms, the step where budget window 34 begins
     @given(merged_background_scenarios())
     @example(Scenario(
         name="rounded-window-edge", node_count=3, tick=0.25, duration=12.0,
@@ -673,3 +674,50 @@ class TestReferenceRun:
         assert got.tickets == expected.tickets
         assert got.triggers == expected.triggers
         assert got.closed == expected.closed
+
+
+class TestWindowRule:
+    """Blocks and byte budgets share one window numbering."""
+
+    # A faulty NIC sends a frame every step under a budget of one 512 B
+    # frame per 0.1 ms window: each window delivers its first frame, and
+    # the second breaks the budget, opens a ticket and blocks the port for
+    # the rest of the window.  3 * 0.1 == 0.30000000000000004 and
+    # 0.5 // 0.1 == 4.0: were the block's end or the budget's window worked
+    # out another way, a port would stay blocked into the next window, or
+    # a budget would count a window twice.
+    def test_a_block_lapses_where_a_budget_window_begins(self):
+        config = AgentConfig(suppression_window=0.1,
+                             policy=Policy.PACKET_BASED,
+                             thresholds=ThresholdDb(byte_threshold_mb=0.001))
+        sc = Scenario(name="tenth-ms-windows", node_count=2, duration=5.0,
+                      injectors=(Injector(kind="faulty_nic", rate=100.0),),
+                      agents=config)
+        trace = run(sc)
+        assert [r.ledger.delivered for r in trace.records] == [10] * 5
+        windows = [config.window_of(tk.t) for tk in trace.tickets]
+        assert windows == list(range(50))
+        assert trace.records == reference_run(sc).records
+
+
+class TestIpidTriggers:
+    # Seen at 1.2, 1.4 and 1.6 ms, the IPID qualifies in the tick ending
+    # at 2 ms, whose window reaches back only to 1.5 ms: `observe` must
+    # still scan the 1.2 ms sighting.
+    @given(small_scenarios())
+    @example(Scenario(
+        name="sighting-older-than-tick-window", node_count=2, duration=3.0,
+        injectors=(Injector(kind="loop", start_t=1.2, pass_interval=0.2,
+                            factor=1),),
+        agents=AgentConfig(policy=None, thresholds=ThresholdDb(
+            ipid_window_ms=0.5))))
+    @settings(max_examples=100, deadline=None)
+    def test_every_ipid_loop_tick_raises_its_trigger(self, sc):
+        if sc.agents is None:
+            sc = dataclasses.replace(sc, agents=AgentConfig(
+                sample_period=sc.tick))
+        trace = run(sc)
+        looped = [r.t for r in trace.records if r.classification.ipid_loop]
+        raised = [tr.t for tr in trace.triggers
+                  if tr.cause is TriggerCause.IPID_LOOP]
+        assert raised == looped
