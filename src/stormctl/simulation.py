@@ -37,10 +37,14 @@ Traffic sources:
 
 Each frame meets, in order: the suppression filter (blocked ports drop
 frames at ingress), the per-window broadcast byte budget, the carrying
-capacity of the link, then delivery.  A blocked node's frames in a run
-are dropped together, the link carries the first frames it still has
-room for, and a run splits only at a frame that breaks a byte budget,
-which is handled alone.  Delivered loop frames spawn their replicas,
+capacity of the link, then delivery.  When none of them can stop a frame
+of a run (no byte budget applies to it, no port among its nodes is
+blocked, and the link has room for all its frames), the whole run is
+delivered, booked in the same pass over its nodes that books its
+attempts.  Of any other run, a blocked node's frames are dropped
+together, the link carries the first frames it still has room for, and
+the run splits only at a frame that breaks a byte budget, which is
+handled alone.  Delivered loop frames spawn their replicas,
 one run per delivered run; everything filtered dies without offspring,
 so a storm only persists while the loop keeps reseeding.  A per-tick
 conservation ledger (generated + replicated - suppressed - capped ==
@@ -75,6 +79,10 @@ INTERNAL_STEP_MS = 0.01
 STEPS_PER_MS = 100
 IPG_EQUIV_BYTES = 12            # inter-frame gap charged against capacity
 CALIBRATION_STEP_MS = 0.1       # sampling of the ideal burst for calibration
+
+# Node samples are built as _tuple_new(TrafficSample, fields), which skips
+# the named tuple's Python-level __new__ and its argument binding.
+_tuple_new = tuple.__new__
 
 
 class ScenarioError(ValueError):
@@ -212,19 +220,24 @@ class Scenario:
             raise ScenarioError(f"{bad} must be finite")
         if self.node_count < 2:
             raise ScenarioError("a broadcast domain needs at least 2 nodes")
-        if _whole(self.tick * STEPS_PER_MS) < 1:
+        if not _whole(self.tick * STEPS_PER_MS, 1):
             raise ScenarioError(f"tick must be a positive whole number of "
                                 f"{INTERNAL_STEP_MS} ms steps")
-        if _whole(self.duration / self.tick) < 1:
+        if not _whole(self.duration / self.tick, 1):
             raise ScenarioError("duration must be a positive whole number of ticks")
-        for inj in self.injectors:
+        for i, inj in enumerate(self.injectors):
             if not 0 <= inj.origin_node < self.node_count:
                 raise ScenarioError(
                     f"injector origin {inj.origin_node} outside the domain")
-            if inj.kind == "loop" and round(inj.pass_interval * STEPS_PER_MS) < 1:
-                raise ScenarioError(
-                    f"loop pass_interval must span at least one "
-                    f"{INTERNAL_STEP_MS} ms step")
+            if inj.kind != "loop":
+                continue
+            # a loop's passes land on steps, which `run` would round to
+            for name, least, what in (("start_t", 0, "a whole"),
+                                      ("pass_interval", 1, "a positive whole")):
+                if not _whole(getattr(inj, name) * STEPS_PER_MS, least):
+                    raise ScenarioError(
+                        f"scenario.injectors[{i}].{name} must be {what} "
+                        f"number of {INTERNAL_STEP_MS} ms steps")
         if self.agents is not None:
             if self.agents.sample_period != self.tick:
                 raise ScenarioError(
@@ -234,10 +247,10 @@ class Scenario:
             raise ScenarioError("one tick cannot carry a single frame")
 
 
-def _whole(x: float) -> int:
-    """x rounded to an integer, or 0 when x is not (close to) one."""
+def _whole(x: float, least: int) -> bool:
+    """Whether x is (close to) an integer no smaller than least."""
     n = round(x)
-    return n if abs(x - n) <= 1e-9 * max(1.0, abs(x)) else 0
+    return n >= least and abs(x - n) <= 1e-9 * max(1.0, abs(x))
 
 
 def _non_finite(value, where: str) -> Optional[str]:
@@ -406,7 +419,8 @@ def run(scenario: Scenario) -> SimTrace:
     byte_acc: dict[int, int] = {}   # per node, from its first budgeted frame
     byte_wid: dict[int, int] = {}
     # a node that sends nothing in a tick shows this same sample in it
-    idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0)
+    new = _tuple_new
+    idle = tuple(new(TrafficSample, (n, 0, 0, 0, 0, 0, 0, 0))
                  for n in range(sc.node_count))
     # per node, this tick's broadcast and total attempted, broadcast and
     # total delivered, and suppressed frames; nonzero only in `active`
@@ -570,9 +584,24 @@ def run(scenario: Scenario) -> SimTrace:
                 # A lane is [its next frame at or after done, node, whether
                 # its port is blocked].
                 period = nodes if rotates else 1
+                width = n if n < period else period
+                # Unless a byte budget applies, the link lacks room for the
+                # run or a lane's port is blocked, all of it is delivered.
+                # The lanes' blocked ports are found from the lanes' nodes
+                # or from the port holders, whichever are fewer.
+                whole = not budget and n <= cap - delivered
+                shut = None         # the lanes' blocked ports, if found
+                if whole and ports:
+                    if width < len(ports):
+                        near = [(src + j) % nodes for j in range(width)]
+                    else:
+                        near = [v for v in ports if (v - src) % nodes < width]
+                    shut = {v for v in near if v in ports
+                            and fleet.is_suppressed(v, t_s, bcast)}
+                    whole = not shut
                 lanes = []
                 breaks = False      # whether a lane may break its budget
-                for j in range(n if n < period else period):
+                for j in range(width):
                     v = (src + j) % nodes
                     if not att_t[v]:
                         active.append(v)
@@ -580,77 +609,88 @@ def run(scenario: Scenario) -> SimTrace:
                     att_t[v] += c
                     if bcast:
                         att_b[v] += c
+                    if whole:
+                        del_t[v] += c
+                        if bcast:
+                            del_b[v] += c
+                        continue
                     if budget:
                         if wid != byte_wid.get(v):
                             byte_wid[v] = wid
                             byte_acc[v] = 0
                         breaks = breaks or byte_acc[v] + c * size > byte_limit
-                    blocked = v in ports and fleet.is_suppressed(v, t_s, bcast)
+                    blocked = v in ports and (
+                        v in shut if shut is not None
+                        else fleet.is_suppressed(v, t_s, bcast))
                     lanes.append([j, v, blocked])
 
-                # Frames [done, n) are still to handle, in segments that end
-                # at the first frame breaking a byte budget.  A blocked
-                # lane's frames are suppressed; of the others, the link
-                # carries the first `room` and caps the rest.  Within a step
-                # only byte_breach can block a port, so suppression is asked
-                # again only then.  The frame at `over` broke its budget and
-                # goes on to the link (detect only).
-                done = sent = dropped = 0
-                over = -1
-                while True:
-                    room = cap - delivered - sent
-                    cut = n             # the first capped frame, if any
-                    if n - done > room:
-                        # the frame after the first `room` not blocked
-                        opened = sorted(q for q, _, blocked in lanes
-                                        if not blocked)
-                        if opened:
-                            full, rem = divmod(room, len(opened))
-                            cut = min(n, opened[rem] + full * period)
-                    end = n             # the frame breaking a budget, if any
-                    if breaks:
-                        for lane in lanes:
-                            q, v, blocked = lane
+                if whole:
+                    sent, dropped = n, 0
+                else:
+                    # Frames [done, n) are still to handle, in segments that
+                    # end at the first frame breaking a byte budget.  A
+                    # blocked lane's frames are suppressed; of the others,
+                    # the link carries the first `room` and caps the rest.
+                    # Within a step only byte_breach can block a port, so
+                    # suppression is asked again only then.  The frame at
+                    # `over` broke its budget and goes on to the link
+                    # (detect only).
+                    done = sent = dropped = 0
+                    over = -1
+                    while True:
+                        room = cap - delivered - sent
+                        cut = n             # the first capped frame, if any
+                        if n - done > room:
+                            # the frame after the first `room` not blocked
+                            opened = sorted(q for q, _, blocked in lanes
+                                            if not blocked)
+                            if opened:
+                                full, rem = divmod(room, len(opened))
+                                cut = min(n, opened[rem] + full * period)
+                        end = n             # the frame breaking a budget, if any
+                        if breaks:
+                            for lane in lanes:
+                                q, v, blocked = lane
+                                if blocked:
+                                    continue
+                                # its next `fit` frames keep within the budget
+                                fit = max(0, (byte_limit - byte_acc[v]) // size)
+                                b = q + fit * period
+                                if b == over:
+                                    b += period
+                                # a capped frame adds no bytes, so the budget
+                                # holds if the last frame within it is capped
+                                if b < end and (not fit or b - period < cut):
+                                    end, breaker = b, lane
+                        carried = cut if cut < end else end
+                        for q, v, blocked in lanes:
                             if blocked:
+                                k = (end - 1 - q) // period + 1
+                                sup[v] += k
+                                dropped += k
                                 continue
-                            # its next `fit` frames keep within the budget
-                            fit = max(0, (byte_limit - byte_acc[v]) // size)
-                            b = q + fit * period
-                            if b == over:
-                                b += period
-                            # a capped frame adds no bytes, so the budget
-                            # holds if the last frame within it is capped
-                            if b < end and (not fit or b - period < cut):
-                                end, breaker = b, lane
-                    carried = cut if cut < end else end
-                    for q, v, blocked in lanes:
-                        if blocked:
-                            k = (end - 1 - q) // period + 1
-                            sup[v] += k
-                            dropped += k
-                            continue
-                        k = (carried - 1 - q) // period + 1
-                        if not k:
-                            continue
-                        sent += k
-                        del_t[v] += k
-                        if bcast:
-                            del_b[v] += k
-                            if budget:
-                                byte_acc[v] += k * size
-                    if end == n:
-                        break
-                    v = breaker[1]
-                    fleet.byte_breach(v, t_s, (byte_acc[v] + size) / 1e6)
-                    if enforce:     # the breach gave v a port
-                        sup[v] += 1
-                        dropped += 1
-                        breaker[2] = fleet.is_suppressed(v, t_s, bcast)
-                        done = end + 1
-                    else:
-                        done = over = end
-                    for lane in lanes:
-                        lane[0] = done + (lane[0] - done) % period
+                            k = (carried - 1 - q) // period + 1
+                            if not k:
+                                continue
+                            sent += k
+                            del_t[v] += k
+                            if bcast:
+                                del_b[v] += k
+                                if budget:
+                                    byte_acc[v] += k * size
+                        if end == n:
+                            break
+                        v = breaker[1]
+                        fleet.byte_breach(v, t_s, (byte_acc[v] + size) / 1e6)
+                        if enforce:     # the breach gave v a port
+                            sup[v] += 1
+                            dropped += 1
+                            breaker[2] = fleet.is_suppressed(v, t_s, bcast)
+                            done = end + 1
+                        else:
+                            done = over = end
+                        for lane in lanes:
+                            lane[0] = done + (lane[0] - done) % period
                 suppressed += dropped
                 capped += n - sent - dropped
                 if not sent:
@@ -686,11 +726,13 @@ def run(scenario: Scenario) -> SimTrace:
 
         d_b = 0
         slots = list(idle)
+        active_samples = []
         for n in active:
             b, t = del_b[n], del_t[n]
             d_b += b
-            slots[n] = TrafficSample(n, b, t, b * size, t * size, att_b[n],
-                                     att_t[n], sup[n])
+            slots[n] = s = new(TrafficSample, (n, b, t, b * size, t * size,
+                                               att_b[n], att_t[n], sup[n]))
+            active_samples.append(s)
             att_b[n] = att_t[n] = del_b[n] = del_t[n] = sup[n] = 0
         samples = tuple(slots)
         load = min(1.0, delivered / cap) if cap else 0.0
@@ -708,8 +750,7 @@ def run(scenario: Scenario) -> SimTrace:
                                   ipid_loop=bool(hits),
                                   capacity_pkts=cap)
         if fleet is not None:
-            fleet.observe(t0, stats, [slots[n] for n in active],
-                          ipid_win.run_entries(hits))
+            fleet.observe(t0, stats, active_samples, ipid_win.run_entries(hits))
         # after `observe`, which must scan every sighting the verdict counted
         ipid_win.evict((t_idx + 1) * sc.tick)
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)

@@ -476,6 +476,14 @@ class TestRejectedScenarioFiles:
         assert err == ("stormctl: scenario.injectors[0].pass_interval must be "
                        "finite\n")
 
+    def test_loop_start_between_steps(self, tmp_path, capsys):
+        # ran before, seeding the loop at the next boundary it was active on
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["injectors"][0].update(start_t=10.005))
+        assert err == ("stormctl: scenario.injectors[0].start_t must be a "
+                       "whole number of 0.01 ms steps\n")
+
     def test_infinite_integer_field(self, tmp_path, capsys):
         self.run_edited(
             tmp_path, capsys, lambda doc: doc.update(node_count=float("inf")))

@@ -17,7 +17,7 @@ from stormctl.agents import (
     ThresholdDb,
     TriggerCause,
 )
-from stormctl.metrics import Verdict
+from stormctl.metrics import TrafficSample, Verdict
 from stormctl.simulation import (
     Injector,
     NormalBroadcastProfile,
@@ -111,6 +111,24 @@ class TestSilentFrameLoss:
         with pytest.raises(ScenarioError, match="pass_interval"):
             Scenario(node_count=5, duration=10.0, injectors=(
                 Injector(kind="loop", pass_interval=0.001),))
+
+    def test_loop_start_between_steps(self):
+        # boundaries 1.005, 1.205, ... ms round to the steps at 1.00 and
+        # 1.20 ms; the loop is not active at 1.00 ms, so it would seed at 1.20
+        with pytest.raises(ScenarioError, match=(
+                r"scenario\.injectors\[1\]\.start_t must be a whole number "
+                r"of 0\.01 ms steps")):
+            Scenario(node_count=5, duration=10.0, injectors=(
+                Injector(kind="smurf", start_t=1.005),
+                Injector(kind="loop", start_t=1.005)))
+
+    def test_loop_hop_between_steps(self):
+        # 0.015 ms would hop 2 steps, 0.02 ms
+        with pytest.raises(ScenarioError, match=(
+                r"scenario\.injectors\[0\]\.pass_interval must be a "
+                r"positive whole number of 0\.01 ms steps")):
+            Scenario(node_count=5, duration=10.0, injectors=(
+                Injector(kind="loop", pass_interval=0.015),))
 
     def test_tick_between_steps(self):
         # 0.015 ms would run 2 steps per tick while `t` advances 1.5 steps
@@ -264,8 +282,18 @@ class TestOperationCounts:
         assert trace.tickets
         assert asked and all(asked)
 
+    # samples are built through simulation._tuple_new, not TrafficSample's
+    # own __new__, so that is where each one built is counted
     def test_node_samples_follow_the_active_nodes(self, monkeypatch):
-        made = self.count_calls(monkeypatch, simulation, "TrafficSample")
+        made = []
+        original = simulation._tuple_new
+
+        def tuple_new(cls, values):
+            if cls is TrafficSample:
+                made.append(1)
+            return original(cls, values)
+
+        monkeypatch.setattr(simulation, "_tuple_new", tuple_new)
         sc = dataclasses.replace(preset("loop-storm"), node_count=1000)
         trace = run(sc)
         ticks = len(trace.records)
@@ -533,7 +561,10 @@ def small_scenarios(draw) -> Scenario:
         kind = draw(st.sampled_from(["loop", "loop", "faulty_nic", "smurf"]))
         origin = draw(st.integers(0, nodes - 1))
         if kind == "loop":
-            inj = Injector(kind="loop", start_t=when(), origin_node=origin,
+            # a loop's passes must land on steps
+            inj = Injector(kind="loop",
+                           start_t=draw(st.integers(0, total_steps - 1)) / 100,
+                           origin_node=origin,
                            pass_interval=draw(st.integers(1, 60)) / 100,
                            factor=draw(st.integers(1, 4)),
                            reuse_ipid=draw(st.booleans()))
@@ -646,6 +677,42 @@ class TestReferenceRun:
                             pass_interval=0.3, reuse_ipid=False),),
         agents=AgentConfig(policy=None, suppression_window=0.5,
                            thresholds=ThresholdDb(byte_threshold_mb=0.002))))
+    # The edges of delivering a run whole.  With no generator a loop's
+    # passes deliver 1, 2, 4, 8 frames, 15 in all: on a link of 15 frames
+    # a tick the 8 fill exactly its remaining room, on one of 14 they
+    # overrun it by a frame, and the 16 that follow meet a full link.
+    @example(Scenario(
+        name="run-fills-the-room", node_count=2, link_rate=62.88e6,
+        duration=3.0,
+        injectors=(Injector(kind="loop", start_t=0.5, pass_interval=0.1),)))
+    @example(Scenario(
+        name="run-one-over-the-room", node_count=2, link_rate=58.688e6,
+        duration=3.0,
+        injectors=(Injector(kind="loop", start_t=0.5, pass_interval=0.1),)))
+    # background runs that wrap past node 149 onto node 1's blocked port,
+    # and none of whose other nodes holds a port
+    @example(Scenario(
+        name="wrap-onto-blocked-port", node_count=150, duration=12.0, seed=3,
+        generator=NormalBroadcastProfile(),
+        injectors=(Injector(kind="loop", start_t=2.0, origin_node=1),),
+        agents=AgentConfig(policy=Policy.PACKET_BASED)))
+    # node 2's own frames while the ports of loop origins 1 and 3 are
+    # blocked, or were and lapsed
+    @example(Scenario(
+        name="other-ports-blocked", node_count=4, duration=12.0, seed=5,
+        injectors=(Injector(kind="loop", start_t=2.0, origin_node=1),
+                   Injector(kind="loop", start_t=4.0, origin_node=3),
+                   Injector(kind="faulty_nic", origin_node=2, rate=3.0)),
+        agents=AgentConfig(policy=Policy.PACKET_BASED,
+                           suppression_window=3.0)))
+    # a byte budget splits the broadcast stream, but not the unicast one,
+    # whose frames a bandwidth-based block lets through
+    @example(Scenario(
+        name="budget-over-both-streams", node_count=3, duration=8.0, seed=2,
+        generator=NormalBroadcastProfile(broadcast_peak_fraction=0.3),
+        agents=AgentConfig(policy=Policy.BANDWIDTH_BASED,
+                           suppression_window=2.0,
+                           thresholds=ThresholdDb(byte_threshold_mb=0.004))))
     @settings(max_examples=150, deadline=None)
     def test_matches_per_frame_reference(self, sc):
         expected = reference_run(sc)
