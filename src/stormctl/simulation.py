@@ -37,12 +37,11 @@ Traffic sources:
 
 Each frame meets, in order: the suppression filter (blocked ports drop
 frames at ingress), the per-window broadcast byte budget, the carrying
-capacity of the link, then delivery.  When none of them can stop a frame
-of a run (no byte budget applies to it, no port among its nodes is
-blocked, and the link has room for all its frames), the whole run is
-delivered, booked in the same pass over its nodes that books its
-attempts.  Of any other run, a blocked node's frames are dropped
-together, the link carries the first frames it still has room for, and
+capacity of the link, then delivery.  A blocked node's frames in a run
+are dropped together.  When no byte budget applies to a run and the link
+has room for all its frames, every other node's frames are delivered,
+booked in the same pass over its nodes that books its attempts.  Of any
+other run, the link carries the first frames it still has room for, and
 the run splits only at a frame that breaks a byte budget, which is
 handled alone.  Delivered loop frames spawn their replicas,
 one run per delivered run; everything filtered dies without offspring,
@@ -198,6 +197,13 @@ class Injector:
 
     def active(self, t: float) -> bool:
         return self.start_t <= t and (self.end_t is None or t < self.end_t)
+
+    def loops_at(self, step: int) -> bool:
+        """Whether a loop is active at a step.  Its start_t lies on a step
+        but may miss that step's time in the last place (0.1 + 0.2), so
+        the start is compared in steps."""
+        return (round(self.start_t * STEPS_PER_MS) <= step
+                and (self.end_t is None or step / STEPS_PER_MS < self.end_t))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -561,7 +567,7 @@ def run(scenario: Scenario) -> SimTrace:
                 last_step = step
                 t_s = step / STEPS_PER_MS
                 for i, inj, passes in loops:
-                    if step in passes and pending[i] == 0 and inj.active(t_s):
+                    if step in passes and pending[i] == 0 and inj.loops_at(step):
                         put(step, Run(inj.origin_node, next_ipid, True, "seed",
                                       i, 1, not inj.reuse_ipid))
                         next_ipid += 1
@@ -585,22 +591,13 @@ def run(scenario: Scenario) -> SimTrace:
                 # its port is blocked].
                 period = nodes if rotates else 1
                 width = n if n < period else period
-                # Unless a byte budget applies, the link lacks room for the
-                # run or a lane's port is blocked, all of it is delivered.
-                # The lanes' blocked ports are found from the lanes' nodes
-                # or from the port holders, whichever are fewer.
+                # Unless a byte budget applies or the link lacks room for
+                # the run, a lane's frames share one fate: suppressed if its
+                # port is blocked, else delivered.
                 whole = not budget and n <= cap - delivered
-                shut = None         # the lanes' blocked ports, if found
-                if whole and ports:
-                    if width < len(ports):
-                        near = [(src + j) % nodes for j in range(width)]
-                    else:
-                        near = [v for v in ports if (v - src) % nodes < width]
-                    shut = {v for v in near if v in ports
-                            and fleet.is_suppressed(v, t_s, bcast)}
-                    whole = not shut
                 lanes = []
                 breaks = False      # whether a lane may break its budget
+                sent = dropped = 0
                 for j in range(width):
                     v = (src + j) % nodes
                     if not att_t[v]:
@@ -609,24 +606,25 @@ def run(scenario: Scenario) -> SimTrace:
                     att_t[v] += c
                     if bcast:
                         att_b[v] += c
+                    blocked = v in ports and fleet.is_suppressed(v, t_s, bcast)
                     if whole:
-                        del_t[v] += c
-                        if bcast:
-                            del_b[v] += c
+                        if blocked:
+                            sup[v] += c
+                            dropped += c
+                        else:
+                            sent += c
+                            del_t[v] += c
+                            if bcast:
+                                del_b[v] += c
                         continue
                     if budget:
                         if wid != byte_wid.get(v):
                             byte_wid[v] = wid
                             byte_acc[v] = 0
                         breaks = breaks or byte_acc[v] + c * size > byte_limit
-                    blocked = v in ports and (
-                        v in shut if shut is not None
-                        else fleet.is_suppressed(v, t_s, bcast))
                     lanes.append([j, v, blocked])
 
-                if whole:
-                    sent, dropped = n, 0
-                else:
+                if not whole:
                     # Frames [done, n) are still to handle, in segments that
                     # end at the first frame breaking a byte budget.  A
                     # blocked lane's frames are suppressed; of the others,
@@ -635,7 +633,7 @@ def run(scenario: Scenario) -> SimTrace:
                     # suppression is asked again only then.  The frame at
                     # `over` broke its budget and goes on to the link
                     # (detect only).
-                    done = sent = dropped = 0
+                    done = 0
                     over = -1
                     while True:
                         room = cap - delivered - sent
@@ -703,7 +701,7 @@ def run(scenario: Scenario) -> SimTrace:
                 if kind in ("seed", "replica"):
                     loop = sc.injectors[owner]
                     nxt = step + round(loop.pass_interval * STEPS_PER_MS)
-                    if loop.active(t_s) and nxt < total_steps:
+                    if loop.loops_at(step) and nxt < total_steps:
                         k = sent * loop.factor
                         reuse = loop.reuse_ipid
                         put(nxt, Run(src, ipid if reuse else next_ipid, True,

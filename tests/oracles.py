@@ -337,6 +337,14 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
             steps.add(round(t * sim.STEPS_PER_MS))
             t += inj.pass_interval
         boundaries[i] = steps
+
+    def looping(i: int, step: int) -> bool:
+        # a loop's start_t lies on a step, though its float may miss the
+        # step's time in the last place
+        inj = sc.injectors[i]
+        return (step >= round(inj.start_t * sim.STEPS_PER_MS) and (
+            inj.end_t is None or step / sim.STEPS_PER_MS < inj.end_t))
+
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
     ipid_win = _FrameIpidWindow(thresholds.ipid_window_ms,
@@ -399,7 +407,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
             t_s = step / sim.STEPS_PER_MS
             for i in loop_idx:
                 if (step in boundaries[i] and pending[i] == 0
-                        and sc.injectors[i].active(t_s)):
+                        and looping(i, step)):
                     put(step, _Frame(sc.injectors[i].origin_node, next(ipids),
                                      True, sc.frame_size, "seed", i))
             batch = schedule.pop(step, None)
@@ -452,7 +460,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                         hits.add(frame.ipid)
                 if chain:
                     inj = sc.injectors[frame.inj]
-                    if inj.active(t_s):
+                    if looping(frame.inj, step):
                         nxt = step + round(inj.pass_interval * sim.STEPS_PER_MS)
                         ipid = frame.ipid if inj.reuse_ipid else None
                         for _ in range(inj.factor):

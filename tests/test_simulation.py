@@ -122,6 +122,18 @@ class TestSilentFrameLoss:
                 Injector(kind="smurf", start_t=1.005),
                 Injector(kind="loop", start_t=1.005)))
 
+    def test_loop_start_a_float_ulp_past_its_step(self):
+        # 0.1 + 0.2 is 0.30000000000000004: on the step at 0.30 ms, past
+        # its float 0.3; the loop still seeds there, not a pass later
+        def loop_at(start_t):
+            return Scenario(node_count=2, duration=2.0, injectors=(
+                Injector(kind="loop", start_t=start_t, pass_interval=0.1),))
+
+        got = run(loop_at(0.1 + 0.2))
+        assert got.records == run(loop_at(0.3)).records
+        # passes at 0.30, 0.40, ..., 0.90 ms deliver 1 + 2 + ... + 64
+        assert got.records[0].ledger.delivered == 127
+
     def test_loop_hop_between_steps(self):
         # 0.015 ms would hop 2 steps, 0.02 ms
         with pytest.raises(ScenarioError, match=(
@@ -282,18 +294,24 @@ class TestOperationCounts:
         assert trace.tickets
         assert asked and all(asked)
 
-    # samples are built through simulation._tuple_new, not TrafficSample's
-    # own __new__, so that is where each one built is counted
+    # samples are built through simulation._tuple_new, which skips
+    # TrafficSample's own __new__; each one built either way is counted
     def test_node_samples_follow_the_active_nodes(self, monkeypatch):
         made = []
         original = simulation._tuple_new
+        original_new = TrafficSample.__new__
 
         def tuple_new(cls, values):
             if cls is TrafficSample:
                 made.append(1)
             return original(cls, values)
 
+        def sample_new(cls, *args, **kwargs):
+            made.append(1)
+            return original_new(cls, *args, **kwargs)
+
         monkeypatch.setattr(simulation, "_tuple_new", tuple_new)
+        monkeypatch.setattr(TrafficSample, "__new__", staticmethod(sample_new))
         sc = dataclasses.replace(preset("loop-storm"), node_count=1000)
         trace = run(sc)
         ticks = len(trace.records)
