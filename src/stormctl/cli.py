@@ -71,12 +71,11 @@ def _cmd_model(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit2(str(exc)) from exc
     points = [(arr.t_at(i), v) for i, v in enumerate(arr.values)]
-    text = tracefile.format_trace(points)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
+        tracefile.write_trace(points, args.out)
         print(f"wrote {len(points)} samples to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(tracefile.format_trace(points))
     if args.plot:
         plotting.write_chart([("P(t)", points)], args.plot,
                              title="broadcast growth curve")

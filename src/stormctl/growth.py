@@ -310,7 +310,12 @@ def fit_model(trace: Iterable) -> FitResult:
                        f"t*e^(m t) passes 2**256 for every m from "
                        f"{FIT_M_MIN:g}")
 
-    solve = _solver([p.t for p in rise], [p.count for p in rise])
+    # the counts are solved with their peak in [0.5, 1): scaling by a
+    # power of two is exact, and the squared residuals of tiny counts no
+    # longer underflow, nor those of huge ones overflow
+    scale = math.frexp(peak)[1]
+    solve = _solver([p.t for p in rise],
+                    [math.ldexp(p.count, -scale) for p in rise])
     grid = _grid(top)
     sols = [solve(m) for m in grid]
     rmses = [math.inf] + [sol[2] for sol in sols] + [math.inf]
@@ -325,7 +330,7 @@ def fit_model(trace: Iterable) -> FitResult:
             if sol[2] < best[2]:
                 best_m, best = m, sol
 
-    a, b, rmse = best
+    a, b, rmse = (math.ldexp(x, scale) for x in best)
     p_start = b / TAU
     p_end = max(p_start + a * best_m / TAU, 0.0)
     return FitResult(make_params(p_start, p_end, best_m), rmse)

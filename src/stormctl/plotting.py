@@ -11,6 +11,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
+from .tracefile import write_text
+
 WIDTH = 800
 HEIGHT = 400
 MARGIN_LEFT = 70
@@ -126,6 +128,4 @@ def write_chart(
     x_label: str = "t (ms)",
     y_label: str = "count",
 ) -> None:
-    Path(path).write_text(
-        render_chart(series, title, x_label, y_label),
-        encoding="utf-8", newline="")
+    write_text(path, render_chart(series, title, x_label, y_label))

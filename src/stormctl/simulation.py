@@ -221,6 +221,11 @@ class Scenario:
 
     def __post_init__(self) -> None:
         """Reject every scenario `run` cannot honour exactly."""
+        try:        # the name is written into the chart as UTF-8
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ScenarioError(
+                "scenario.name must be encodable as UTF-8") from None
         bad = _non_finite(self, "scenario")
         if bad is not None:
             raise ScenarioError(f"{bad} must be finite")

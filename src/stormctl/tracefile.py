@@ -23,6 +23,7 @@ import enum
 import io
 import json
 import math
+import os
 from dataclasses import MISSING, fields, is_dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -42,8 +43,31 @@ CHANNEL_HEADER = (
 SCENARIO_SCHEMA = 2
 
 
-def _write_text(path: PathLike, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
+def write_text(path: PathLike, text: str) -> None:
+    """Write text to path as UTF-8: the one way stormctl writes a file.
+
+    The file is overwritten in place and cut to the new length only when
+    it held more: opening it with O_TRUNC would free its blocks and, on
+    ext4, start writeback at close.  The text is encoded before the file
+    is opened, so an encoding error leaves the file as it was; a failed
+    write still cuts it, so no old byte survives.  A device or FIFO has
+    no size and is never cut.  A new file gets mode 0o666 less the umask;
+    an existing one keeps its mode and links, and a symlink is written
+    through.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if os.fstat(fd).st_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def _csv_rows(fh, path: PathLike,
@@ -71,7 +95,7 @@ def format_trace(points: Iterable) -> str:
 
 
 def write_trace(points: Iterable, path: PathLike) -> None:
-    _write_text(path, format_trace(points))
+    write_text(path, format_trace(points))
 
 
 def read_trace(path: PathLike) -> list[TracePoint]:
@@ -120,7 +144,7 @@ def format_channel_csv(trace: SimTrace) -> str:
 
 
 def write_channel_csv(trace: SimTrace, path: PathLike) -> None:
-    _write_text(path, format_channel_csv(trace))
+    write_text(path, format_channel_csv(trace))
 
 
 def read_channel_csv(path: PathLike) -> list[dict]:
@@ -170,7 +194,7 @@ def format_tickets(tickets: Sequence[TroubleTicket]) -> str:
 
 
 def write_tickets(tickets: Sequence[TroubleTicket], path: PathLike) -> None:
-    _write_text(path, format_tickets(tickets))
+    write_text(path, format_tickets(tickets))
 
 
 def read_tickets(path: PathLike) -> list[TroubleTicket]:
@@ -189,8 +213,8 @@ def params_to_dict(fit: FitResult) -> dict:
 
 
 def write_params(fit: FitResult, path: PathLike) -> None:
-    _write_text(path, json.dumps(params_to_dict(fit), sort_keys=True,
-                                 indent=2) + "\n")
+    write_text(path, json.dumps(params_to_dict(fit), sort_keys=True,
+                                indent=2) + "\n")
 
 
 def read_params(path: PathLike) -> FitResult:
@@ -205,7 +229,7 @@ def read_params(path: PathLike) -> FitResult:
 
 
 def write_summary(summary: dict, path: PathLike) -> None:
-    _write_text(path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_text(path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -287,8 +311,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def write_scenario(scenario: Scenario, path: PathLike) -> None:
-    _write_text(path, json.dumps(scenario_to_dict(scenario), sort_keys=True,
-                                 indent=2) + "\n")
+    write_text(path, json.dumps(scenario_to_dict(scenario), sort_keys=True,
+                                indent=2) + "\n")
 
 
 def read_scenario(path: PathLike) -> Scenario:

@@ -95,9 +95,33 @@ def grid_fit_rmse(trace) -> float:
 
 
 def reference_solve(m: float, ts, ys):
-    """Least-squares (a, b, rmse) for fixed m, every sum taken afresh."""
+    """Least-squares (a, b, rmse) for fixed m, every sum taken afresh, on
+    counts scaled as `growth.fit_model` scales them: by the power of two
+    that puts the largest in [0.5, 1)."""
+    scale = math.frexp(max(ys))[1]
+    solution = _least_squares(m, ts, [math.ldexp(y, -scale) for y in ys],
+                              math.exp, math.sqrt)
+    return tuple(math.ldexp(x, scale) for x in solution)
+
+
+def mp_solve(m: float, ts, ys):
+    """`reference_solve` taken in 60-digit arithmetic and rounded once to
+    floats.  Where the {t, t*e^(mt)} normal equations are ill-conditioned
+    (small m*t), the float solve's rounding outweighs the change in RMSE
+    between close values of m; this one's does not."""
+    mpf = mpmath.mpf
+    with mpmath.workdps(60):
+        solution = _least_squares(mpf(m), [mpf(t) for t in ts],
+                                  [mpf(y) for y in ys], mpmath.exp,
+                                  mpmath.sqrt)
+    return tuple(map(float, solution))
+
+
+def _least_squares(m, ts, ys, exp, sqrt):
+    """(a, b, rmse) minimising the RMSE of a*t + b*t*e^(mt) subject to
+    Ps >= 0 and Pe >= 0, in the arithmetic of the arguments."""
     n = len(ts)
-    gs = [t * math.exp(m * t) for t in ts]
+    gs = [t * exp(m * t) for t in ts]
     s_tt = sum(t * t for t in ts)
     s_gg = sum(g * g for g in gs)
     s_tg = sum(t * g for t, g in zip(ts, gs))
@@ -109,7 +133,7 @@ def reference_solve(m: float, ts, ys):
         for t, g, y in zip(ts, gs, ys):
             r = a * t + b * g - y
             acc += r * r
-        return math.sqrt(acc / n)
+        return sqrt(acc / n)
 
     det = s_tt * s_gg - s_tg * s_tg
     if det > 0:

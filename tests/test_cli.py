@@ -385,10 +385,10 @@ class TestUnwritableOutput:
 class TestRejectedScenarioFiles:
     """Scenarios the simulator cannot honour exit 2, with no traceback."""
 
-    def rejected(self, tmp_path, capsys, doc):
+    def rejected(self, tmp_path, capsys, doc, *flags):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        code = main(["sim", "--scenario-file", str(path)])
+        code = main(["sim", "--scenario-file", str(path), *flags])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("stormctl: ")
@@ -463,6 +463,16 @@ class TestRejectedScenarioFiles:
             tmp_path, capsys,
             lambda doc: doc["agents"].update(sample_period=0.5))
         assert "sample" in err
+
+    def test_name_not_encodable_as_utf8(self, tmp_path, capsys):
+        # the chart writes the name: it raised UnicodeEncodeError (exit 1)
+        # and left an empty trace.svg
+        doc = tracefile.scenario_to_dict(simulation.preset("normal"))
+        doc["name"] = "\ud800"
+        out = tmp_path / "run"
+        err = self.rejected(tmp_path, capsys, doc, "--out", str(out), "--plot")
+        assert err == "stormctl: scenario.name must be encodable as UTF-8\n"
+        assert not out.exists()
 
     def test_infinite_duration(self, tmp_path, capsys):
         err = self.run_edited(

@@ -11,7 +11,7 @@ import statistics
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stormctl import growth
@@ -30,7 +30,13 @@ from stormctl.growth import (
 )
 from stormctl.simulation import NormalBroadcastProfile
 
-from .oracles import mp_eval, reference_fit_model, reference_solve, rise_of
+from .oracles import (
+    mp_eval,
+    mp_solve,
+    reference_fit_model,
+    reference_solve,
+    rise_of,
+)
 
 TAU = math.tau
 
@@ -199,6 +205,19 @@ class TestFit:
         assert fit.params.p_start > fit.params.p_end
         assert fit.params.a < 0
 
+    @pytest.mark.parametrize("exponent", [-1000, -560, 1000])
+    def test_counts_scaled_by_a_power_of_two(self, exponent):
+        # unscaled, the squared residuals of counts near 2**-560 (1e-169)
+        # underflowed and those near 2**1000 overflowed: at 2**-560 this
+        # rise fitted m = 0.025 with RMSE 0.0, not the m = 2.14 of its own
+        trace = [(0.5, 1.1), (1.0, 2.3), (1.5, 4.1), (2.0, 7.9)]
+        one = fit_model(trace)
+        fit = fit_model([(t, math.ldexp(c, exponent)) for t, c in trace])
+        assert fit.params.m == one.params.m
+        assert fit.params.p_start == math.ldexp(one.params.p_start, exponent)
+        assert fit.params.p_end == math.ldexp(one.params.p_end, exponent)
+        assert fit.rmse == math.ldexp(one.rmse, exponent)
+
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(FitError):
             fit_model([(0, 0), (1, 5), (1, 6), (2, 7), (3, 8)])
@@ -255,6 +274,17 @@ class TestFitContract:
 
     @given(rises())
     @settings(max_examples=300, deadline=None)
+    # fits on the domain's floor, where the float solve at m(1 + 1e-6)
+    # lands nearer the true RMSE than the fit's own value at m
+    @example([(0, 0), (0.00390625, 1082.8225985348738),
+              (0.005859375, 1624.6257939454706),
+              (0.505859375, 145675.3112438695)])
+    @example([(0.001953125, 0.14792899408284024),
+              (0.501953125, 9770.562130177515),
+              (0.505859375, 9923.224852071007), (0.5078125, 10000.0)])
+    # counts whose squared residuals underflow unless scaled
+    @example([(0.5, 1.1e-170), (1.0, 2.3e-170), (1.5, 4.1e-170),
+              (2.0, 7.9e-170)])
     def test_no_worse_than_the_grid_and_a_local_minimum(self, trace):
         try:
             fit = fit_model(trace)
@@ -272,9 +302,12 @@ class TestFitContract:
         # a near-exact fit's RMSE is rounding noise on the scale of the
         # counts, so the relative slack gets a floor there
         slack = max(1e-9 * fit.rmse, 1e-12 * max(map(abs, ys)))
+        # the RMSE profile is taken in exact arithmetic: in floats, the
+        # solve's rounding at small m*t outweighs its change over 1e-6 m
+        here = mp_solve(p.m, ts, ys)[2]
         for m in (p.m * (1 - 1e-6), p.m * (1 + 1e-6)):
             if FIT_M_MIN <= m <= top:
-                assert reference_solve(m, ts, ys)[2] >= fit.rmse - slack
+                assert mp_solve(m, ts, ys)[2] >= here - slack
 
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -27,6 +29,7 @@ from stormctl.simulation import (
     Injector,
     NormalBroadcastProfile,
     Scenario,
+    ScenarioError,
     preset,
     run,
 )
@@ -245,6 +248,13 @@ class TestScenarioDocuments:
             node_count=3, injectors=(Injector(kind="loop"),),
             agents=AgentConfig())
 
+    def test_name_must_encode_as_utf8(self):
+        doc = tracefile.scenario_to_dict(self.full_scenario())
+        doc["name"] = "\ud800"     # JSON's "\ud800": a lone surrogate
+        with pytest.raises(ScenarioError) as err:
+            tracefile.scenario_from_dict(doc)
+        assert str(err.value) == "scenario.name must be encodable as UTF-8"
+
     def test_unsupported_schema_rejected(self):
         doc = tracefile.scenario_to_dict(self.full_scenario())
         doc["schema"] = 99
@@ -281,3 +291,105 @@ class TestCharts:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             render_chart([("nothing", [])])
+
+
+class TestWriter:
+    """Every artifact is overwritten in place through one writer: never
+    opened with O_TRUNC, cut only where the old file was longer."""
+
+    LONG = [(float(t), 1000.0 * t) for t in range(50)]
+    SHORT = [(0.0, 1.0)]
+
+    def test_shorter_rewrite_leaves_no_tail(self, tmp_path):
+        path = tmp_path / "t.csv"
+        tracefile.write_trace(self.LONG, path)
+        tracefile.write_trace(self.SHORT, path)
+        assert path.read_text() == tracefile.format_trace(self.SHORT)
+
+    def test_device_is_written_and_never_cut(self):
+        tracefile.write_tickets([], os.devnull)
+        tracefile.write_trace(self.LONG, os.devnull)
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        link = tmp_path / "link.csv"
+        tracefile.write_trace(self.LONG, target)
+        link.symlink_to(target)
+        tracefile.write_trace(self.SHORT, link)
+        assert link.is_symlink()
+        assert target.read_text() == tracefile.format_trace(self.SHORT)
+
+    def test_existing_file_keeps_mode_and_links(self, tmp_path):
+        path = tmp_path / "t.csv"
+        other = tmp_path / "hard.csv"
+        tracefile.write_trace(self.LONG, path)
+        path.chmod(0o600)
+        os.link(path, other)
+        tracefile.write_trace(self.SHORT, path)
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert path.stat().st_nlink == 2
+        assert other.read_text() == tracefile.format_trace(self.SHORT)
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "t.csv"
+        umask = os.umask(0o027)
+        try:
+            tracefile.write_trace(self.SHORT, path)
+        finally:
+            os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_encoding_error_leaves_previous_bytes(self, tmp_path):
+        path = tmp_path / "chart.svg"
+        series = [("burst", [(0.0, 0.0), (1.5, 40.0)])]
+        write_chart(series, path, title="before")
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            write_chart(series, path, title="\ud800")
+        assert path.read_bytes() == before
+
+    def test_failed_write_leaves_no_old_byte(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        tracefile.write_trace(self.LONG, path)
+        write = os.write
+        room = [8]      # the disk fills after 8 bytes
+
+        def full_disk(fd, data):
+            if not room[0]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            done = write(fd, data[:room[0]])
+            room[0] -= done
+            return done
+
+        monkeypatch.setattr(os, "write", full_disk)
+        with pytest.raises(OSError) as err:
+            tracefile.write_trace(self.SHORT, path)
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC
+        assert path.read_text() == tracefile.format_trace(self.SHORT)[:8]
+
+    def test_no_writer_truncates_on_open(self, tmp_path, monkeypatch,
+                                         loop_trace):
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        writes = [
+            lambda p: tracefile.write_trace(self.LONG, p),
+            lambda p: tracefile.write_channel_csv(loop_trace, p),
+            lambda p: tracefile.write_tickets(loop_trace.tickets, p),
+            lambda p: tracefile.write_params(fit_model(load_trace("table3")),
+                                             p),
+            lambda p: tracefile.write_summary(loop_trace.summary(), p),
+            lambda p: tracefile.write_scenario(loop_trace.scenario, p),
+            lambda p: write_chart([("burst", self.LONG)], p),
+        ]
+        for i, write in enumerate(writes):
+            for _ in range(2):      # create, then overwrite
+                write(tmp_path / f"artifact{i}")
+        assert len(flags) == 2 * len(writes)
+        assert not any(flag & os.O_TRUNC for flag in flags)
