@@ -417,7 +417,9 @@ class AgentFleet:
 
     def byte_breach(self, node: int, t: float, observed_mb: float
                     ) -> Optional[TroubleTicket]:
-        """A frame pushed a node's per-window broadcast bytes over the cap."""
+        """A frame pushed a node's per-window broadcast bytes over the cap.
+        A node breaks it at most once per window; under detect-only agents
+        its later frames there go unbudgeted."""
         limit = self.config.thresholds.byte_threshold_mb
         trigger = Trigger(TriggerCause.NBW_EXCEEDED, node, t, observed_mb,
                           limit if limit is not None else observed_mb)

@@ -73,13 +73,13 @@ def _cmd_model(args: argparse.Namespace) -> int:
     points = [(arr.t_at(i), v) for i, v in enumerate(arr.values)]
     if args.out:
         tracefile.write_trace(points, args.out)
-        print(f"wrote {len(points)} samples to {args.out}")
+        print(f"wrote {len(points)} samples to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(tracefile.format_trace(points))
     if args.plot:
         plotting.write_chart([("P(t)", points)], args.plot,
                              title="broadcast growth curve")
-        print(f"wrote plot to {args.plot}")
+        print(f"wrote plot to {args.plot}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -105,7 +105,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             [("observed", [(p.t, p.count) for p in points]),
              ("fitted rise", fitted)],
             args.plot, title="growth fit")
-        print(f"wrote plot to {args.plot}")
+        print(f"wrote plot to {args.plot}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -130,7 +130,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
               f"{ticket.threshold:g})")
     if args.out:
         tracefile.write_tickets(tickets, args.out)
-        print(f"wrote {len(tickets)} tickets to {args.out}")
+        print(f"wrote {len(tickets)} tickets to {args.out}", file=sys.stderr)
     if not tickets:
         print("no storm detected")
         return EXIT_OK
@@ -175,7 +175,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                                  for r in records])],
                 out / "trace.svg",
                 title=f"scenario {scenario.name}")
-        print(f"wrote artifacts to {out}")
+        print(f"wrote artifacts to {out}", file=sys.stderr)
     return EXIT_DETECTED if trace.tickets else EXIT_OK
 
 

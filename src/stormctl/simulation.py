@@ -42,12 +42,14 @@ are dropped together.  When no byte budget applies to a run and the link
 has room for all its frames, every other node's frames are delivered,
 booked in the same pass over its nodes that books its attempts.  Of any
 other run, the link carries the first frames it still has room for, and
-the run splits only at a frame that breaks a byte budget, which is
-handled alone.  Delivered loop frames spawn their replicas,
-one run per delivered run; everything filtered dies without offspring,
-so a storm only persists while the loop keeps reseeding.  A per-tick
-conservation ledger (generated + replicated - suppressed - capped ==
-delivered) is checked inside the loop.
+the run splits only at a frame that breaks a byte budget, once per node
+and window at most: an enforcing fleet blocks the node from that frame
+on, and under detect-only agents its frames from there go unbudgeted.
+Delivered loop frames spawn their replicas, one run per delivered run;
+everything filtered dies without offspring, so a storm only persists
+while the loop keeps reseeding.  A per-tick conservation ledger
+(generated + replicated - suppressed - capped == delivered) is checked
+inside the loop.
 """
 
 from __future__ import annotations
@@ -398,11 +400,11 @@ def run(scenario: Scenario) -> SimTrace:
     # without agents the defaults apply to the IPID window and nothing is enforced
     config = sc.agents if sc.agents is not None else AgentConfig(policy=None)
     thresholds = config.thresholds
-    # byte counts are whole numbers, so a frame keeps within the budget
-    # when the node's bytes with it stay within the budget's floor
-    byte_limit = None
+    # a node's byte budget in frames: byte counts are whole numbers, so its
+    # frames keep within the budget while their bytes keep within its floor
+    quota = None
     if thresholds.byte_threshold_mb is not None:
-        byte_limit = math.floor(thresholds.byte_threshold_mb * 1e6)
+        quota = math.floor(thresholds.byte_threshold_mb * 1e6) // size
     window_ms = config.suppression_window
     enforce = config.policy is not None
 
@@ -427,7 +429,8 @@ def run(scenario: Scenario) -> SimTrace:
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
     ipid_win = _IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
-    byte_acc: dict[int, int] = {}   # per node, from its first budgeted frame
+    # per node, the frames it may still deliver in window byte_wid[node]
+    left: dict[int, float] = {}     # inf once broken there, detect-only
     byte_wid: dict[int, int] = {}
     # a node that sends nothing in a tick shows this same sample in it
     new = _tuple_new
@@ -495,7 +498,7 @@ def run(scenario: Scenario) -> SimTrace:
                 else:
                     lo = mid
             b = lo
-        if byte_limit is not None:
+        if quota is not None:
             for rr, _, bcast, n in streams:
                 if not bcast:
                     continue
@@ -504,8 +507,7 @@ def run(scenario: Scenario) -> SimTrace:
                     v = (rr + i) % nodes
                     if v in ports and fleet.is_suppressed(v, t_a, True):
                         continue
-                    acc = byte_acc[v] if byte_wid.get(v) == wid else 0
-                    fit = max(0, (byte_limit - acc) // size)
+                    fit = left[v] if byte_wid.get(v) == wid else quota
                     if room or not fit:     # a capped frame adds no bytes
                         brk = i + fit * nodes
                         if brk < i1:
@@ -587,7 +589,7 @@ def run(scenario: Scenario) -> SimTrace:
                     pending[owner] -= n
                 else:
                     generated += n
-                budget = byte_limit is not None and bcast
+                budget = quota is not None and bcast
                 if budget:
                     wid = config.window_of(t_s)
                 # Lane j holds frames j, j + period, ... of the run, all from
@@ -601,7 +603,6 @@ def run(scenario: Scenario) -> SimTrace:
                 # port is blocked, else delivered.
                 whole = not budget and n <= cap - delivered
                 lanes = []
-                breaks = False      # whether a lane may break its budget
                 sent = dropped = 0
                 for j in range(width):
                     v = (src + j) % nodes
@@ -622,11 +623,9 @@ def run(scenario: Scenario) -> SimTrace:
                             if bcast:
                                 del_b[v] += c
                         continue
-                    if budget:
-                        if wid != byte_wid.get(v):
-                            byte_wid[v] = wid
-                            byte_acc[v] = 0
-                        breaks = breaks or byte_acc[v] + c * size > byte_limit
+                    if budget and wid != byte_wid.get(v):
+                        byte_wid[v] = wid
+                        left[v] = quota
                     lanes.append([j, v, blocked])
 
                 if not whole:
@@ -634,12 +633,11 @@ def run(scenario: Scenario) -> SimTrace:
                     # end at the first frame breaking a byte budget.  A
                     # blocked lane's frames are suppressed; of the others,
                     # the link carries the first `room` and caps the rest.
-                    # Within a step only byte_breach can block a port, so
-                    # suppression is asked again only then.  The frame at
-                    # `over` broke its budget and goes on to the link
-                    # (detect only).
+                    # A node breaks its budget at most once per window, and
+                    # the segment after it resumes at the breaking frame:
+                    # under enforcement the breach has blocked its lane,
+                    # under detect-only the lane goes unbudgeted.
                     done = 0
-                    over = -1
                     while True:
                         room = cap - delivered - sent
                         cut = n             # the first capped frame, if any
@@ -651,16 +649,14 @@ def run(scenario: Scenario) -> SimTrace:
                                 full, rem = divmod(room, len(opened))
                                 cut = min(n, opened[rem] + full * period)
                         end = n             # the frame breaking a budget, if any
-                        if breaks:
+                        if budget:
                             for lane in lanes:
                                 q, v, blocked = lane
                                 if blocked:
                                     continue
                                 # its next `fit` frames keep within the budget
-                                fit = max(0, (byte_limit - byte_acc[v]) // size)
+                                fit = left[v]
                                 b = q + fit * period
-                                if b == over:
-                                    b += period
                                 # a capped frame adds no bytes, so the budget
                                 # holds if the last frame within it is capped
                                 if b < end and (not fit or b - period < cut):
@@ -680,18 +676,16 @@ def run(scenario: Scenario) -> SimTrace:
                             if bcast:
                                 del_b[v] += k
                                 if budget:
-                                    byte_acc[v] += k * size
+                                    left[v] -= k
                         if end == n:
                             break
                         v = breaker[1]
-                        fleet.byte_breach(v, t_s, (byte_acc[v] + size) / 1e6)
+                        fleet.byte_breach(v, t_s, (quota + 1) * size / 1e6)
                         if enforce:     # the breach gave v a port
-                            sup[v] += 1
-                            dropped += 1
-                            breaker[2] = fleet.is_suppressed(v, t_s, bcast)
-                            done = end + 1
+                            breaker[2] = True
                         else:
-                            done = over = end
+                            left[v] = math.inf
+                        done = end
                         for lane in lanes:
                             lane[0] = done + (lane[0] - done) % period
                 suppressed += dropped

@@ -375,6 +375,9 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                                 thresholds.ipid_min_repeats)
     byte_acc: dict[int, float] = {n: 0.0 for n in range(sc.node_count)}
     byte_wid: dict[int, int] = {n: -1 for n in range(sc.node_count)}
+    # the (node, window) byte budgets already broken: each breaks once, and
+    # under detect-only agents the node's later frames there go unbudgeted
+    broken: set[tuple[int, int]] = set()
 
     def put(step: int, frame: _Frame) -> None:
         if 0 <= step < total_steps:
@@ -461,7 +464,8 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                         byte_wid[frame.src] = wid
                         byte_acc[frame.src] = 0.0
                     would = byte_acc[frame.src] + frame.size
-                    if would > byte_limit:
+                    if would > byte_limit and (frame.src, wid) not in broken:
+                        broken.add((frame.src, wid))
                         ticket = fleet.byte_breach(frame.src, t_s, would / 1e6)
                         if ticket is not None:
                             tickets.append(ticket)

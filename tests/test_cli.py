@@ -626,6 +626,35 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_OK
 
+    # `model --out /dev/stdout > curve.csv`: the file gets the CSV alone,
+    # as the status line goes to stderr and cannot overwrite its header
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(),
+                        reason="no /dev/stdout")
+    def test_model_out_to_redirected_stdout(self, tmp_path, capsys):
+        main(TestModelCommand.ARGS)
+        expected = capsys.readouterr().out
+        target = tmp_path / "curve.csv"
+        with target.open("w") as out:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stormctl.cli", *TestModelCommand.ARGS,
+                 "--out", "/dev/stdout"],
+                stdout=out, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert proc.returncode == EXIT_OK
+        assert target.read_text() == expected
+        assert proc.stderr == "wrote 31 samples to /dev/stdout\n"
+
+    def test_sim_out_stdout_is_pure_json(self, tmp_path):
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stormctl.cli", "sim",
+             "--scenario", "normal", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["scenario"] == "normal"
+        assert proc.stderr == f"wrote artifacts to {out}\n"
+
     def test_no_args_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stormctl.cli"],

@@ -149,7 +149,16 @@ EDGE_GOLDEN = {
         'summary.json': 'bd3002850ad633608263f12e94aaeb3b887ec80eebfdbba4bdcd402d5f4e5c76',
         'tickets.jsonl': 'bf5246457e2b332efeee08afd267408f0ac171fcd74d059dcc578a4341bd9bf7',
         'trace.csv': '2150eab8d6e74e225213ab0079dbfef1c4cab946994a455fdeeca15b06caf3c4',
-        'triggers': 'dd14896f56915c91ad94014a2d157805bd7310884e570624173f70b001d092a2',
+        'triggers': '3fec40d94fea3a14c837b21a989e370e607f2f46f6d5e5375c63d9e1f1a71cdc',
+    },
+    'table5-detect-only': {
+        'closed': 'b36a1395427bc2769da1e236a2663e0c7c8683038997c39c86d7a2e161e7ac86',
+        'records': '9da447142a4e25f76027336d9c6e7089f2f746c2f1c0564078b1932e9e33acc1',
+        'scenario.json': 'a935f03de94657673e90f3dbcad4eaec56320debb66d9441bd3b6cfa0f979ec8',
+        'summary.json': '615e7bde960480951e600f289a16b3fef41057d4ca6e39dfdb3b6fde9d3e7f3a',
+        'tickets.jsonl': 'aab4d0a6509d0f3fb4b702c3eba765e0e1dee0cd47f6776e53c2c501477dbb3a',
+        'trace.csv': 'd7864b93f1efa0d7874e2e5682af3eef862ad34b7a90e3567df95b6ff9741db7',
+        'triggers': '5fecf7ab45b4c9fc263effd381d4ef6fcf4d456c8c3d15ff99d905a32077b2f8',
     },
     'bandwidth-policy': {
         'closed': '7780903082b71aa551d1f2e378ab0c73e7123706f965c581e4fe88625d09cff2',
@@ -257,7 +266,7 @@ EDGE_GOLDEN = {
         'summary.json': 'c613e1e56f41a9c680b7401ecb60a02046bdac521dd70bb5358f6601c8eb47f6',
         'tickets.jsonl': '94c6f07ffeb4240cdf73b10040a544c24e8988d6c3c69d0c0a31020a92e4dc0b',
         'trace.csv': '4091c0857fb56efeba98911d89c4b00c4b70bce73da648dd1aa3058c77ae0e6c',
-        'triggers': 'f70203e4b8310248a4e2654137420f92eeca1d37c4440198da7e848cb69f6a58',
+        'triggers': '9c96f94ade87c19ac08acf940992bc5c1ed86d7d6639db302ca4b54e29014091',
     },
     'dense-capacity-cut': {
         'closed': 'e934f23dd3541521d16aa4dbc819285faa09ca530378cc6c3ee57521369012a9',
@@ -324,9 +333,11 @@ def _ipid_scenario(repeats: int) -> Scenario:
 
 def edge_scenarios() -> dict[str, Scenario]:
     """Small scenarios for paths no preset takes; built fresh per call."""
+    table5 = preset("table5-control")
     scenarios = [
-        # detect-only byte budget: every frame past it is a trigger, yet
-        # is still delivered or capped
+        # detect-only byte budget: a node breaks it once per window, and
+        # its frames from the breaking one on are delivered or capped as
+        # if it had none
         Scenario(
             name="detect-only-budget", node_count=3, link_rate=100e6,
             tick=1.0, duration=15.0, seed=5,
@@ -335,6 +346,10 @@ def edge_scenarios() -> dict[str, Scenario]:
                                 pass_interval=0.1),),
             agents=AgentConfig(policy=None, suppression_window=5.0,
                                thresholds=ThresholdDb(byte_threshold_mb=0.02))),
+        # the Table 5 control run under detect-only agents: the one
+        # breach per window leaves the loop's frames to the link
+        replace(table5, name="table5-detect-only",
+                agents=replace(table5.agents, policy=None)),
         # broadcast-only blocking of a node that also sends unicast
         Scenario(
             name="bandwidth-policy", node_count=4, tick=1.0, duration=20.0,

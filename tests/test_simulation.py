@@ -532,6 +532,18 @@ class TestPresets:
         windows = sorted(int(t.t // 1000.0) for t in table5_trace.tickets)
         assert windows == [0, 1, 2, 3]
 
+    def test_detect_only_budget_breaks_once_per_node_per_window(self):
+        sc = preset("table5-control")
+        sc = dataclasses.replace(sc, agents=dataclasses.replace(
+            sc.agents, policy=None))
+        trace = run(sc)
+        breaches = [(tr.node, sc.agents.window_of(tr.t))
+                    for tr in trace.triggers
+                    if tr.cause is TriggerCause.NBW_EXCEEDED]
+        assert breaches == [(0, 0), (0, 1), (0, 2), (0, 3)]
+        assert len(trace.triggers) == 9
+        assert len(trace.tickets) == 4
+
     def test_unprotected_chain_breaks_the_byte_budget(
             self, table5_trace_unprotected):
         worst = max(r.stats.broadcast_bytes
@@ -707,6 +719,16 @@ class TestReferenceRun:
         name="run-one-over-the-room", node_count=2, link_rate=58.688e6,
         duration=3.0,
         injectors=(Injector(kind="loop", start_t=0.5, pass_interval=0.1),)))
+    # A budget of 15 frames per 5 ms window on the link of 15: the 16
+    # frames at 0.9 ms meet a full link, and the first of them breaks the
+    # budget and is capped.  That is the node's one breach in the window,
+    # so the frames of the passes after it go unbudgeted.
+    @example(Scenario(
+        name="capped-breaking-frame", node_count=2, link_rate=62.88e6,
+        duration=3.0,
+        injectors=(Injector(kind="loop", start_t=0.5, pass_interval=0.1),),
+        agents=AgentConfig(policy=None, suppression_window=5.0,
+                           thresholds=ThresholdDb(byte_threshold_mb=0.0077))))
     # background runs that wrap past node 149 onto node 1's blocked port,
     # and none of whose other nodes holds a port
     @example(Scenario(
