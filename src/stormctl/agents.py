@@ -348,7 +348,7 @@ class AgentFleet:
         self,
         t: float,
         stats: ChannelStats,
-        node_samples: Sequence[TrafficSample],
+        node_samples: Iterable[TrafficSample],
         ipid_entries: Sequence[tuple[float, int, int, int]] = (),
     ) -> list[TroubleTicket]:
         """Run one sampling tick; returns any tickets opened at this tick.

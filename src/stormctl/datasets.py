@@ -1,4 +1,4 @@
-"""Bundled reference traces, loadable by name.
+"""Bundled reference traces; the packet traces are loadable by name.
 
 Packet traces are (t_ms, packets-per-interval) pairs sampled on a 0.1 ms
 grid (with a few gaps, kept as-is):
@@ -11,6 +11,8 @@ grid (with a few gaps, kept as-is):
             Source rows past t=7.5 carry no counts and are omitted.
   table5 -- byte-denominated control run: (t_s, broadcast MB per
             interval, threshold MB) under one-second suppression windows.
+            Kept as `TABLE5`; it holds no packet counts, so no command
+            loads it.
 """
 
 from __future__ import annotations
@@ -64,11 +66,10 @@ PACKET_TRACES = {
     "table4": TABLE4,
 }
 
-BYTE_TRACES = {"table5": TABLE5}
-
 
 def dataset_names() -> list[str]:
-    return sorted(PACKET_TRACES) + sorted(BYTE_TRACES)
+    """The traces `load_trace` reads: the packet traces."""
+    return sorted(PACKET_TRACES)
 
 
 def load_trace(name: str) -> list[TracePoint]:

@@ -20,8 +20,9 @@ there in an earlier tick and precede the rest.
 
 Every sampling tick the delivered traffic is rolled up into channel
 counters, classified, and offered to the agent fleet.  Per-node counters
-are five integer columns indexed by node; only the nodes that sent in a
-tick get a sample built from them (their entries then reset to 0), and
+are five integer columns indexed by node.  At the tick's end the entries
+of the nodes that sent are gathered, in node order, into `Senders` and
+reset to 0; a node's sample is built only when a reader asks for it, and
 every other node shows one shared idle sample.  All randomness flows
 from one seeded generator, so a scenario replays bit-identically.
 
@@ -58,10 +59,10 @@ import logging
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, TroubleTicket
 from .datasets import interpolate, table4_hump
@@ -201,11 +202,12 @@ class Injector:
         return self.start_t <= t and (self.end_t is None or t < self.end_t)
 
     def loops_at(self, step: int) -> bool:
-        """Whether a loop is active at a step.  Its start_t lies on a step
-        but may miss that step's time in the last place (0.1 + 0.2), so
-        the start is compared in steps."""
+        """Whether a loop is active at a step.  Its start_t and end_t lie
+        on steps but may miss those steps' times in the last place
+        (0.1 + 0.2), so both are compared in steps."""
         return (round(self.start_t * STEPS_PER_MS) <= step
-                and (self.end_t is None or step / STEPS_PER_MS < self.end_t))
+                and (self.end_t is None
+                     or step < round(self.end_t * STEPS_PER_MS)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -246,8 +248,11 @@ class Scenario:
                 continue
             # a loop's passes land on steps, which `run` would round to
             for name, least, what in (("start_t", 0, "a whole"),
+                                      ("end_t", 1, "a positive whole"),
                                       ("pass_interval", 1, "a positive whole")):
-                if not _whole(getattr(inj, name) * STEPS_PER_MS, least):
+                value = getattr(inj, name)
+                if value is not None and not _whole(value * STEPS_PER_MS,
+                                                    least):
                     raise ScenarioError(
                         f"scenario.injectors[{i}].{name} must be {what} "
                         f"number of {INTERNAL_STEP_MS} ms steps")
@@ -288,13 +293,53 @@ class TickLedger(NamedTuple):
     delivered: int
 
 
+@dataclass(slots=True)
+class Senders:
+    """The nodes that sent in one tick, in node order, with their counts
+    as columns named as `TrafficSample`'s fields.
+
+    A sequence of `TrafficSample`s, one per sender, each built when
+    read, its bytes the frames times `size`.  `idle` is the run's
+    shared sample of every node, which a node that sent nothing shows.
+    """
+
+    nodes: tuple[int, ...]
+    bcast_pkts: tuple[int, ...]
+    total_pkts: tuple[int, ...]
+    attempted_bcast: tuple[int, ...]
+    attempted_total: tuple[int, ...]
+    suppressed: tuple[int, ...]
+    size: int
+    idle: tuple[TrafficSample, ...] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self) -> Iterator[TrafficSample]:
+        new, size = _tuple_new, self.size
+        for n, b, t, a_b, a_t, sup in zip(
+                self.nodes, self.bcast_pkts, self.total_pkts,
+                self.attempted_bcast, self.attempted_total, self.suppressed):
+            yield new(TrafficSample, (n, b, t, b * size, t * size, a_b, a_t,
+                                      sup))
+
+
 class TickRecord(NamedTuple):
     t: float
     stats: ChannelStats
     classification: StormClassification
-    samples: tuple[TrafficSample, ...]
+    senders: Senders
     ledger: TickLedger
     delivered_by_kind: tuple[tuple[str, int], ...]
+
+    @property
+    def samples(self) -> tuple[TrafficSample, ...]:
+        """Every node's sample, in node order: a sender's built from
+        `senders`, any other node's its shared idle sample."""
+        slots = list(self.senders.idle)
+        for s in self.senders:
+            slots[s.node] = s
+        return tuple(slots)
 
 
 @dataclass
@@ -433,8 +478,7 @@ def run(scenario: Scenario) -> SimTrace:
     left: dict[int, float] = {}     # inf once broken there, detect-only
     byte_wid: dict[int, int] = {}
     # a node that sends nothing in a tick shows this same sample in it
-    new = _tuple_new
-    idle = tuple(new(TrafficSample, (n, 0, 0, 0, 0, 0, 0, 0))
+    idle = tuple(_tuple_new(TrafficSample, (n, 0, 0, 0, 0, 0, 0, 0))
                  for n in range(sc.node_count))
     # per node, this tick's broadcast and total attempted, broadcast and
     # total delivered, and suppressed frames; nonzero only in `active`
@@ -541,7 +585,9 @@ def run(scenario: Scenario) -> SimTrace:
             uni_rr = (uni_rr + n_u) % nodes
         bg_step = base if streams else stop     # first background step left
         for i, inj in enumerate(sc.injectors):
-            if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
+            # at the tick's step time: t0 may miss it in the last place
+            if (inj.kind not in ("faulty_nic", "smurf")
+                    or not inj.active(base / STEPS_PER_MS)):
                 continue
             rate_acc[i] += inj.rate
             n = int(rate_acc[i])
@@ -721,17 +767,17 @@ def run(scenario: Scenario) -> SimTrace:
                 f"conservation broken at t={t0}: {generated}+{replicated}"
                 f"-{suppressed}-{capped} != {delivered}")
 
-        d_b = 0
-        slots = list(idle)
-        active_samples = []
-        for n in active:
-            b, t = del_b[n], del_t[n]
-            d_b += b
-            slots[n] = s = new(TrafficSample, (n, b, t, b * size, t * size,
-                                               att_b[n], att_t[n], sup[n]))
-            active_samples.append(s)
+        # the senders' counts, gathered in node order; no sample is built
+        active.sort()
+        sent = tuple(active)
+        senders = Senders(sent, tuple(map(del_b.__getitem__, sent)),
+                          tuple(map(del_t.__getitem__, sent)),
+                          tuple(map(att_b.__getitem__, sent)),
+                          tuple(map(att_t.__getitem__, sent)),
+                          tuple(map(sup.__getitem__, sent)), size, idle)
+        for n in sent:
             att_b[n] = att_t[n] = del_b[n] = del_t[n] = sup[n] = 0
-        samples = tuple(slots)
+        d_b = sum(senders.bcast_pkts)
         load = min(1.0, delivered / cap) if cap else 0.0
         stats = ChannelStats(
             tick=t0,
@@ -747,11 +793,11 @@ def run(scenario: Scenario) -> SimTrace:
                                   ipid_loop=bool(hits),
                                   capacity_pkts=cap)
         if fleet is not None:
-            fleet.observe(t0, stats, active_samples, ipid_win.run_entries(hits))
+            fleet.observe(t0, stats, senders, ipid_win.run_entries(hits))
         # after `observe`, which must scan every sighting the verdict counted
         ipid_win.evict((t_idx + 1) * sc.tick)
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
-        records.append(TickRecord(t0, stats, classification, samples, ledger,
+        records.append(TickRecord(t0, stats, classification, senders, ledger,
                                   tuple(sorted(kinds.items()))))
         history = (stats,)
 

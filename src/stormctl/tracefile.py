@@ -117,12 +117,14 @@ def format_channel_csv(trace: SimTrace) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CHANNEL_HEADER)
     # A node row is the tick's time, the node's prefix and the text of its
-    # four counts.  A tick's samples hold one per node, in node order, so
-    # each tick copies the idle rows and rewrites those of the nodes that
-    # delivered; each distinct counts text is formatted once per trace.
+    # four counts.  Each tick copies the idle rows and rewrites those of
+    # the senders that delivered, from their columns; bytes are frames
+    # times the frame size, so each distinct (broadcast, total) pair's
+    # text is formatted once per trace.
     prefix = [f",{n}," for n in range(trace.scenario.node_count)]
     idle = [p + "0,0,0,0,,,,\n" for p in prefix]
-    counts_text: dict[tuple, str] = {}
+    size = trace.scenario.frame_size
+    counts_text: dict[tuple[int, int], str] = {}
     for rec in trace.records:
         stats = rec.stats
         writer.writerow((
@@ -132,12 +134,16 @@ def format_channel_csv(trace: SimTrace) -> str:
             rec.classification.verdict.value, rec.classification.stage.value,
         ))
         rows = idle.copy()
-        for s in filter(itemgetter(2), rec.samples):     # total_pkts
-            counts = s[1:5]     # bcast_pkts .. total_bytes
-            text = counts_text.get(counts)
+        senders = rec.senders
+        for n, b, total in zip(senders.nodes, senders.bcast_pkts,
+                                senders.total_pkts):
+            if not total:   # a sender that delivered nothing keeps its idle row
+                continue
+            text = counts_text.get((b, total))
             if text is None:
-                text = counts_text[counts] = "%s,%s,%s,%s,,,,\n" % counts
-            rows[s.node] = prefix[s.node] + text
+                text = counts_text[b, total] = "%s,%s,%s,%s,,,,\n" % (
+                    b, total, b * size, total * size)
+            rows[n] = prefix[n] + text
         t = repr(rec.t)     # every tick has a row per node, at least two
         out.write(t + t.join(rows))
     return out.getvalue()

@@ -363,11 +363,11 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
         boundaries[i] = steps
 
     def looping(i: int, step: int) -> bool:
-        # a loop's start_t lies on a step, though its float may miss the
-        # step's time in the last place
+        # a loop's start_t and end_t lie on steps, though their floats may
+        # miss the steps' times in the last place
         inj = sc.injectors[i]
         return (step >= round(inj.start_t * sim.STEPS_PER_MS) and (
-            inj.end_t is None or step / sim.STEPS_PER_MS < inj.end_t))
+            inj.end_t is None or step < round(inj.end_t * sim.STEPS_PER_MS)))
 
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
@@ -388,6 +388,8 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
 
     bcast_rr = 0
     uni_rr = 0
+    idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0)
+                 for n in range(sc.node_count))
     records: list[sim.TickRecord] = []
     tickets = []
     history: tuple[ChannelStats, ...] = ()
@@ -412,7 +414,8 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                                  sc.frame_size, "data", None))
                 uni_rr += 1
         for i, inj in enumerate(sc.injectors):
-            if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
+            if (inj.kind not in ("faulty_nic", "smurf")
+                    or not inj.active(base / sim.STEPS_PER_MS)):
                 continue
             rate_acc[i] += inj.rate
             n = int(rate_acc[i])
@@ -527,22 +530,17 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
         classification = classify(stats, history,
                                   ipid_loop=bool(hits),
                                   capacity_pkts=cap)
-        samples = tuple(
-            TrafficSample(
-                node=n, bcast_pkts=d["d_b"], total_pkts=d["d_t"],
-                bcast_bytes=d["d_b"] * sc.frame_size,
-                total_bytes=d["d_t"] * sc.frame_size,
-                attempted_bcast=d["a_b"], attempted_total=d["a_t"],
-                suppressed=d["sup"],
-            )
-            for n, d in enumerate(per_node)
-        )
+        sent = tuple(n for n, d in enumerate(per_node) if d["a_t"])
+        senders = sim.Senders(sent, *[tuple(per_node[n][key] for n in sent)
+                                      for key in ("d_b", "d_t", "a_b", "a_t",
+                                                  "sup")],
+                              sc.frame_size, idle)
         if fleet is not None:
-            tickets.extend(fleet.observe(t0, stats, samples, hit_entries))
+            tickets.extend(fleet.observe(t0, stats, senders, hit_entries))
         ipid_win.evict((t_idx + 1) * sc.tick)
         ledger = sim.TickLedger(generated, replicated, suppressed, capped,
                                 delivered)
-        records.append(sim.TickRecord(t0, stats, classification, samples,
+        records.append(sim.TickRecord(t0, stats, classification, senders,
                                       ledger, tuple(sorted(kinds.items()))))
         history = (stats,)
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import stormctl
 from stormctl.agents import AgentConfig, ThresholdDb
 from stormctl.cli import EXIT_DETECTED, EXIT_OK, EXIT_USAGE, main
-from stormctl.datasets import load_trace
+from stormctl.datasets import dataset_names, load_trace
 from stormctl import simulation, tracefile
 
 # The directory the package was imported from, for subprocesses that run
@@ -154,6 +154,14 @@ class TestDetectCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "no storm detected" in out
+
+    # every bundled trace the parser offers must load
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_every_offered_dataset_loads(self, capsys, name):
+        code = main(["detect", "--dataset", name,
+                     "--reference-dataset", name])
+        capsys.readouterr()
+        assert code == EXIT_OK
 
     def test_storm_against_reference_exits_nonzero(self, tmp_path, capsys):
         tickets = tmp_path / "tickets.jsonl"

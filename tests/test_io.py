@@ -23,13 +23,13 @@ from stormctl.agents import (
 )
 from stormctl.datasets import load_trace
 from stormctl.growth import FitResult, TracePoint, fit_model, make_params
-from stormctl.metrics import TrafficSample
 from stormctl.plotting import render_chart, write_chart
 from stormctl.simulation import (
     Injector,
     NormalBroadcastProfile,
     Scenario,
     ScenarioError,
+    Senders,
     preset,
     run,
 )
@@ -127,28 +127,35 @@ class TestChannelCsv:
 
     def test_crafted_node_rows_match_reference(self):
         """Node rows the run seldom makes, against the csv.writer oracle:
-        one counts tuple on many nodes and ticks, tuples one column apart,
+        one counts pair on many nodes and ticks, pairs one column apart,
         a node that delivered only unicast, and one that only had its
         frames suppressed (its row is idle)."""
         trace = run(replace(preset("normal"), node_count=50, duration=12.0))
-        repeated = (3, 7, 1536, 3584)
-        one_apart = [(4, 7, 1536, 3584), (3, 8, 1536, 3584),
-                     (3, 7, 1537, 3584), (3, 7, 1536, 3585)]
+        repeated = (3, 7)
+        one_apart = [(4, 7), (3, 8), (2, 7), (3, 6)]
         records = []
         for i, rec in enumerate(trace.records):
-            samples = list(rec.samples)
+            # per sender: delivered broadcast and total, attempted
+            # broadcast and total, suppressed
+            counts = {s.node: (s.bcast_pkts, s.total_pkts, s.attempted_bcast,
+                               s.attempted_total, s.suppressed)
+                      for s in rec.senders}
             for n in range(i % 2, 30, 2):
-                samples[n] = TrafficSample(n, *repeated, 3, 7, 0)
-            for n, counts in enumerate(one_apart, start=30 + i % 2):
-                samples[n] = TrafficSample(n, *counts, counts[0], counts[1], 0)
-            samples[40] = TrafficSample(40, 0, 5, 0, 2560, 0, 5, 0)
-            samples[41] = TrafficSample(41, 0, 0, 0, 0, 4, 9, 9)
-            records.append(rec._replace(samples=tuple(samples)))
+                counts[n] = (*repeated, *repeated, 0)
+            for n, pair in enumerate(one_apart, start=30 + i % 2):
+                counts[n] = (*pair, *pair, 0)
+            counts[40] = (0, 5, 0, 5, 0)
+            counts[41] = (0, 0, 4, 9, 9)
+            nodes = tuple(sorted(counts))
+            senders = Senders(nodes, *zip(*map(counts.get, nodes)),
+                              rec.senders.size, rec.senders.idle)
+            records.append(rec._replace(senders=senders))
         crafted = replace(trace, records=records)
         text = tracefile.format_channel_csv(crafted)
         assert text == reference_channel_csv(crafted)
         assert f"{records[1].t!r},41,0,0,0,0,,,,\n" in text
         assert f"{records[1].t!r},40,0,5,0,2560,,,,\n" in text
+        assert f"{records[1].t!r},1,3,7,1536,3584,,,,\n" in text
 
     def test_broadcast_trace_extraction(self, normal_trace):
         points = tracefile.channel_broadcast_trace(normal_trace)

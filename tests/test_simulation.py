@@ -134,6 +134,37 @@ class TestSilentFrameLoss:
         # passes at 0.30, 0.40, ..., 0.90 ms deliver 1 + 2 + ... + 64
         assert got.records[0].ledger.delivered == 127
 
+    def test_loop_end_between_steps(self):
+        # a loop's last pass is decided in steps, so its end lies on one
+        with pytest.raises(ScenarioError, match=(
+                r"scenario\.injectors\[0\]\.end_t must be a positive whole "
+                r"number of 0\.01 ms steps")):
+            Scenario(node_count=5, duration=10.0, injectors=(
+                Injector(kind="loop", start_t=1.0, end_t=2.005),))
+
+    def test_loop_end_a_float_ulp_past_its_step(self):
+        # 0.1 + 0.2 is 0.30000000000000004: the pass at 0.30 ms is past the
+        # end, as with an end_t of 0.3, and spawns no replicas
+        def loop_until(end_t):
+            return Scenario(node_count=2, duration=1.0, injectors=(
+                Injector(kind="loop", end_t=end_t, pass_interval=0.1),))
+
+        got = run(loop_until(0.1 + 0.2))
+        assert got.records == run(loop_until(0.3)).records
+        assert got.records == reference_run(loop_until(0.1 + 0.2)).records
+        # passes at 0.00, 0.10 and 0.20 ms spawn 2 + 4 + 8 replicas
+        assert got.records[0].ledger.replicated == 14
+
+    def test_rate_injector_starts_on_the_tick_of_its_start(self):
+        # 3 * 0.7 is 2.0999999999999996, below a start_t of 2.1, though the
+        # tick starts on the step at 2.10 ms
+        sc = Scenario(node_count=2, tick=0.7, duration=4.9, injectors=(
+            Injector(kind="faulty_nic", start_t=2.1, rate=5.0),))
+        expected = [0, 0, 0, 5, 5, 5, 5]
+        assert [r.ledger.generated for r in run(sc).records] == expected
+        assert [r.ledger.generated
+                for r in reference_run(sc).records] == expected
+
     def test_loop_hop_between_steps(self):
         # 0.015 ms would hop 2 steps, 0.02 ms
         with pytest.raises(ScenarioError, match=(
@@ -295,7 +326,8 @@ class TestOperationCounts:
         assert asked and all(asked)
 
     # samples are built through simulation._tuple_new, which skips
-    # TrafficSample's own __new__; each one built either way is counted
+    # TrafficSample's own __new__; each one built either way is counted.
+    # A run builds only its idle samples: a sender's is built when read.
     def test_node_samples_follow_the_active_nodes(self, monkeypatch):
         made = []
         original = simulation._tuple_new
@@ -314,17 +346,22 @@ class TestOperationCounts:
         monkeypatch.setattr(TrafficSample, "__new__", staticmethod(sample_new))
         sc = dataclasses.replace(preset("loop-storm"), node_count=1000)
         trace = run(sc)
-        ticks = len(trace.records)
-        active = sum(1 for rec in trace.records for s in rec.samples
-                     if s.attempted_total)
+        # counted before any record is read; `observe` read no sender
+        # either, as the run's one trigger, an IPID loop's, names its node
+        assert [tr.cause for tr in trace.triggers] == [TriggerCause.IPID_LOOP]
         assert trace.tickets
-        assert len(made) <= sc.node_count + active
-        assert len(made) < sc.node_count * ticks / 4
-        # a node that sends nothing in a tick shows its one idle sample
+        assert len(made) == sc.node_count
+        sent = sum(len(rec.senders) for rec in trace.records)
+        assert 0 < sent < sc.node_count * len(trace.records) / 4
+        # every record shows one sample per node, in node order: each
+        # sender's, and for a node that sent nothing its one idle sample
         idle = {}
         for rec in trace.records:
-            assert len(rec.samples) == sc.node_count
-            for s in rec.samples:
+            samples = rec.samples
+            assert [s.node for s in samples] == list(range(sc.node_count))
+            assert [s for s in samples if s.attempted_total] \
+                == list(rec.senders)
+            for s in samples:
                 if not s.attempted_total:
                     assert s is idle.setdefault(s.node, s)
         assert len(idle) == sc.node_count
