@@ -27,7 +27,7 @@ import os
 from dataclasses import MISSING, fields, is_dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .agents import TriggerCause, TroubleTicket
 from .growth import FitResult, PtrModelParams, TracePoint
@@ -43,31 +43,61 @@ CHANNEL_HEADER = (
 SCENARIO_SCHEMA = 2
 
 
-def write_text(path: PathLike, text: str) -> None:
-    """Write text to path as UTF-8: the one way stormctl writes a file.
+def write_text(path: PathLike, text: Union[str, Iterable[str]]) -> None:
+    """Write text, a str or an iterable of str chunks, to path as UTF-8:
+    the one way stormctl writes a file.
 
     The file is overwritten in place and cut to the new length only when
     it held more: opening it with O_TRUNC would free its blocks and, on
-    ext4, start writeback at close.  The text is encoded before the file
-    is opened, so an encoding error leaves the file as it was; a failed
-    write still cuts it, so no old byte survives.  A device or FIFO has
-    no size and is never cut.  A new file gets mode 0o666 less the umask;
-    an existing one keeps its mode and links, and a symlink is written
-    through.
+    ext4, start writeback at close.  A str is encoded before the file is
+    opened, so an encoding error leaves the file as it was.  Chunks are
+    encoded and written as they arrive, so the whole text is never held;
+    a chunk that fails to encode, or an iterator that raises, cuts the
+    file to the bytes written, as a failed write does, so no old byte
+    survives.  A device or FIFO has no size and is never cut.  A new file
+    gets mode 0o666 less the umask; an existing one keeps its mode and
+    links, and a symlink is written through.
     """
-    data = memoryview(text.encode("utf-8"))
+    # a str is itself an iterable of str
+    blocks = (text.encode("utf-8"),) if isinstance(text, str) else _blocks(text)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                  0o666)
     written = 0
     try:
-        while written < len(data):
-            written += os.write(fd, data[written:])
+        for block in blocks:
+            data = memoryview(block)
+            while data:
+                n = os.write(fd, data)
+                written += n
+                data = data[n:]
     finally:
         try:
             if os.fstat(fd).st_size > written:
                 os.ftruncate(fd, written)
         finally:
             os.close(fd)
+
+
+def _blocks(chunks: Iterable[str]) -> Iterator[bytes]:
+    """The chunks as UTF-8, small ones gathered into blocks of at least
+    io.DEFAULT_BUFFER_SIZE bytes; a chunk that large passes uncopied."""
+    pending: list[bytes] = []
+    size = 0
+    for chunk in chunks:
+        data = chunk.encode("utf-8")
+        if len(data) >= io.DEFAULT_BUFFER_SIZE:
+            if pending:
+                yield b"".join(pending)
+                pending, size = [], 0
+            yield data
+            continue
+        pending.append(data)
+        size += len(data)
+        if size >= io.DEFAULT_BUFFER_SIZE:
+            yield b"".join(pending)
+            pending, size = [], 0
+    if pending:
+        yield b"".join(pending)
 
 
 def _csv_rows(fh, path: PathLike,
@@ -112,10 +142,12 @@ def read_trace(path: PathLike) -> list[TracePoint]:
 # -- channel traces ------------------------------------------------------
 
 
-def format_channel_csv(trace: SimTrace) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def channel_csv_chunks(trace: SimTrace) -> Iterator[str]:
+    """The channel CSV of trace, one chunk per tick after the header's."""
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\n")
     writer.writerow(CHANNEL_HEADER)
+    yield line.getvalue()
     # A node row is the tick's time, the node's prefix and the text of its
     # four counts.  Each tick copies the idle rows and rewrites those of
     # the senders that delivered, from their columns; bytes are frames
@@ -127,6 +159,8 @@ def format_channel_csv(trace: SimTrace) -> str:
     counts_text: dict[tuple[int, int], str] = {}
     for rec in trace.records:
         stats = rec.stats
+        line.seek(0)
+        line.truncate()
         writer.writerow((
             repr(rec.t), CHANNEL_NODE, stats.broadcast_pkts, stats.total_pkts,
             stats.broadcast_bytes, stats.total_bytes, repr(stats.observed_ipg),
@@ -145,12 +179,16 @@ def format_channel_csv(trace: SimTrace) -> str:
                     b, total, b * size, total * size)
             rows[n] = prefix[n] + text
         t = repr(rec.t)     # every tick has a row per node, at least two
-        out.write(t + t.join(rows))
-    return out.getvalue()
+        yield line.getvalue() + t + t.join(rows)
+
+
+def format_channel_csv(trace: SimTrace) -> str:
+    return "".join(channel_csv_chunks(trace))
 
 
 def write_channel_csv(trace: SimTrace, path: PathLike) -> None:
-    write_text(path, format_channel_csv(trace))
+    """Write the channel CSV tick by tick, never holding it whole."""
+    write_text(path, channel_csv_chunks(trace))
 
 
 def read_channel_csv(path: PathLike) -> list[dict]:

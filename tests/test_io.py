@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -156,6 +157,30 @@ class TestChannelCsv:
         assert f"{records[1].t!r},41,0,0,0,0,,,,\n" in text
         assert f"{records[1].t!r},40,0,5,0,2560,,,,\n" in text
         assert f"{records[1].t!r},1,3,7,1536,3584,,,,\n" in text
+
+    def test_written_without_the_whole_text(self, tmp_path, monkeypatch,
+                                            loop_trace):
+        def whole(trace):
+            raise AssertionError("the channel CSV was built whole")
+
+        monkeypatch.setattr(tracefile, "format_channel_csv", whole)
+        path = tmp_path / "trace.csv"
+        tracefile.write_channel_csv(loop_trace, path)
+        assert path.read_bytes() == reference_channel_csv(loop_trace).encode()
+
+    def test_long_trace_is_written_in_little_memory(self, tmp_path):
+        """Only a tick's text, and the trace's fixed row templates, are
+        held at once: the peak stays far below the file's size."""
+        trace = run(replace(preset("loop-storm"), node_count=1000,
+                            duration=300.0))
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            tracefile.write_channel_csv(trace, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
     def test_broadcast_trace_extraction(self, normal_trace):
         points = tracefile.channel_broadcast_trace(normal_trace)
@@ -374,6 +399,69 @@ class TestWriter:
         monkeypatch.undo()
         assert err.value.errno == errno.ENOSPC
         assert path.read_text() == tracefile.format_trace(self.SHORT)[:8]
+
+    def test_shorter_chunked_rewrite_leaves_no_tail(self, tmp_path):
+        path = tmp_path / "t.csv"
+        long_text = tracefile.format_trace(self.LONG)
+        tracefile.write_text(path, iter(long_text.splitlines(keepends=True)))
+        tracefile.write_text(path, ["t_ms,", "count\n", "0.0,1.0\n"])
+        assert path.read_text() == tracefile.format_trace(self.SHORT)
+
+    def test_chunks_that_fill_the_disk_leave_no_old_byte(self, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / "t.csv"
+        tracefile.write_trace(self.LONG, path)
+        write = os.write
+        room = [io.DEFAULT_BUFFER_SIZE + 5]     # full partway through block 2
+        chunks = ["a" * io.DEFAULT_BUFFER_SIZE, "b" * 10, "c" * 30000]
+
+        def full_disk(fd, data):
+            if not room[0]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            done = write(fd, data[:room[0]])
+            room[0] -= done
+            return done
+
+        monkeypatch.setattr(os, "write", full_disk)
+        with pytest.raises(OSError) as err:
+            tracefile.write_text(path, chunks)
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC
+        assert path.read_text() == "".join(chunks)[:io.DEFAULT_BUFFER_SIZE + 5]
+
+    def test_raising_chunks_leave_only_the_bytes_written(self, tmp_path):
+        path = tmp_path / "t.csv"
+        tracefile.write_trace(self.LONG * 10, path)
+        block = "x" * io.DEFAULT_BUFFER_SIZE
+
+        def chunks():
+            yield block
+            yield "held, never written"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            tracefile.write_text(path, chunks())
+        assert path.read_text() == block
+
+    def test_device_accepts_chunks(self):
+        tracefile.write_text(os.devnull, ["a", "b" * 2 * io.DEFAULT_BUFFER_SIZE])
+
+    def test_small_trace_takes_one_write(self, tmp_path, monkeypatch):
+        trace = run(replace(preset("normal"), node_count=3, duration=32.0))
+        assert len(trace.records) == 32
+        calls = []
+        write = os.write
+
+        def counting_write(fd, data):
+            calls.append(len(data))
+            return write(fd, data)
+
+        path = tmp_path / "trace.csv"
+        monkeypatch.setattr(os, "write", counting_write)
+        tracefile.write_channel_csv(trace, path)
+        monkeypatch.undo()
+        assert calls == [path.stat().st_size]
+        assert path.read_text() == reference_channel_csv(trace)
 
     def test_no_writer_truncates_on_open(self, tmp_path, monkeypatch,
                                          loop_trace):
