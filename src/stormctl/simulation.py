@@ -565,9 +565,9 @@ def run(scenario: Scenario) -> SimTrace:
     history: tuple[ChannelStats, ...] = ()
 
     for t_idx in range(n_ticks):
-        t0 = t_idx * sc.tick
         base = t_idx * steps_per_tick
         stop = base + steps_per_tick
+        t0 = base / STEPS_PER_MS    # the tick's step time, not t_idx * tick
         # this tick's background: one stream of broadcast frames, one of
         # unicast, as (node of frame 0, IPID of frame 0, is_broadcast, frames)
         streams = ()
@@ -585,9 +585,7 @@ def run(scenario: Scenario) -> SimTrace:
             uni_rr = (uni_rr + n_u) % nodes
         bg_step = base if streams else stop     # first background step left
         for i, inj in enumerate(sc.injectors):
-            # at the tick's step time: t0 may miss it in the last place
-            if (inj.kind not in ("faulty_nic", "smurf")
-                    or not inj.active(base / STEPS_PER_MS)):
+            if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
                 continue
             rate_acc[i] += inj.rate
             n = int(rate_acc[i])
@@ -795,7 +793,7 @@ def run(scenario: Scenario) -> SimTrace:
         if fleet is not None:
             fleet.observe(t0, stats, senders, ipid_win.run_entries(hits))
         # after `observe`, which must scan every sighting the verdict counted
-        ipid_win.evict((t_idx + 1) * sc.tick)
+        ipid_win.evict(stop / STEPS_PER_MS)
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
         records.append(TickRecord(t0, stats, classification, senders, ledger,
                                   tuple(sorted(kinds.items()))))

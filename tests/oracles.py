@@ -395,8 +395,8 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
     history: tuple[ChannelStats, ...] = ()
 
     for t_idx in range(n_ticks):
-        t0 = t_idx * sc.tick
         base = t_idx * steps_per_tick
+        t0 = base / sim.STEPS_PER_MS
 
         if sc.generator is not None:
             g = sc.generator
@@ -414,8 +414,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                                  sc.frame_size, "data", None))
                 uni_rr += 1
         for i, inj in enumerate(sc.injectors):
-            if (inj.kind not in ("faulty_nic", "smurf")
-                    or not inj.active(base / sim.STEPS_PER_MS)):
+            if inj.kind not in ("faulty_nic", "smurf") or not inj.active(t0):
                 continue
             rate_acc[i] += inj.rate
             n = int(rate_acc[i])
@@ -537,7 +536,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                               sc.frame_size, idle)
         if fleet is not None:
             tickets.extend(fleet.observe(t0, stats, senders, hit_entries))
-        ipid_win.evict((t_idx + 1) * sc.tick)
+        ipid_win.evict((base + steps_per_tick) / sim.STEPS_PER_MS)
         ledger = sim.TickLedger(generated, replicated, suppressed, capped,
                                 delivered)
         records.append(sim.TickRecord(t0, stats, classification, senders,

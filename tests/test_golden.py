@@ -171,12 +171,12 @@ EDGE_GOLDEN = {
     },
     'capacity-cut-10g': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'records': 'b7e9ad6c4e1f4709868691106c82d47ab1568adcb120cda16ec17855fe161677',
+        'records': 'e2ffd20562d471a6d4da62fcee9724d36c88ba3a61a565d429860db83ac8c000',
         'scenario.json': 'a7eac03687f292914aa987f3072187f7e31c3919d9573f5a8d4d2349f939a623',
         'summary.json': '3826ea712ac3e45b45d9dc14d8735efd7f3343b39f0bf57b6beb80a483780d4c',
-        'tickets.jsonl': 'e689c99c158b0fbdf4ee67d24774b27dcf07d8644264a40318cf0b883bd3ad1e',
-        'trace.csv': 'a7e3a053d22ac58e1b9bfa22893a5fd9f4f46ed9d5122acdcc3668f8045bee60',
-        'triggers': '2fee95134412d6ff6ea08773066c20c5cc1c513bf531795302afc5dc0f941096',
+        'tickets.jsonl': '601dfca3a2658f12c0de79c6ef79650f6ad7328be23afc643407d781e0cd8289',
+        'trace.csv': 'd1748ca0875b359b59f5dc041195dbe6461107813d41f5ad93263958ed65afda',
+        'triggers': '08ec6e652b1b705130793d4c9926a4d6cc5611f0fd58fcbca89edb712fb763f6',
     },
     'smurf-and-loop': {
         'closed': 'b4dd1478d4ad891b19e63c816f5029198a6af2b850984bec99d919df599a4dcf',
@@ -233,49 +233,49 @@ EDGE_GOLDEN = {
         'triggers': '91ba1a10c7ca7408efbb798992cf80c48ad2590e270d9f8fbb2e32fc81627f0e',
     },
     'dense-packet-block': {
-        'closed': '3d13f40050ff101e7b282ce89d51d44a7d7744ed0ef47f69cae4d96952b2b98e',
-        'records': 'eb7e2a08ed6b07912ffde7a23879771c0a46cfeaffd072812b7f59062ab28359',
+        'closed': '7b74c1f8412e253fdf34ffe3fc8ad2a482a9754b5750f684e4ab69cdfa0ad6e2',
+        'records': '78932da6fa4b3b0ee4962c7b2cde3ab4a62882f5e02bc396e7111c659420ef96',
         'scenario.json': '8fb832027671701bdc9f3e5f9b2a0bd660da7eaa73c3e546acf3889dd409ad87',
         'summary.json': 'c7bf46a97b60f50aa5bf828c0a883f553b6b40a0514bed0d393521412735ef26',
-        'tickets.jsonl': '95319518259ff7c78efaa5ca562e7f09be342cdd771ad2874b50fd74094f6825',
-        'trace.csv': 'f6be57852f996195c0d523f49b01fa85e50fc1b95a2d10b048fc94ac0dc121da',
-        'triggers': 'a3a1685e8afd1056c07e00f8a24baf5144e45dad6015d6872f1b2c36eda9636b',
+        'tickets.jsonl': 'c202b6524d5942d8b31167678387c5677a819296e77a4ce3eaf48a35cd1da36e',
+        'trace.csv': '52bf5cf3d3d3b5f8cac3a0c78749f8879b1f75d8960f98b20215db9ca4a5412e',
+        'triggers': '9b25f49486bd2bc8012741f03d55ac666469c1d456efa1cf779fbaf0ffc7209f',
     },
     'dense-bandwidth-block': {
-        'closed': '67be9ec26979e2764fb0efdd2e24a29fb4384e5ed3e8e717d90ed87faf9883ac',
-        'records': 'aa051abe55c876c43b46109105194c7b1508880c58b0daee4fe95b418cb4a2f7',
+        'closed': '34f593656a6a2855bde665a0968bbee80361620fd958d44a1990ad0b8bca2647',
+        'records': '270f105a7c8df73fd21b73417cb1459a338fdf079e45a9c26b9892c026a2f493',
         'scenario.json': '3234cf9023884165e99a6225efe2287374f37b7e98215fa6147ca1cab1f2922c',
         'summary.json': '7234e95c747dd6287c5a676d4996decf16c98938ecaa8466a3d5649083942222',
-        'tickets.jsonl': '20cfdb7ae6cecd7010f783b3553706bb6e2718951ac98b6bc68d0a56276db635',
-        'trace.csv': '8362eff369885038893ecf17aa0c9e4ada3a2082e2e42ab0ec069cba050460cd',
-        'triggers': 'c11d4acce7bd52c0e488b16d75ef4521edb4047b1aad617abc99e205055a49d7',
+        'tickets.jsonl': 'a64c96f55731e1931c84e71e2bacb2550985135be6f370589ecfea4030f06b88',
+        'trace.csv': '7da2e0214b036c683448e62a96b025e7dc2de0c2a20ab780e0983e2234743f34',
+        'triggers': '9698e2db8a949f51cd9045fc91e98447c75b4f9361640a918f8fe01ecdb01844',
     },
     'dense-budget-enforce': {
-        'closed': '363aa0cfacec667aa737feca90fa4120adc0a9352485ce6359dc267c4c446734',
-        'records': '1481f0c04b7dad68d71dc342a8d4ec3c396e0d04e1ee93db989af994db66aff1',
+        'closed': 'b6daae449b74289fe66584c897807b55408250aec6fb70623285891b1dfa354b',
+        'records': 'f3c87fe14a83511f14f025bcfb31240b588765ca7ee7a0e6c80e3e6ed84ed162',
         'scenario.json': '08c48cc2b1c4a433aef5e452a12d0e7bc5a775d66f367d1b66197c04cb251a76',
         'summary.json': '87642159d591fa1c3c1f743c70b98bc5b1df9ef959a457227e4589600fd5fe49',
-        'tickets.jsonl': '97a65dca25378f7f3235c75eb3bfad16ed9d648727aaa7c2afe57799a73db4df',
-        'trace.csv': '0b3faf36a713ba129764a14bfdfca00a365b07e23bc6dd6c80a09097981a529f',
-        'triggers': 'd296075b518f3084f62b716c64c7b469371a54c27809f5a5fe31cda257fe9df0',
+        'tickets.jsonl': 'a665a6a4ca2dd7af6f50c9fb7b1758942429ee26291758b2cb44269985f8590b',
+        'trace.csv': '80688b5dba9e87ceabf9a4c814c7b6b2846ece826ed56c92f39f0c3033ddd69f',
+        'triggers': 'fea028ed28f7e44f68f2f19b19dad3e1b9c614808af80ed217cc305a7c23edfd',
     },
     'dense-budget-detect': {
-        'closed': '6592c0f86a6e1b2cd298ea5dbadb4fd41ed8a4fe7f1ac4d00a1ddc4167954126',
-        'records': 'bbbb82673e19e3e6f6591723599a5820f9653e8fd157837a456eab6fa9b7e158',
+        'closed': '4f46d78c6d2443b2a68620f4c0419f996621960f4076c8b4034efb3d37f4362d',
+        'records': 'd39b149517e39079fbf2344d4df92354737a7126c2e5b0232fba5fc376a589e3',
         'scenario.json': '9ca49e295a52e53fca662490c14a1c8502ddcceaf9f7d05d17d220cd11bead7b',
         'summary.json': 'c613e1e56f41a9c680b7401ecb60a02046bdac521dd70bb5358f6601c8eb47f6',
-        'tickets.jsonl': '94c6f07ffeb4240cdf73b10040a544c24e8988d6c3c69d0c0a31020a92e4dc0b',
-        'trace.csv': '4091c0857fb56efeba98911d89c4b00c4b70bce73da648dd1aa3058c77ae0e6c',
-        'triggers': '9c96f94ade87c19ac08acf940992bc5c1ed86d7d6639db302ca4b54e29014091',
+        'tickets.jsonl': '8fbab9b8f81835fad3fa0f77f6328273ef78b2a9392ea2760746375bc82685ba',
+        'trace.csv': '186545ed2b9d583feaed24a0cb42395454e6d5bfd84dd7561d5063c8aff1b318',
+        'triggers': '3765c3f7952e7324abf4c09ffe5e723994312fc9303870db49764d33d0110e07',
     },
     'dense-capacity-cut': {
         'closed': 'e934f23dd3541521d16aa4dbc819285faa09ca530378cc6c3ee57521369012a9',
-        'records': 'b6fd42733a3919d3db64be4d3c717eeb7da12fde28fdc90fdd318262b9f6c0de',
+        'records': 'e7d09ea37efb38e7250b7f08b9de3a403ccfec53c082ba845b13f035efcae512',
         'scenario.json': '975bc509e99e2f54bc24e27b670cf78c2818da683ab25d434827034ba737e7b8',
         'summary.json': 'a59a1ba934b2a2f3444803c64f0d9af87f5597a279fb46530ad4262ac28af82f',
-        'tickets.jsonl': '37ccda4453b8bbd28f612b552e424b82842aa5c2284bef98997d1c12302fd8dc',
-        'trace.csv': '00d9159e9455a8462712a77438978cd0d1352d925b6bb36b485bf7ccbd93ee25',
-        'triggers': '2daf9e39a697263d58a7dcf6f75fb7271fb7fa56bcba3df2137c8e5310e688a0',
+        'tickets.jsonl': 'f1cfb81103587bb560609b17b7c5467b4a5c78cf31514ea6c625f9fb5483d5ba',
+        'trace.csv': '89f563f59e8fd9f519f5c50bba5aa809b9b3c9f5270478c3eaa2564688783ab7',
+        'triggers': 'ddf907c132735a6963cd67ef02950c0615bf07bb96c5b6975c02a14864e4c2b3',
     },
     # This digest encodes the known IPID float-span defect (see
     # edge_scenarios); it is expected to move when that is mended.

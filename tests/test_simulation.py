@@ -165,6 +165,18 @@ class TestSilentFrameLoss:
         assert [r.ledger.generated
                 for r in reference_run(sc).records] == expected
 
+    def test_tick_time_is_its_step_time(self):
+        # the fourth tick starts on the step at 2.10 ms; 3 * 0.7 would
+        # record it as 2.0999999999999996
+        sc = Scenario(node_count=2, tick=0.7, duration=4.9, injectors=(
+            Injector(kind="faulty_nic", start_t=0.0, rate=5.0),))
+        for trace in (run(sc), reference_run(sc)):
+            assert trace.records[3].t == 2.1
+            assert trace.records[3].stats.tick == 2.1
+        assert [r.t for r in run(sc).records] == [
+            0.0, 0.7, 1.4, 2.1, 2.8, 3.5, 4.2]
+        assert "\n2.1,*," in tracefile.format_channel_csv(run(sc))
+
     def test_loop_hop_between_steps(self):
         # 0.015 ms would hop 2 steps, 0.02 ms
         with pytest.raises(ScenarioError, match=(
