@@ -143,43 +143,39 @@ def read_trace(path: PathLike) -> list[TracePoint]:
 
 
 def channel_csv_chunks(trace: SimTrace) -> Iterator[str]:
-    """The channel CSV of trace, one chunk per tick after the header's."""
-    line = io.StringIO()
-    writer = csv.writer(line, lineterminator="\n")
-    writer.writerow(CHANNEL_HEADER)
-    yield line.getvalue()
+    """The channel CSV of trace, one chunk per tick after the header's.
+
+    No cell holds a comma, quote or newline, so each line is formatted
+    directly, as `csv.writer` would write it.
+    """
+    yield ",".join(CHANNEL_HEADER) + "\n"
     # A node row is the tick's time, the node's prefix and the text of its
     # four counts.  Each tick copies the idle rows and rewrites those of
-    # the senders that delivered, from their columns; bytes are frames
-    # times the frame size, so each distinct (broadcast, total) pair's
-    # text is formatted once per trace.
+    # its senders, from their columns; bytes are frames times the frame
+    # size, so each distinct (broadcast, total) pair's text is formatted
+    # once per trace, and a sender that delivered nothing gets the idle
+    # text.
     prefix = [f",{n}," for n in range(trace.scenario.node_count)]
     idle = [p + "0,0,0,0,,,,\n" for p in prefix]
     size = trace.scenario.frame_size
     counts_text: dict[tuple[int, int], str] = {}
     for rec in trace.records:
-        stats = rec.stats
-        line.seek(0)
-        line.truncate()
-        writer.writerow((
-            repr(rec.t), CHANNEL_NODE, stats.broadcast_pkts, stats.total_pkts,
-            stats.broadcast_bytes, stats.total_bytes, repr(stats.observed_ipg),
-            repr(rec.classification.utilization),
-            rec.classification.verdict.value, rec.classification.stage.value,
-        ))
         rows = idle.copy()
         senders = rec.senders
-        for n, b, total in zip(senders.nodes, senders.bcast_pkts,
-                                senders.total_pkts):
-            if not total:   # a sender that delivered nothing keeps its idle row
-                continue
-            text = counts_text.get((b, total))
+        for n, pair in zip(senders.nodes,
+                           zip(senders.bcast_pkts, senders.total_pkts)):
+            text = counts_text.get(pair)
             if text is None:
-                text = counts_text[b, total] = "%s,%s,%s,%s,,,,\n" % (
+                b, total = pair
+                text = counts_text[pair] = "%s,%s,%s,%s,,,,\n" % (
                     b, total, b * size, total * size)
             rows[n] = prefix[n] + text
-        t = repr(rec.t)     # every tick has a row per node, at least two
-        yield line.getvalue() + t + t.join(rows)
+        stats, c = rec.stats, rec.classification
+        t = repr(rec.t)     # heads the channel line and every node row
+        yield "%s,%s,%s,%s,%s,%s,%r,%r,%s,%s\n%s%s" % (
+            t, CHANNEL_NODE, stats.broadcast_pkts, stats.total_pkts,
+            stats.broadcast_bytes, stats.total_bytes, stats.observed_ipg,
+            c.utilization, c.verdict.value, c.stage.value, t, t.join(rows))
 
 
 def format_channel_csv(trace: SimTrace) -> str:
