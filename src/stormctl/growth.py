@@ -23,11 +23,11 @@ Minimization Without Derivatives, 1973, ch. 5) in the cells around
 every strict local minimum of the grid, and keeps the lowest RMSE seen.
 The domain's top is lowered per trace so that e^(m t) stays finite over
 the rise.  The least-squares sums that do not depend on m are taken once
-per trace; the rest, once per m.  The procedure is fully deterministic
-on one Python version, not across versions: the five least-squares sums
-use `sum()`, which Python 3.12+ compensates (Neumaier summation), so fit
-bits taken on 3.11 need not hold on 3.12+.  `rmse_of` avoids `sum()`
-for this reason; an ordered reduce made each sum 1.8x slower.
+per trace; the rest, once per m, in the one loop that builds the basis.
+Every sum, the RMSE's too, is a plain loop in rise order, never `sum()`,
+which Python 3.12+ compensates (Neumaier summation): the fit's bits are
+the same on every Python version.  A golden test fits under a `sum` that
+compensates as 3.12+ does; it has not been run on a 3.12 interpreter.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 TAU = math.tau  # 2*pi
@@ -161,18 +160,20 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
     """Least-squares (a, b) for fixed m, honoring Ps >= 0 and Pe >= 0.
 
     Returns solve(m) -> (a, b, rmse) for this rise.  The sums that do not
-    depend on m are taken once, here; each sum adds its products in rise
-    order, so taking it once changes no bit of any result.  Uses explicit
+    depend on m are taken once, here.  Every sum is a plain loop that adds
+    its products in rise order, never `sum()`, which Python 3.12+
+    compensates: the bits are the same on every version.  Uses explicit
     normal equations so results do not depend on any linear-algebra
     backend.
     """
     n = len(ts)
     exp = math.exp
-    s_tt = sum(map(mul, ts, ts))
-    s_ty = sum(map(mul, ts, ys))
+    s_tt = s_ty = 0.0
+    for t, y in zip(ts, ys):
+        s_tt += t * t
+        s_ty += t * y
 
     def rmse_of(a: float, b: float, gs: list[float]) -> float:
-        # a plain loop, not sum(): sum of floats is compensated on 3.12+
         acc = 0.0
         for t, g, y in zip(ts, gs, ys):
             r = a * t + b * g - y
@@ -180,10 +181,14 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
         return math.sqrt(acc / n)
 
     def solve(m: float):
-        gs = [t * exp(m * t) for t in ts]
-        s_gg = sum(map(mul, gs, gs))
-        s_tg = sum(map(mul, ts, gs))
-        s_gy = sum(map(mul, gs, ys))
+        gs = []
+        s_gg = s_tg = s_gy = 0.0
+        for t, y in zip(ts, ys):
+            g = t * exp(m * t)
+            gs.append(g)
+            s_gg += g * g
+            s_tg += t * g
+            s_gy += g * y
         det = s_tt * s_gg - s_tg * s_tg
         if det > 0:
             a = (s_ty * s_gg - s_gy * s_tg) / det

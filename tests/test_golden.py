@@ -23,7 +23,9 @@ To print the current tables:
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import math
 import random
 import tempfile
 from dataclasses import replace
@@ -604,6 +606,39 @@ def test_edge_scenarios_match_golden_digests(name):
 @pytest.mark.parametrize("name", FIT_CASES)
 def test_fits_match_golden_digests(name):
     assert fit_digest(fit_model(fit_inputs()[name])) == FIT_GOLDEN[name]
+
+
+def compensated_sum(iterable, /, start=0):
+    """`sum` as Python 3.12+ takes it over floats: Neumaier-compensated,
+    from the second item on.  Anything but a run of floats goes to the
+    plain `sum`."""
+    items = list(iterable)
+    if not items or not all(type(x) is float for x in items):
+        return _plain_sum(items, start)
+    total, c = start + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+_plain_sum = builtins.sum
+
+
+def test_fit_bits_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    # the fit and the calibration it feeds must give the pinned bits on
+    # every Python: 3.12+ compensates `sum` over floats, 3.11 does not
+    assert compensated_sum([0.1] * 10) == 1.0 != sum([0.1] * 10)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    moved = [name for name, points in fit_inputs().items()
+             if fit_digest(fit_model(points)) != FIT_GOLDEN[name]]
+    assert moved == []
+    assert digests(edge_run("dense-capacity-cut")) == \
+        EDGE_GOLDEN["dense-capacity-cut"]
 
 
 def _print_table(title: str, cases, trace_of) -> None:
