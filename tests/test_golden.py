@@ -302,8 +302,8 @@ EDGE_GOLDEN = {
 }
 
 FIT_GOLDEN = {
-    'table1': '239de2fe1cf4960379c8fae09ce6e35d42dd0922af474a2b73405d2d1f6267d7',
-    'table3': '239de2fe1cf4960379c8fae09ce6e35d42dd0922af474a2b73405d2d1f6267d7',
+    'table1': '23809c4d810efbaf5344b0f228f1d1ec3553da065e2e64b819a6c3933114eec5',
+    'table3': '23809c4d810efbaf5344b0f228f1d1ec3553da065e2e64b819a6c3933114eec5',
     'table4': '46437945a5513314ceafabc102fffe0f737ce4a67d69c98f1a471a3133acb0de',
     'ideal-profile-2': 'abe18dde61ab9bfef319a0ce518af85bd72248bd9a328735c021f47507220227',
     'ideal-profile-238': '1828dcb22766e96c933a0a09edda6847307a87946f80b7fb63922b432dc30c31',
@@ -311,8 +311,8 @@ FIT_GOLDEN = {
     'interior-growth-curve': '653644a624b45c2dbb5f5ff6514763e038f80cee783d6d469f81dbcaef904b63',
     'interior-linear': '36a6c4bb2924fe79b76b424f69a50be78ce059fab5a042a096bcfd083b4550d2',
     'ps0-concave': '1134a2425e8b4244da0d5bcac49e3ee290a4e4277d419d95b1eb6fe8d587fb4a',
-    'pe0-convex': '6e0d19f9b762e265e7b57d10949d1d9a92949cac78d53b5eee18a48986788117',
-    'det0-short-span': 'e3e1ecbfa861362c3134a6d7de49492df0b9b8b7dadbb34f2e845ee1e92451e4',
+    'pe0-convex': 'c4e95704c142ce35feaea226e4ef398e166e1a26e47f01c9b456d7de1f01f449',
+    'det0-short-span': 'a08a320046bfef0dffb561a5e2694dcb113777a4c0df7d46965076302404ebe4',
     'det0-short-span-ps0': '038d972d60adea73cf663afe3f8e296e88f400a85056dbd386ad7faa0074c756',
     'zero-fallback-underflow': '4bc7bcf582b980c6b8342128ea356b5524355d71480bc6803e4cb1bdad517eab',
 }

@@ -383,8 +383,9 @@ class TestCaptureSweep:
     def test_solve_counts(self, swept):
         counts = swept[2]
         assert len(counts) == 400
-        assert max(counts) <= 100
-        assert statistics.median(counts) <= 60
+        # measured: a median of 22 solves and a maximum of 47
+        assert max(counts) <= 55
+        assert statistics.median(counts) <= 24
 
     # rises of 0.2 to 6 s: the growth constant's ceiling, not the old
     # search's top of 10, bounds their domains
@@ -414,7 +415,7 @@ class TestCaptureSweep:
         points = CALIBRATION_INPUTS[name]
         with counted_solves() as counts:
             fit = fit_model(points)
-        assert counts[0] <= 100
+        assert counts[0] <= 50      # measured: 47 on each input
         # the RMSE falls all the way down to the domain's floor
         assert fit.params.m == FIT_M_MIN
         assert fit.rmse <= reference_fit_model(points).rmse * (1 + 1e-9)
