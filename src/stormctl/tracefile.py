@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence, Union, get_args, get_origin, ge
 
 from .agents import TriggerCause, TroubleTicket
 from .growth import FitResult, PtrModelParams, TracePoint
-from .simulation import Scenario, ScenarioError, SimTrace
+from .simulation import Scenario, ScenarioError, SimTrace, _tuple_new
 
 PathLike = Union[str, Path]
 
@@ -129,13 +129,16 @@ def write_trace(points: Iterable, path: PathLike) -> None:
 
 
 def read_trace(path: PathLike) -> list[TracePoint]:
+    isfinite = math.isfinite
+    points = []
     with open(path, newline="", encoding="utf-8") as fh:
-        points = [TracePoint(float(t), float(count))
-                  for t, count in _csv_rows(fh, path, ("t_ms", "count"))]
-    for row, point in enumerate(points, start=1):
-        if not all(map(math.isfinite, point)):
-            raise ValueError(f"{path}: row {row}: t_ms and count must be "
-                             f"finite")
+        rows = _csv_rows(fh, path, ("t_ms", "count"))
+        for row, (t, count) in enumerate(rows, start=1):
+            t, count = float(t), float(count)
+            if not (isfinite(t) and isfinite(count)):
+                raise ValueError(f"{path}: row {row}: t_ms and count must "
+                                 f"be finite")
+            points.append(_tuple_new(TracePoint, (t, count)))
     return points
 
 
