@@ -200,12 +200,6 @@ def read_channel_csv(path: PathLike) -> list[dict]:
                 for cells in _csv_rows(fh, path, CHANNEL_HEADER)]
 
 
-def channel_broadcast_trace(trace: SimTrace) -> list[TracePoint]:
-    """Per-tick channel broadcast counts as a count trace."""
-    return [TracePoint(rec.t, float(rec.stats.broadcast_pkts))
-            for rec in trace.records]
-
-
 # -- tickets ---------------------------------------------------------------
 
 

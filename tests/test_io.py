@@ -182,12 +182,6 @@ class TestChannelCsv:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4
 
-    def test_broadcast_trace_extraction(self, normal_trace):
-        points = tracefile.channel_broadcast_trace(normal_trace)
-        assert len(points) == len(normal_trace.records)
-        assert points[3].count == float(
-            normal_trace.records[3].stats.broadcast_pkts)
-
 
 class TestTickets:
     def make(self, n=3):
