@@ -23,12 +23,12 @@ of the calibrated peak rate.  A trigger requires the deviation to
 exceed the threshold on `consecutive_required` successive samples, or
 the burst to outlive the reference while still growing.
 
-Suppression windows are wall-aligned, and one rule,
-`AgentConfig.window_of`, numbers them for blocking, ticket closing,
-replay and byte budgets: a trigger in window w blocks the port through
-w, then the port resumes on its own.  Re-triggering after resumption
-opens a new ticket; triggers during an active suppression are coalesced
-into the existing one.
+Suppression windows are wall-aligned, each a whole number of 0.01 ms
+steps.  One rule, `AgentConfig.window_of`, numbers them in steps for
+blocking, ticket closing, replay and byte budgets: a trigger in window w
+blocks the port through w, then the port resumes on its own.
+Re-triggering after resumption opens a new ticket; triggers during an
+active suppression are coalesced into the existing one.
 """
 
 from __future__ import annotations
@@ -38,18 +38,22 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .datasets import interpolate
 from .growth import FitError, PtrArray, TracePoint, eval_ptr, fit_model, rise_segment
 from .metrics import (
+    INTERNAL_STEP_MS,
     IPID_MIN_REPEATS,
     IPID_WINDOW_MS,
     NBW_FACTOR,
+    STEPS_PER_MS,
     STORM_UTILIZATION,
     ChannelStats,
     TrafficSample,
     detect_ipid_loop,
+    is_whole,
     node_bandwidth,
     utilization,
 )
@@ -123,10 +127,18 @@ class AgentConfig:
             raise ValueError("consecutive_required must be at least 1")
         if self.suppression_window <= 0:
             raise ValueError("suppression_window must be positive")
+        if not is_whole(self.suppression_window * STEPS_PER_MS, 1):
+            raise ValueError(f"suppression_window must be a whole number of "
+                             f"{INTERNAL_STEP_MS} ms steps")
+
+    @cached_property
+    def window_steps(self) -> int:
+        return round(self.suppression_window * STEPS_PER_MS)
 
     def window_of(self, t: float) -> int:
-        """The number of the suppression window holding time t."""
-        return math.floor(t / self.suppression_window)
+        """The number of the suppression window holding time t's nearest
+        step."""
+        return round(t * STEPS_PER_MS) // self.window_steps
 
 
 class Trigger(NamedTuple):
@@ -486,8 +498,7 @@ class AgentFleet:
 
     def finish(self, t: float) -> None:
         """Advance window bookkeeping to the end of the run."""
-        self._roll_window(self.config.window_of(
-            t + CLEAN_WINDOWS_TO_CLOSE * self.config.suppression_window))
+        self._roll_window(self.config.window_of(t) + CLEAN_WINDOWS_TO_CLOSE)
 
     @property
     def open_tickets(self) -> list[TroubleTicket]:

@@ -16,6 +16,7 @@ the floor marks a saturating channel.
 from __future__ import annotations
 
 import enum
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -31,6 +32,14 @@ IPG_SHRINK_FACTOR = 0.5
 NBW_FACTOR = 2.0
 IPID_MIN_REPEATS = 3
 IPID_WINDOW_MS = 100.0
+INTERNAL_STEP_MS = 0.01        # time inside a run is a step number
+STEPS_PER_MS = 100
+
+
+def is_whole(x: float, least: int) -> bool:
+    """Whether x is finite and (close to) an integer no smaller than least."""
+    return (math.isfinite(x) and round(x) >= least
+            and abs(x - round(x)) <= 1e-9 * max(1.0, abs(x)))
 
 
 class Verdict(enum.Enum):

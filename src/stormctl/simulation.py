@@ -2,10 +2,13 @@
 
 Models one shared Ethernet segment as a discrete-event loop on 0.01 ms
 internal steps, visiting only the steps that hold frames or may seed a
-loop.  Frames travel as runs, `count` frames handled in order, so the
-thousands of copies a loop pass puts on one step are handled as one.  A
-run's frames come from one node, or from the nodes in turn; either way
-each node's share is handled by arithmetic, not frame by frame.
+loop.  Loop passes and suppression windows are kept in steps: a loop
+passes at steps start, start + hop, ... before its end, and window w
+holds steps [w * window_steps, (w + 1) * window_steps).  Frames travel
+as runs, `count` frames handled in order, so the thousands of copies a
+loop pass puts on one step are handled as one.  A run's frames come
+from one node, or from the nodes in turn; either way each node's share
+is handled by arithmetic, not frame by frame.
 
 The background generator's frames are never scheduled.  Each tick they
 form two streams, broadcast then unicast, frame i of n at step
@@ -68,17 +71,18 @@ from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, Troub
 from .datasets import interpolate, table4_hump
 from .growth import TracePoint
 from .metrics import (
+    INTERNAL_STEP_MS,
+    STEPS_PER_MS,
     ChannelStats,
     StormClassification,
     TrafficSample,
     classify,
+    is_whole,
     min_ipg,
 )
 
 log = logging.getLogger("stormctl.simulation")
 
-INTERNAL_STEP_MS = 0.01
-STEPS_PER_MS = 100
 IPG_EQUIV_BYTES = 12            # inter-frame gap charged against capacity
 CALIBRATION_STEP_MS = 0.1       # sampling of the ideal burst for calibration
 
@@ -201,14 +205,6 @@ class Injector:
     def active(self, t: float) -> bool:
         return self.start_t <= t and (self.end_t is None or t < self.end_t)
 
-    def loops_at(self, step: int) -> bool:
-        """Whether a loop is active at a step.  Its start_t and end_t lie
-        on steps but may miss those steps' times in the last place
-        (0.1 + 0.2), so both are compared in steps."""
-        return (round(self.start_t * STEPS_PER_MS) <= step
-                and (self.end_t is None
-                     or step < round(self.end_t * STEPS_PER_MS)))
-
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
@@ -235,10 +231,10 @@ class Scenario:
             raise ScenarioError(f"{bad} must be finite")
         if self.node_count < 2:
             raise ScenarioError("a broadcast domain needs at least 2 nodes")
-        if not _whole(self.tick * STEPS_PER_MS, 1):
+        if not is_whole(self.tick * STEPS_PER_MS, 1):
             raise ScenarioError(f"tick must be a positive whole number of "
                                 f"{INTERNAL_STEP_MS} ms steps")
-        if not _whole(self.duration / self.tick, 1):
+        if not is_whole(self.duration / self.tick, 1):
             raise ScenarioError("duration must be a positive whole number of ticks")
         for i, inj in enumerate(self.injectors):
             if not 0 <= inj.origin_node < self.node_count:
@@ -246,13 +242,13 @@ class Scenario:
                     f"injector origin {inj.origin_node} outside the domain")
             if inj.kind != "loop":
                 continue
-            # a loop's passes land on steps, which `run` would round to
+            # a loop's passes are steps, which `run` would round to
             for name, least, what in (("start_t", 0, "a whole"),
                                       ("end_t", 1, "a positive whole"),
                                       ("pass_interval", 1, "a positive whole")):
                 value = getattr(inj, name)
-                if value is not None and not _whole(value * STEPS_PER_MS,
-                                                    least):
+                if value is not None and not is_whole(value * STEPS_PER_MS,
+                                                      least):
                     raise ScenarioError(
                         f"scenario.injectors[{i}].{name} must be {what} "
                         f"number of {INTERNAL_STEP_MS} ms steps")
@@ -263,12 +259,6 @@ class Scenario:
                     f"the tick is {self.tick} ms; they must be equal")
         if saturation_cap(self.link_rate, self.tick, self.frame_size) < 1:
             raise ScenarioError("one tick cannot carry a single frame")
-
-
-def _whole(x: float, least: int) -> bool:
-    """Whether x is (close to) an integer no smaller than least."""
-    n = round(x)
-    return n >= least and abs(x - n) <= 1e-9 * max(1.0, abs(x))
 
 
 def _non_finite(value, where: str) -> Optional[str]:
@@ -450,26 +440,24 @@ def run(scenario: Scenario) -> SimTrace:
     quota = None
     if thresholds.byte_threshold_mb is not None:
         quota = math.floor(thresholds.byte_threshold_mb * 1e6) // size
-    window_ms = config.suppression_window
+    window_steps = config.window_steps
     enforce = config.policy is not None
 
-    loop_idx = [i for i, inj in enumerate(sc.injectors) if inj.kind == "loop"]
-    pending = {i: 0 for i in loop_idx}
-    boundaries: dict[int, set[int]] = {}
-    for i in loop_idx:
-        inj = sc.injectors[i]
-        steps = set()
-        t = inj.start_t
-        end = inj.end_t if inj.end_t is not None else sc.duration
-        while t < min(end, sc.duration):
-            steps.add(round(t * STEPS_PER_MS))
-            t += inj.pass_interval
-        boundaries[i] = steps
-    loops = [(i, sc.injectors[i], boundaries[i]) for i in loop_idx]
-    # heap of the steps to visit: those holding runs, and loop boundaries,
-    # each boundary with a batch from the start so `put` never pushes it
-    due = sorted({step for steps in boundaries.values() for step in steps
-                  if step < total_steps})
+    # per loop injector, its pass steps, which stop where the loop or the
+    # run ends, and its hop; a hop below one step (only past validation)
+    # strands its replicas, and the run fails on them
+    loops: dict[int, tuple[Injector, range, int]] = {}
+    for i, inj in enumerate(sc.injectors):
+        if inj.kind == "loop":
+            end = (total_steps if inj.end_t is None
+                   else min(round(inj.end_t * STEPS_PER_MS), total_steps))
+            hop = round(inj.pass_interval * STEPS_PER_MS)
+            loops[i] = (inj, range(round(inj.start_t * STEPS_PER_MS), end,
+                                   max(hop, 1)), hop)
+    pending = dict.fromkeys(loops, 0)
+    # heap of the steps to visit: those holding runs, and loop passes,
+    # each pass with a batch from the start so `put` never pushes it
+    due = sorted({step for _, passes, _ in loops.values() for step in passes})
     schedule: dict[int, list[Run]] = {step: [] for step in due}
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
@@ -521,14 +509,10 @@ def run(scenario: Scenario) -> SimTrace:
         no frame breaks a byte budget.  At least a + 1: a single step is
         always handled frame-exact."""
         # a block lapses and a budget window begins only where the window
-        # changes: end at the first step in a later window than a's, found
-        # from a step before the edge, as float rounding may move it a step
+        # changes: end at the first step in a later window than a's
         t_a = a / STEPS_PER_MS
-        wid = config.window_of(t_a)
-        edge = max(a + 1, math.ceil((wid + 1) * window_ms * STEPS_PER_MS) - 1)
-        while config.window_of(edge / STEPS_PER_MS) <= wid:
-            edge += 1
-        b = min(b, edge)
+        wid = a // window_steps
+        b = min(b, (wid + 1) * window_steps)
 
         def frames(k: int) -> int:
             return sum(before(n, k) - before(n, a) for _, _, _, n in streams)
@@ -617,8 +601,8 @@ def run(scenario: Scenario) -> SimTrace:
                     continue
                 last_step = step
                 t_s = step / STEPS_PER_MS
-                for i, inj, passes in loops:
-                    if step in passes and pending[i] == 0 and inj.loops_at(step):
+                for i, (inj, passes, _) in loops.items():
+                    if step in passes and pending[i] == 0:
                         put(step, Run(inj.origin_node, next_ipid, True, "seed",
                                       i, 1, not inj.reuse_ipid))
                         next_ipid += 1
@@ -635,7 +619,7 @@ def run(scenario: Scenario) -> SimTrace:
                     generated += n
                 budget = quota is not None and bcast
                 if budget:
-                    wid = config.window_of(t_s)
+                    wid = step // window_steps
                 # Lane j holds frames j, j + period, ... of the run, all from
                 # one node; a run that does not rotate is its own one lane.
                 # A lane is [its next frame at or after done, node, whether
@@ -742,9 +726,9 @@ def run(scenario: Scenario) -> SimTrace:
                 if bcast and not fresh and ipid_win.add(t_s, ipid, src, sent):
                     hits.add(ipid)
                 if kind in ("seed", "replica"):
-                    loop = sc.injectors[owner]
-                    nxt = step + round(loop.pass_interval * STEPS_PER_MS)
-                    if loop.loops_at(step) and nxt < total_steps:
+                    loop, passes, hop = loops[owner]
+                    nxt = step + hop
+                    if step < passes.stop and nxt < total_steps:
                         k = sent * loop.factor
                         reuse = loop.reuse_ipid
                         put(nxt, Run(src, ipid if reuse else next_ipid, True,

@@ -77,6 +77,18 @@ class TestThresholdDb:
             ThresholdDb(**bad)
 
 
+class TestWindowOf:
+    # Whole-step windows of 0.1, 0.2, 0.4 and 1.1 ms are not exact in
+    # binary, and floor(t / window) put some edge steps in the window
+    # before: 0.6 / 0.2 is 2.9999999999999996.
+    @pytest.mark.parametrize("steps", [1, 10, 20, 30, 40, 50, 110, 100_000])
+    def test_window_of_a_step_time_is_its_step_over_the_window(self, steps):
+        config = AgentConfig(suppression_window=steps / 100)
+        wrong = [s for s in range(300_000)
+                 if config.window_of(s / 100) != s // steps]
+        assert wrong[:3] == []
+
+
 class TestCalibration:
     def test_reference_spans_trace_at_sampling_period(self):
         agent = calibrated_agent()

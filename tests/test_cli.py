@@ -450,6 +450,16 @@ class TestRejectedScenarioFiles:
         "zero-suppression-window": (
             lambda doc: doc["agents"].update(suppression_window=0.0),
             "scenario.agents: suppression_window must be positive"),
+        # windows are numbered in steps; these ran, with edges between
+        # steps or, below half a step, a window of no steps
+        "off-step-suppression-window": (
+            lambda doc: doc["agents"].update(suppression_window=0.015),
+            "scenario.agents: suppression_window must be a whole number of "
+            "0.01 ms steps"),
+        "sub-step-suppression-window": (
+            lambda doc: doc["agents"].update(suppression_window=0.004),
+            "scenario.agents: suppression_window must be a whole number of "
+            "0.01 ms steps"),
         "negative-jitter": (
             lambda doc: doc.update(generator={"jitter": -0.1}),
             "scenario.generator: jitter must be in [0, 1)"),

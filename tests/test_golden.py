@@ -279,6 +279,15 @@ EDGE_GOLDEN = {
         'trace.csv': '89f563f59e8fd9f519f5c50bba5aa809b9b3c9f5270478c3eaa2564688783ab7',
         'triggers': 'ddf907c132735a6963cd67ef02950c0615bf07bb96c5b6975c02a14864e4c2b3',
     },
+    'dense-fifth-ms-window': {
+        'closed': '10ee136f25c3841ddd099f952f4a11f2e755d267d348fdd152ec089adae6f9fb',
+        'records': '2788214f59d596d2cf2e62603587a1bb70d1259b17bef1c36871812aab367038',
+        'scenario.json': '828d6bb20a58b808835e2c1dc4c66972608a79e4b5826c961819f19cf19ab598',
+        'summary.json': '3421b92dc55bbe672f2e26da2d37086889b13e1c4c0fb7cdce7c855a1d811558',
+        'tickets.jsonl': '62cfaaa657883f06e082072c893c0183e79969594fdc5ecd24600b2958074365',
+        'trace.csv': '3ea580b0720c633ae1bd044a8387807e90f220e25da04315de96d3d2683e0684',
+        'triggers': '30038e11582adc8d5f0e3391b8073dc0dfefe06098a1dc0d0edd9c64170bb12c',
+    },
     # This digest encodes the known IPID float-span defect (see
     # edge_scenarios); it is expected to move when that is mended.
     'ipid-span-float-edge': {
@@ -478,6 +487,11 @@ def _dense_generator_scenarios() -> list[Scenario]:
               injectors=(Injector(kind="faulty_nic", start_t=0.3,
                                   origin_node=3, rate=40.0),),
               suppression_window=0.3),
+        # 0.2 ms windows, which floor(t / 0.2) misnumbered at edge steps
+        # (0.6 ms fell in window 2): 3533 frames were suppressed, not 4950
+        dense("dense-fifth-ms-window", 5, 1, duration=6.0,
+              injectors=(replace(loop, origin_node=2),),
+              suppression_window=0.2),
     ]
 
 

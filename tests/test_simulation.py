@@ -813,9 +813,9 @@ class TestReferenceRun:
         assert got.closed == expected.closed
         assert tracefile.format_channel_csv(got) == reference_channel_csv(got)
 
-    # with 0.3 ms windows the edges come from float division: 10.2 / 0.3
-    # == 34.0 though 10.2 // 0.3 == 33.0, and blocks through window 33
-    # lapse at 10.2 ms, the step where budget window 34 begins
+    # with 0.3 ms windows, window 34 begins at step 1020 (10.2 ms), though
+    # 10.2 // 0.3 == 33.0 in floats: blocks through window 33 lapse at the
+    # step where budget window 34 begins
     @given(merged_background_scenarios())
     @example(Scenario(
         name="rounded-window-edge", node_count=3, tick=0.25, duration=12.0,
@@ -838,10 +838,11 @@ class TestWindowRule:
     # A faulty NIC sends a frame every step under a budget of one 512 B
     # frame per 0.1 ms window: each window delivers its first frame, and
     # the second breaks the budget, opens a ticket and blocks the port for
-    # the rest of the window.  3 * 0.1 == 0.30000000000000004 and
-    # 0.5 // 0.1 == 4.0: were the block's end or the budget's window worked
-    # out another way, a port would stay blocked into the next window, or
-    # a budget would count a window twice.
+    # the rest of the window.  Both are numbered in steps; in floats
+    # 3 * 0.1 == 0.30000000000000004 and 0.5 // 0.1 == 4.0, so were the
+    # block's end or the budget's window worked out another way, a port
+    # would stay blocked into the next window, or a budget would count a
+    # window twice.
     def test_a_block_lapses_where_a_budget_window_begins(self):
         config = AgentConfig(suppression_window=0.1,
                              policy=Policy.PACKET_BASED,
