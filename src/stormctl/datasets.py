@@ -17,6 +17,9 @@ grid (with a few gaps, kept as-is):
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
+
 from .growth import TracePoint
 
 TABLE1 = (
@@ -89,12 +92,17 @@ def table4_hump() -> list[TracePoint]:
 
 
 def interpolate(points: list[TracePoint], t: float) -> float:
-    """Piecewise-linear value of a trace at time t; 0 outside its span."""
+    """Piecewise-linear value of a trace at time t; 0 outside its span.
+
+    `points` must be sorted by time; repeated times are allowed.  The
+    value comes from the first segment that ends at or after t.
+    """
     if not points or t < points[0].t or t > points[-1].t:
         return 0.0
-    for (t0, c0), (t1, c1) in zip(points, points[1:]):
-        if t0 <= t <= t1:
-            if t1 == t0:
-                return float(c1)
-            return c0 + (c1 - c0) * (t - t0) / (t1 - t0)
-    return float(points[-1].count)
+    i = bisect_left(points, t, 1, key=itemgetter(0))
+    if i == len(points):        # a single point
+        return float(points[-1].count)
+    (t0, c0), (t1, c1) = points[i - 1], points[i]
+    if t1 == t0:
+        return float(c1)
+    return c0 + (c1 - c0) * (t - t0) / (t1 - t0)

@@ -58,7 +58,6 @@ inside the loop.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from collections import Counter, deque
@@ -80,8 +79,6 @@ from .metrics import (
     is_whole,
     min_ipg,
 )
-
-log = logging.getLogger("stormctl.simulation")
 
 IPG_EQUIV_BYTES = 12            # inter-frame gap charged against capacity
 CALIBRATION_STEP_MS = 0.1       # sampling of the ideal burst for calibration
@@ -148,6 +145,8 @@ class NormalBroadcastProfile:
             raise ScenarioError("jitter must be in [0, 1)")
         if not self.shape:
             object.__setattr__(self, "shape", tuple(table4_hump()))
+        if any(b[0] < a[0] for a, b in zip(self.shape, self.shape[1:])):
+            raise ScenarioError("shape times must not decrease")
 
     @cached_property
     def _peak(self) -> float:

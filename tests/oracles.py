@@ -228,6 +228,19 @@ def reference_fit_model(trace) -> growth.FitResult:
     return growth.FitResult(growth.make_params(p_start, p_end, best_m), rmse)
 
 
+def reference_interpolate(points, t: float) -> float:
+    """Piecewise-linear value of a trace at t by a scan of every segment:
+    the first segment that holds t gives it; 0 outside the trace."""
+    if not points or t < points[0].t or t > points[-1].t:
+        return 0.0
+    for (t0, c0), (t1, c1) in zip(points, points[1:]):
+        if t0 <= t <= t1:
+            if t1 == t0:
+                return float(c1)
+            return c0 + (c1 - c0) * (t - t0) / (t1 - t0)
+    return float(points[-1].count)
+
+
 def ipid_loop_bruteforce(entries, min_repeats: int, window_ms: float):
     """Quadratic scan for any IPID repeating within one window span."""
     offenders = set()

@@ -463,6 +463,11 @@ class TestRejectedScenarioFiles:
         "negative-jitter": (
             lambda doc: doc.update(generator={"jitter": -0.1}),
             "scenario.generator: jitter must be in [0, 1)"),
+        # the shape is read by bisection; a reversed one ran before
+        "decreasing-shape-times": (
+            lambda doc: doc.update(generator={
+                "shape": [[0.0, 0.0], [2.0, 100.0], [1.0, 50.0]]}),
+            "scenario.generator: shape times must not decrease"),
     }
 
     @pytest.mark.parametrize("case", CHECKED)

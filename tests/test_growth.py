@@ -353,6 +353,39 @@ CALIBRATION_INPUTS = {
 }
 
 
+class TestEdgeMinimum:
+    """A grid minimum on the domain's edge gets one solve just inside it,
+    and Brent searches the edge's cell only if the RMSE falls there."""
+
+    @staticmethod
+    def curve(ps, pe, m):
+        """Twenty noiseless points over three growth constants."""
+        truth = make_params(ps, pe, m)
+        return [(t, eval_ptr(truth, t))
+                for t in (3.0 / m * k / 19 for k in range(20))]
+
+    @pytest.mark.parametrize("ps,pe,m,inside", [
+        (2000.0, 8000.0, FIT_M_MIN, FIT_M_MIN * (1 + 1e-6)),
+        (100.0, 5e5, FIT_M_MAX, FIT_M_MAX * (1 - 1e-6))])
+    def test_rise_inside_the_edge_skips_brent(self, ps, pe, m, inside):
+        points = self.curve(ps, pe, m)
+        ts, ys = zip(*points)
+        assert reference_solve(inside, ts, ys)[2] > \
+            reference_solve(m, ts, ys)[2]
+        with counted_solves() as counts:
+            fit = fit_model(points)
+        assert fit.params.m == m
+        assert counts == [11 + 1]   # the grid, and one solve inside the edge
+
+    def test_fall_inside_the_edge_runs_brent(self):
+        m = FIT_M_MIN * 1.01        # below the grid's second point
+        assert growth._grid(FIT_M_MAX)[1] > m
+        with counted_solves() as counts:
+            fit = fit_model(self.curve(2000.0, 8000.0, m))
+        assert counts[0] > 11 + 1
+        assert rel_err(fit.params.m, m) <= 1e-6
+
+
 class TestCaptureSweep:
     """400 seeded `offline-fit` captures (benchmark seeds 1 and 2), and
     the calibration inputs: fit quality against the old search and the
@@ -383,8 +416,8 @@ class TestCaptureSweep:
     def test_solve_counts(self, swept):
         counts = swept[2]
         assert len(counts) == 400
-        # measured: a median of 22 solves and a maximum of 47
-        assert max(counts) <= 55
+        # measured: a median of 22 solves and a maximum of 36
+        assert max(counts) <= 40
         assert statistics.median(counts) <= 24
 
     # rises of 0.2 to 6 s: the growth constant's ceiling, not the old
@@ -415,7 +448,7 @@ class TestCaptureSweep:
         points = CALIBRATION_INPUTS[name]
         with counted_solves() as counts:
             fit = fit_model(points)
-        assert counts[0] <= 50      # measured: 47 on each input
+        assert counts == [12]       # the grid, and one solve inside its floor
         # the RMSE falls all the way down to the domain's floor
         assert fit.params.m == FIT_M_MIN
         assert fit.rmse <= reference_fit_model(points).rmse * (1 + 1e-9)

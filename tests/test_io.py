@@ -22,7 +22,7 @@ from stormctl.agents import (
     TriggerCause,
     TroubleTicket,
 )
-from stormctl.datasets import load_trace
+from stormctl.datasets import interpolate, load_trace
 from stormctl.growth import FitResult, TracePoint, fit_model, make_params
 from stormctl.plotting import render_chart, write_chart
 from stormctl.simulation import (
@@ -36,7 +36,7 @@ from stormctl.simulation import (
 )
 from stormctl import tracefile
 
-from .oracles import reference_channel_csv
+from .oracles import reference_channel_csv, reference_interpolate
 from .test_simulation import small_scenarios
 
 finite_times = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
@@ -90,6 +90,41 @@ class TestCountTraces:
         for t, count in points:
             writer.writerow((repr(float(t)), repr(float(count))))
         assert tracefile.format_trace(points) == out.getvalue()
+
+
+@st.composite
+def sorted_traces_and_times(draw):
+    """A trace of 0 to 12 points sorted by time, its times drawn from at
+    most 5 values so that they often repeat, and a time to read it at:
+    one of its knots, or any time in or around its span."""
+    knots = draw(st.lists(finite_times, min_size=1, max_size=5))
+    ts = sorted(draw(st.lists(st.sampled_from(knots), max_size=12)))
+    counts = draw(st.lists(finite_counts, min_size=len(ts), max_size=len(ts)))
+    t = draw(st.sampled_from(knots) | st.floats(-1.0, 1e4 + 1.0))
+    return list(map(TracePoint, ts, counts)), t
+
+
+class TestInterpolate:
+    """`interpolate` bisects for the segment that the scan of
+    `reference_interpolate` finds, so its value has the same bits."""
+
+    HUMP = [TracePoint(0.0, 0.0), TracePoint(0.1, 400.0),
+            TracePoint(0.1, 1400.0), TracePoint(0.3, 2400.0)]
+
+    @given(sorted_traces_and_times())
+    @example(([], 0.0))
+    @example(([TracePoint(2.0, 7.0)], 2.0))         # a single point
+    @example(([TracePoint(2.0, 7.0)], 1.5))
+    @example((HUMP, 0.0))                           # both ends
+    @example((HUMP, 0.3))
+    @example((HUMP, 0.1))                           # a repeated knot
+    @example((HUMP, 0.2))
+    @example((HUMP, 0.30000000000000004))
+    @settings(max_examples=300)
+    def test_same_bits_as_the_scan(self, case):
+        points, t = case
+        assert interpolate(points, t).hex() == \
+            reference_interpolate(points, t).hex()
 
 
 class TestChannelCsv:
