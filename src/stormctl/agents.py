@@ -500,11 +500,6 @@ class AgentFleet:
         """Advance window bookkeeping to the end of the run."""
         self._roll_window(self.config.window_of(t) + CLEAN_WINDOWS_TO_CLOSE)
 
-    @property
-    def open_tickets(self) -> list[TroubleTicket]:
-        return [tk for node in sorted(self.ports)
-                for tk in self.ports[node].tickets]
-
 
 class ReplayDeviation(NamedTuple):
     index: int

@@ -22,12 +22,17 @@ At a step holding other runs, its background frames follow the runs put
 there in an earlier tick and precede the rest.
 
 Every sampling tick the delivered traffic is rolled up into channel
-counters, classified, and offered to the agent fleet.  Per-node counters
-are five integer columns indexed by node.  At the tick's end the entries
-of the nodes that sent are gathered, in node order, into `Senders` and
-reset to 0; a node's sample is built only when a reader asks for it, and
-every other node shows one shared idle sample.  All randomness flows
-from one seeded generator, so a scenario replays bit-identically.
+counters, classified, and offered to the agent fleet.  A rotating run
+that reaches more than one node and is settled whole (below) is booked
+as node spans, in time independent of its width: its full cycles add to
+every node, and its remainder is one span of nodes, or two where it
+wraps past the last node.  Every other run is booked node by node, into
+five integer columns indexed by node.  At the tick's end a sweep over
+the span edges builds the `Senders` columns a segment of nodes at a
+time, and merges in the nodes booked one by one, whose entries are
+reset to 0; a node's sample is built only when a reader asks for it,
+and every other node shows one shared idle sample.  All randomness
+flows from one seeded generator, so a scenario replays bit-identically.
 
 Traffic sources:
 
@@ -43,15 +48,18 @@ Each frame meets, in order: the suppression filter (blocked ports drop
 frames at ingress), the per-window broadcast byte budget, the carrying
 capacity of the link, then delivery.  A blocked node's frames in a run
 are dropped together.  When no byte budget applies to a run and the link
-has room for all its frames, every other node's frames are delivered,
-booked in the same pass over its nodes that books its attempts.  Of any
-other run, the link carries the first frames it still has room for, and
-the run splits only at a frame that breaks a byte budget, once per node
-and window at most: an enforcing fleet blocks the node from that frame
-on, and under detect-only agents its frames from there go unbudgeted.
-Delivered loop frames spawn their replicas, one run per delivered run;
-everything filtered dies without offspring, so a storm only persists
-while the loop keeps reseeding.  A per-tick conservation ledger
+has room for all its frames, the run is settled whole: every other
+node's frames are delivered, booked with its attempts.  A blocked port
+inside a run's spans is taken out of them, and its frames are booked on
+its own as suppressed; the ports are looked up over the run's nodes or
+the port table, whichever is shorter.  Of any other run, the link
+carries the first frames it still has room for, and the run splits only
+at a frame that breaks a byte budget, once per node and window at most:
+an enforcing fleet blocks the node from that frame on, and under
+detect-only agents its frames from there go unbudgeted.  Delivered loop
+frames spawn their replicas, one run per delivered run; everything
+filtered dies without offspring, so a storm only persists while the loop
+keeps reseeding.  A per-tick conservation ledger
 (generated + replicated - suppressed - capped == delivered) is checked
 inside the loop.
 """
@@ -64,6 +72,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, TroubleTicket
@@ -83,7 +92,7 @@ from .metrics import (
 IPG_EQUIV_BYTES = 12            # inter-frame gap charged against capacity
 CALIBRATION_STEP_MS = 0.1       # sampling of the ideal burst for calibration
 
-# Node samples are built as _tuple_new(TrafficSample, fields), which skips
+# Runs and node samples are built as _tuple_new(Run, fields), which skips
 # the named tuple's Python-level __new__ and its argument binding.
 _tuple_new = tuple.__new__
 
@@ -408,6 +417,78 @@ class _IpidWindow:
                 for t, src, n in self._per_ipid.get(ipid, ())]
 
 
+def _span_senders(node_count: int, cycles_b: int, cycles_t: int,
+                  spans: list[tuple[int, int, int]], lone: list[int],
+                  columns: tuple[list[int], ...], size: int,
+                  idle: tuple[TrafficSample, ...]) -> Senders:
+    """A tick's senders: the nodes its spans reach, merged with the nodes
+    `lone` (sorted) booked one by one in `columns` (attempted broadcast
+    and total, delivered broadcast and total, suppressed).
+
+    Every node takes `cycles_b` broadcast and `cycles_t` spanned frames,
+    and each edge (node, broadcast, total) of `spans` adds its counts to
+    every node from its node on.  A spanned frame is attempted and
+    delivered.  `cycles_t` counts only whole cycles of the nodes, so
+    while it is nonzero every node sends."""
+    att_b, att_t, del_b, del_t, sup = columns
+    ids: list[int] = []
+    bcast: list[int] = []
+    total: list[int] = []
+    at: list[int] = []          # the rows of the lone nodes
+    spans.sort()
+    spans.append((node_count, 0, 0))
+    level_b, level_t = cycles_b, cycles_t
+    a = 0
+    if cycles_t:
+        # every node sends, so node v's row is v; nodes [a, edge) take
+        # level_b and level_t frames from the spans
+        for edge, rise_b, rise_t in spans:
+            if a < edge:
+                bcast += repeat(level_b, edge - a)
+                total += repeat(level_t, edge - a)
+            a = edge
+            level_b += rise_b
+            level_t += rise_t
+        ids, at = range(node_count), lone
+    else:
+        # the nodes the spans reach, and the lone nodes, in node order
+        later = iter(lone)
+        v = next(later, node_count)
+        for edge, rise_b, rise_t in spans:
+            while v < edge:
+                if level_t and a < v:
+                    ids += range(a, v)
+                    bcast += repeat(level_b, v - a)
+                    total += repeat(level_t, v - a)
+                at.append(len(ids))
+                ids.append(v)
+                bcast.append(level_b)
+                total.append(level_t)
+                a = v + 1
+                v = next(later, node_count)
+            if level_t and a < edge:
+                ids += range(a, edge)
+                bcast += repeat(level_b, edge - a)
+                total += repeat(level_t, edge - a)
+            a = edge
+            level_b += rise_b
+            level_t += rise_t
+    if not at:      # every sender's frames were spanned
+        ids, bcast, total = tuple(ids), tuple(bcast), tuple(total)
+        return Senders(ids, bcast, total, bcast, total, (0,) * len(ids),
+                       size, idle)
+    d_b, d_t, dropped = bcast[:], total[:], [0] * len(ids)
+    for i in at:
+        v = ids[i]
+        bcast[i] += att_b[v]
+        total[i] += att_t[v]
+        d_b[i] += del_b[v]
+        d_t[i] += del_t[v]
+        dropped[i] = sup[v]
+    return Senders(tuple(ids), tuple(d_b), tuple(d_t), tuple(bcast),
+                   tuple(total), tuple(dropped), size, idle)
+
+
 def run(scenario: Scenario) -> SimTrace:
     """Execute a scenario and return its full per-tick trace."""
     sc = scenario
@@ -464,12 +545,14 @@ def run(scenario: Scenario) -> SimTrace:
     # per node, the frames it may still deliver in window byte_wid[node]
     left: dict[int, float] = {}     # inf once broken there, detect-only
     byte_wid: dict[int, int] = {}
+    new = _tuple_new            # takes all fields, a run's `rotates` too
     # a node that sends nothing in a tick shows this same sample in it
-    idle = tuple(_tuple_new(TrafficSample, (n, 0, 0, 0, 0, 0, 0, 0))
+    idle = tuple(new(TrafficSample, (n, 0, 0, 0, 0, 0, 0, 0))
                  for n in range(sc.node_count))
     # per node, this tick's broadcast and total attempted, broadcast and
     # total delivered, and suppressed frames; nonzero only in `active`
-    att_b, att_t, del_b, del_t, sup = ([0] * nodes for _ in range(5))
+    columns = att_b, att_t, del_b, del_t, sup = tuple([0] * nodes
+                                                      for _ in range(5))
     ports = fleet.ports if enforce else {}  # the nodes that can be blocked
     held: dict[int, int] = {}   # per step, the runs put there before its tick
 
@@ -496,8 +579,8 @@ def run(scenario: Scenario) -> SimTrace:
             i = before(n, a)
             c = before(n, b) - i
             if c:
-                runs.append(Run((rr + i) % nodes, ipid + i, bcast, "data", None,
-                                c, True, True))
+                runs.append(new(Run, ((rr + i) % nodes, ipid + i, bcast,
+                                      "data", None, c, True, True)))
         return runs
 
     def background_end(a: int, b: int, room: int) -> int:
@@ -576,11 +659,18 @@ def run(scenario: Scenario) -> SimTrace:
             kind = "spoof" if inj.kind == "smurf" else "data"
             for j in range(n):      # a spoof draws replies per frame
                 put(base + j * steps_per_tick // n,
-                    Run(inj.origin_node, next_ipid, True, kind, i, 1, True))
+                    new(Run, (inj.origin_node, next_ipid, True, kind, i, 1,
+                              True, False)))
                 next_ipid += 1
 
         generated = replicated = suppressed = capped = delivered = 0
-        active: list[int] = []
+        active: list[int] = []      # the nodes booked one by one
+        # the frames booked as node spans: `cycles_b` broadcast and
+        # `cycles_t` in all for every node, plus, per edge (node,
+        # broadcast, total) in `spans`, its counts for the nodes from its
+        # node on
+        cycles_b = cycles_t = 0
+        spans: list[tuple[int, int, int]] = []
         kinds: Counter = Counter()
         hits: set[int] = set()      # the IPIDs that qualified this tick
 
@@ -602,8 +692,9 @@ def run(scenario: Scenario) -> SimTrace:
                 t_s = step / STEPS_PER_MS
                 for i, (inj, passes, _) in loops.items():
                     if step in passes and pending[i] == 0:
-                        put(step, Run(inj.origin_node, next_ipid, True, "seed",
-                                      i, 1, not inj.reuse_ipid))
+                        put(step, new(Run, (inj.origin_node, next_ipid, True,
+                                            "seed", i, 1, not inj.reuse_ipid,
+                                            False)))
                         next_ipid += 1
                 batch = schedule.pop(step)
                 early = held.pop(step, 0)
@@ -631,6 +722,44 @@ def run(scenario: Scenario) -> SimTrace:
                 whole = not budget and n <= cap - delivered
                 lanes = []
                 sent = dropped = 0
+                if whole and width > 1:
+                    # Booked as node spans: every node takes n // nodes
+                    # frames and nodes [src, src + r) one more, or, where
+                    # that wraps past the last node, nodes [src, nodes)
+                    # and [0, src + r - nodes).
+                    full, r = divmod(n, nodes)
+                    e = src + r
+                    if e > nodes:
+                        spans += ((0, bcast, 1), (e - nodes, -bcast, -1),
+                                  (src, bcast, 1))
+                    elif r:
+                        spans += (src, bcast, 1), (e, -bcast, -1)
+                    cycles_t += full
+                    if bcast:
+                        cycles_b += full
+                    # a blocked port leaves the spans, and its frames are
+                    # booked one by one as suppressed
+                    if not ports:
+                        near = ()
+                    elif len(ports) < width:
+                        near = [v for v in ports if (v - src) % nodes < width]
+                    else:
+                        near = [v % nodes for v in range(src, src + width)
+                                if v % nodes in ports]
+                    for v in near:
+                        if not fleet.is_suppressed(v, t_s, bcast):
+                            continue
+                        c = (n - 1 - (v - src) % nodes) // nodes + 1
+                        b = c if bcast else 0
+                        spans += (v, -b, -c), (v + 1, b, c)
+                        if not att_t[v]:
+                            active.append(v)
+                        att_t[v] += c
+                        att_b[v] += b
+                        sup[v] += c
+                        dropped += c
+                    sent = n - dropped
+                    width = 0           # no lane is left to handle
                 for j in range(width):
                     v = (src + j) % nodes
                     if not att_t[v]:
@@ -730,8 +859,9 @@ def run(scenario: Scenario) -> SimTrace:
                     if step < passes.stop and nxt < total_steps:
                         k = sent * loop.factor
                         reuse = loop.reuse_ipid
-                        put(nxt, Run(src, ipid if reuse else next_ipid, True,
-                                     "replica", owner, k, not reuse))
+                        put(nxt, new(Run, (src, ipid if reuse else next_ipid,
+                                           True, "replica", owner, k,
+                                           not reuse, False)))
                         if not reuse:
                             next_ipid += k
                         pending[owner] += k
@@ -739,8 +869,8 @@ def run(scenario: Scenario) -> SimTrace:
                     repliers = [m for m in range(sc.node_count) if m != src]
                     for j, replier in enumerate(repliers):
                         put(step + 1 + (j * steps_per_tick) // len(repliers),
-                            Run(replier, next_ipid, False, "reply", None, 1,
-                                True))
+                            new(Run, (replier, next_ipid, False, "reply",
+                                      None, 1, True, False)))
                         next_ipid += 1
 
         if generated + replicated - suppressed - capped != delivered:
@@ -748,15 +878,12 @@ def run(scenario: Scenario) -> SimTrace:
                 f"conservation broken at t={t0}: {generated}+{replicated}"
                 f"-{suppressed}-{capped} != {delivered}")
 
-        # the senders' counts, gathered in node order; no sample is built
+        # the senders' counts, spanned or booked one by one, in node order;
+        # no sample is built
         active.sort()
-        sent = tuple(active)
-        senders = Senders(sent, tuple(map(del_b.__getitem__, sent)),
-                          tuple(map(del_t.__getitem__, sent)),
-                          tuple(map(att_b.__getitem__, sent)),
-                          tuple(map(att_t.__getitem__, sent)),
-                          tuple(map(sup.__getitem__, sent)), size, idle)
-        for n in sent:
+        senders = _span_senders(nodes, cycles_b, cycles_t, spans, active,
+                                columns, size, idle)
+        for n in active:
             att_b[n] = att_t[n] = del_b[n] = del_t[n] = sup[n] = 0
         d_b = sum(senders.bcast_pkts)
         load = min(1.0, delivered / cap) if cap else 0.0

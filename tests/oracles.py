@@ -257,6 +257,12 @@ def ipid_loop_bruteforce(entries, min_repeats: int, window_ms: float):
     return bool(offenders), tuple(sorted(offenders))
 
 
+def open_tickets(fleet: AgentFleet) -> list:
+    """The fleet's open tickets, by node, each node's in the order raised."""
+    return [tk for node in sorted(fleet.ports)
+            for tk in fleet.ports[node].tickets]
+
+
 def first_elementwise_ticket(data, reference, threshold=0.05, consecutive=3):
     """Index and time of the first elementwise deviation ticket, or None.
 

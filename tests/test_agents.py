@@ -24,7 +24,7 @@ from stormctl.datasets import interpolate, load_trace, table4_hump
 from stormctl.growth import eval_ptr, make_params
 from stormctl.metrics import ChannelStats, TrafficSample, min_ipg
 
-from .oracles import first_elementwise_ticket
+from .oracles import first_elementwise_ticket, open_tickets
 
 CURVE = make_params(500.0, 90000.0, 1.5)
 
@@ -373,9 +373,9 @@ class TestFleet:
         fleet = self.fleet()
         fleet.observe(0.0, stats(0.0, 61, total=61),
                       [sample(0, 61), sample(1, 0), sample(2, 0)])
-        assert len(fleet.open_tickets) == 1
+        assert len(open_tickets(fleet)) == 1
         fleet.finish(1000.0)
-        assert fleet.open_tickets == []
+        assert open_tickets(fleet) == []
         assert len(fleet.closed) == 1
 
     def test_one_detector_calibrated_for_the_domain(self):

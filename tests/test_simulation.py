@@ -243,6 +243,19 @@ class TestOperationCounts:
         monkeypatch.setattr(owner, name, counted)
         return calls
 
+    def count_runs(self, monkeypatch):
+        """The runs `run` builds: with every field, as `_tuple_new(Run, …)`."""
+        made = []
+        original = simulation._tuple_new
+
+        def counted(cls, fields):
+            if cls is simulation.Run:
+                made.append(1)
+            return original(cls, fields)
+
+        monkeypatch.setattr(simulation, "_tuple_new", counted)
+        return made
+
     def test_one_channel_sample_per_tick_at_any_domain_size(self, monkeypatch):
         calls = self.count_calls(monkeypatch, StaticAgent, "sample_channel")
         for nodes in (2, 200):
@@ -270,14 +283,14 @@ class TestOperationCounts:
         assert 0 < len(calls) < frames_handled(trace) / 100
 
     def test_loop_frames_travel_as_runs(self, monkeypatch):
-        made = self.count_calls(monkeypatch, simulation, "Run")
+        made = self.count_runs(monkeypatch)
         trace = run(preset("table5-control"))
         assert 0 < len(made) < frames_handled(trace) / 100
 
     # a saturated 10 Gb/s link of 4 nodes with 64 B frames: the background
     # generator puts about 80 frames on each step, and a loop overruns it
     def test_generator_frames_travel_as_runs(self, monkeypatch):
-        made = self.count_calls(monkeypatch, simulation, "Run")
+        made = self.count_runs(monkeypatch)
         trace = run(Scenario(
             name="saturated-10g", node_count=4, link_rate=10e9, tick=1.0,
             duration=4.0, seed=3, frame_size=64,
@@ -794,6 +807,22 @@ class TestReferenceRun:
                    Injector(kind="faulty_nic", origin_node=2, rate=3.0)),
         agents=AgentConfig(policy=Policy.PACKET_BASED,
                            suppression_window=3.0)))
+    # Whole rotating runs are booked as node spans.  Over 10 nodes the
+    # unicast runs between loop passes hold about 19 frames: a full cycle
+    # of the nodes, then a remainder that often wraps past node 9 onto
+    # loop origin 0's blocked port.
+    @example(Scenario(
+        name="spans-wrap-onto-blocked-port", node_count=10, duration=12.0,
+        seed=4, generator=NormalBroadcastProfile(),
+        injectors=(Injector(kind="loop", start_t=2.0, origin_node=0),),
+        agents=AgentConfig(policy=Policy.PACKET_BASED)))
+    # a smurf's one-frame replies, booked node by node, in the ticks whose
+    # background is booked as spans over the same 300 nodes
+    @example(Scenario(
+        name="wide-smurf", node_count=300, link_rate=10e9, duration=8.0,
+        seed=7, generator=NormalBroadcastProfile(),
+        injectors=(Injector(kind="smurf", start_t=2.0, end_t=6.0,
+                            origin_node=17, rate=2.0),)))
     # a byte budget splits the broadcast stream, but not the unicast one,
     # whose frames a bandwidth-based block lets through
     @example(Scenario(
