@@ -17,7 +17,8 @@ that hold other runs are handled as one rotating run per stream.  Such a
 stretch also ends wherever frame order could change a count: at a
 suppression-window edge, where a block lapses and a byte-budget window
 begins; at the step of a frame that breaks a byte budget; and at the step
-where the tick's link room runs out.  That step is handled on its own.
+where the tick's link room runs out.  That step is handled on its own,
+and under a byte budget its broadcasts one frame per run.
 At a step holding other runs, its background frames follow the runs put
 there in an earlier tick and precede the rest.
 
@@ -53,8 +54,11 @@ node's frames are delivered, booked with its attempts.  A blocked port
 inside a run's spans is taken out of them, and its frames are booked on
 its own as suppressed; the ports are looked up over the run's nodes or
 the port table, whichever is shorter.  Of any other run, the link
-carries the first frames it still has room for, and the run splits only
-at a frame that breaks a byte budget, once per node and window at most:
+carries the first frames it still has room for, in one pass over its
+nodes.  A run that can break a byte budget has all its frames from one
+node, as stretches end before a breaking frame and a step handled on its
+own splits its broadcasts; a break inside a run from more than one node
+fails the run.  A node breaks its budget once per window at most:
 an enforcing fleet blocks the node from that frame on, and under
 detect-only agents its frames from there go unbudgeted.  Delivered loop
 frames spawn their replicas, one run per delivered run; everything
@@ -428,8 +432,7 @@ def _span_senders(node_count: int, cycles_b: int, cycles_t: int,
     Every node takes `cycles_b` broadcast and `cycles_t` spanned frames,
     and each edge (node, broadcast, total) of `spans` adds its counts to
     every node from its node on.  A spanned frame is attempted and
-    delivered.  `cycles_t` counts only whole cycles of the nodes, so
-    while it is nonzero every node sends."""
+    delivered."""
     att_b, att_t, del_b, del_t, sup = columns
     ids: list[int] = []
     bcast: list[int] = []
@@ -439,40 +442,28 @@ def _span_senders(node_count: int, cycles_b: int, cycles_t: int,
     spans.append((node_count, 0, 0))
     level_b, level_t = cycles_b, cycles_t
     a = 0
-    if cycles_t:
-        # every node sends, so node v's row is v; nodes [a, edge) take
-        # level_b and level_t frames from the spans
-        for edge, rise_b, rise_t in spans:
-            if a < edge:
-                bcast += repeat(level_b, edge - a)
-                total += repeat(level_t, edge - a)
-            a = edge
-            level_b += rise_b
-            level_t += rise_t
-        ids, at = range(node_count), lone
-    else:
-        # the nodes the spans reach, and the lone nodes, in node order
-        later = iter(lone)
-        v = next(later, node_count)
-        for edge, rise_b, rise_t in spans:
-            while v < edge:
-                if level_t and a < v:
-                    ids += range(a, v)
-                    bcast += repeat(level_b, v - a)
-                    total += repeat(level_t, v - a)
-                at.append(len(ids))
-                ids.append(v)
-                bcast.append(level_b)
-                total.append(level_t)
-                a = v + 1
-                v = next(later, node_count)
-            if level_t and a < edge:
-                ids += range(a, edge)
-                bcast += repeat(level_b, edge - a)
-                total += repeat(level_t, edge - a)
-            a = edge
-            level_b += rise_b
-            level_t += rise_t
+    # the nodes the spans reach, and the lone nodes, in node order
+    later = iter(lone)
+    v = next(later, node_count)
+    for edge, rise_b, rise_t in spans:
+        while v < edge:
+            if level_t and a < v:
+                ids += range(a, v)
+                bcast += repeat(level_b, v - a)
+                total += repeat(level_t, v - a)
+            at.append(len(ids))
+            ids.append(v)
+            bcast.append(level_b)
+            total.append(level_t)
+            a = v + 1
+            v = next(later, node_count)
+        if level_t and a < edge:
+            ids += range(a, edge)
+            bcast += repeat(level_b, edge - a)
+            total += repeat(level_t, edge - a)
+        a = edge
+        level_b += rise_b
+        level_t += rise_t
     if not at:      # every sender's frames were spanned
         ids, bcast, total = tuple(ids), tuple(bcast), tuple(total)
         return Senders(ids, bcast, total, bcast, total, (0,) * len(ids),
@@ -573,12 +564,18 @@ def run(scenario: Scenario) -> SimTrace:
         return -(-(step - base) * n // steps_per_tick)
 
     def background(a: int, b: int) -> list[Run]:
-        """The background frames at steps [a, b): one rotating run per stream."""
+        """The background frames at steps [a, b): one rotating run per
+        stream, except that under a byte budget the broadcasts of a single
+        step are one run per frame, as a frame there may break a budget."""
         runs = []
         for rr, ipid, bcast, n in streams:
             i = before(n, a)
             c = before(n, b) - i
-            if c:
+            if bcast and quota is not None and b == a + 1:
+                runs += [new(Run, ((rr + j) % nodes, ipid + j, True, "data",
+                                   None, 1, True, False))
+                         for j in range(i, i + c)]
+            elif c:
                 runs.append(new(Run, ((rr + i) % nodes, ipid + i, bcast,
                                       "data", None, c, True, True)))
         return runs
@@ -589,7 +586,8 @@ def run(scenario: Scenario) -> SimTrace:
         because frame order changes no count in it: no port's block or
         budget window changes, the link carries every frame or none, and
         no frame breaks a byte budget.  At least a + 1: a single step is
-        always handled frame-exact."""
+        handled frame-exact, its broadcasts under a byte budget one frame
+        per run (see `background`)."""
         # a block lapses and a budget window begins only where the window
         # changes: end at the first step in a later window than a's
         t_a = a / STEPS_PER_MS
@@ -711,16 +709,14 @@ def run(scenario: Scenario) -> SimTrace:
                 if budget:
                     wid = step // window_steps
                 # Lane j holds frames j, j + period, ... of the run, all from
-                # one node; a run that does not rotate is its own one lane.
-                # A lane is [its next frame at or after done, node, whether
-                # its port is blocked].
+                # one node; a run that does not rotate is its own one lane,
+                # and so is every run that can break a byte budget.
                 period = nodes if rotates else 1
                 width = n if n < period else period
                 # Unless a byte budget applies or the link lacks room for
                 # the run, a lane's frames share one fate: suppressed if its
                 # port is blocked, else delivered.
                 whole = not budget and n <= cap - delivered
-                lanes = []
                 sent = dropped = 0
                 if whole and width > 1:
                     # Booked as node spans: every node takes n // nodes
@@ -760,6 +756,8 @@ def run(scenario: Scenario) -> SimTrace:
                         dropped += c
                     sent = n - dropped
                     width = 0           # no lane is left to handle
+                # of a run not settled whole, each open lane's (j, node, frames)
+                opened = []
                 for j in range(width):
                     v = (src + j) % nodes
                     if not att_t[v]:
@@ -768,82 +766,55 @@ def run(scenario: Scenario) -> SimTrace:
                     att_t[v] += c
                     if bcast:
                         att_b[v] += c
-                    blocked = v in ports and fleet.is_suppressed(v, t_s, bcast)
-                    if whole:
-                        if blocked:
-                            sup[v] += c
-                            dropped += c
-                        else:
-                            sent += c
-                            del_t[v] += c
-                            if bcast:
-                                del_b[v] += c
-                        continue
-                    if budget and wid != byte_wid.get(v):
-                        byte_wid[v] = wid
-                        left[v] = quota
-                    lanes.append([j, v, blocked])
-
-                if not whole:
-                    # Frames [done, n) are still to handle, in segments that
-                    # end at the first frame breaking a byte budget.  A
-                    # blocked lane's frames are suppressed; of the others,
-                    # the link carries the first `room` and caps the rest.
-                    # A node breaks its budget at most once per window, and
-                    # the segment after it resumes at the breaking frame:
-                    # under enforcement the breach has blocked its lane,
-                    # under detect-only the lane goes unbudgeted.
-                    done = 0
-                    while True:
-                        room = cap - delivered - sent
-                        cut = n             # the first capped frame, if any
-                        if n - done > room:
-                            # the frame after the first `room` not blocked
-                            opened = sorted(q for q, _, blocked in lanes
-                                            if not blocked)
-                            if opened:
-                                full, rem = divmod(room, len(opened))
-                                cut = min(n, opened[rem] + full * period)
-                        end = n             # the frame breaking a budget, if any
+                    if v in ports and fleet.is_suppressed(v, t_s, bcast):
+                        sup[v] += c
+                        dropped += c
+                    elif not whole:
+                        opened.append((j, v, c))
+                    else:
+                        sent += c
+                        del_t[v] += c
+                        if bcast:
+                            del_b[v] += c
+                if opened:
+                    # The link carries the open lanes' first frames it has
+                    # room for, each lane its frames before `cut`, and caps
+                    # the rest.
+                    cut = n
+                    room = cap - delivered
+                    if n > room:
+                        full, rem = divmod(room, len(opened))
+                        cut = min(n, opened[rem][0] + full * period)
+                    for j, v, c in opened:
+                        k = (cut - 1 - j) // period + 1     # frames carried
                         if budget:
-                            for lane in lanes:
-                                q, v, blocked = lane
-                                if blocked:
-                                    continue
-                                # its next `fit` frames keep within the budget
-                                fit = left[v]
-                                b = q + fit * period
-                                # a capped frame adds no bytes, so the budget
-                                # holds if the last frame within it is capped
-                                if b < end and (not fit or b - period < cut):
-                                    end, breaker = b, lane
-                        carried = cut if cut < end else end
-                        for q, v, blocked in lanes:
-                            if blocked:
-                                k = (end - 1 - q) // period + 1
-                                sup[v] += k
-                                dropped += k
-                                continue
-                            k = (carried - 1 - q) // period + 1
-                            if not k:
-                                continue
-                            sent += k
-                            del_t[v] += k
-                            if bcast:
-                                del_b[v] += k
-                                if budget:
-                                    left[v] -= k
-                        if end == n:
-                            break
-                        v = breaker[1]
-                        fleet.byte_breach(v, t_s, (quota + 1) * size / 1e6)
-                        if enforce:     # the breach gave v a port
-                            breaker[2] = True
-                        else:
-                            left[v] = math.inf
-                        done = end
-                        for lane in lanes:
-                            lane[0] = done + (lane[0] - done) % period
+                            if wid != byte_wid.get(v):
+                                byte_wid[v] = wid
+                                left[v] = quota
+                            # The lane's frame `fit` breaks the budget if the
+                            # frames before it are carried and spend it; a
+                            # capped frame adds no bytes.  Only a one-lane run
+                            # can break one, as `background_end` and
+                            # `background` see to.
+                            fit = left[v]
+                            if fit <= k and fit < c:
+                                if width > 1:
+                                    raise RuntimeError(
+                                        f"a byte budget broken at t={t_s} "
+                                        f"inside a run of {width} lanes")
+                                fleet.byte_breach(v, t_s,
+                                                  (quota + 1) * size / 1e6)
+                                if enforce:     # the breach blocked v
+                                    sup[v] += c - fit
+                                    dropped += c - fit
+                                    k = fit
+                                else:           # unbudgeted from here on
+                                    left[v] = math.inf
+                            left[v] -= k
+                        sent += k
+                        del_t[v] += k
+                        if bcast:
+                            del_b[v] += k
                 suppressed += dropped
                 capped += n - sent - dropped
                 if not sent:

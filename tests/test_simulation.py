@@ -35,6 +35,7 @@ from .oracles import (
     reference_channel_csv,
     reference_run,
 )
+from .test_golden import edge_scenarios
 
 
 def frames_handled(trace) -> int:
@@ -300,6 +301,15 @@ class TestOperationCounts:
             agents=AgentConfig(policy=None)))
         assert sum(r.ledger.capped for r in trace.records)
         assert 0 < len(made) < frames_handled(trace) * 0.05
+
+    # under a byte budget a step handled on its own splits its broadcasts
+    # into one-frame runs; a stretch of steps does not split
+    def test_budgeted_background_splits_only_single_steps(self, monkeypatch):
+        made = self.count_runs(monkeypatch)
+        trace = run(edge_scenarios()["dense-budget-detect"])
+        assert any(tr.cause is TriggerCause.NBW_EXCEEDED
+                   for tr in trace.triggers)
+        assert 0 < len(made) < frames_handled(trace) / 50
 
     # without a loop the normal preset's steps hold background frames only,
     # which travel as one run per stream between the steps that hold others
@@ -791,6 +801,15 @@ class TestReferenceRun:
         injectors=(Injector(kind="loop", start_t=0.5, pass_interval=0.1),),
         agents=AgentConfig(policy=None, suppression_window=5.0,
                            thresholds=ThresholdDb(byte_threshold_mb=0.0077))))
+    # A budget of 14 frames on the link of 14: the 8 frames at 0.8 ms meet
+    # room for 7, the node's last 7 within the budget, so the eighth is
+    # both capped and the node's breaking frame.
+    @example(Scenario(
+        name="capped-breaking-frame-at-the-cut", node_count=2,
+        link_rate=58.688e6, duration=3.0,
+        injectors=(Injector(kind="loop", start_t=0.5, pass_interval=0.1),),
+        agents=AgentConfig(policy=None, suppression_window=5.0,
+                           thresholds=ThresholdDb(byte_threshold_mb=0.00717))))
     # background runs that wrap past node 149 onto node 1's blocked port,
     # and none of whose other nodes holds a port
     @example(Scenario(
@@ -831,6 +850,29 @@ class TestReferenceRun:
         agents=AgentConfig(policy=Policy.BANDWIDTH_BASED,
                            suppression_window=2.0,
                            thresholds=ThresholdDb(byte_threshold_mb=0.004))))
+    # At 10 Gb/s with 64 B frames and a budget of 78 frames per 0.1 ms
+    # window, all three nodes break their budgets at step 99, the step at
+    # which the link fills: the broadcasts there are handled one frame at a
+    # time, and an enforcing fleet blocks each node from its breaking frame
+    # on, while detect-only agents leave the rest to the link.
+    @example(Scenario(
+        name="budgets-break-as-the-link-fills", node_count=3,
+        link_rate=10e9, tick=0.1, duration=1.0, seed=3, frame_size=64,
+        generator=NormalBroadcastProfile(burst_period=1.0, jitter=0.2,
+                                         broadcast_peak_fraction=0.5,
+                                         unicast_fraction=0.9),
+        agents=AgentConfig(sample_period=0.1, suppression_window=0.1,
+                           policy=Policy.PACKET_BASED,
+                           thresholds=ThresholdDb(byte_threshold_mb=0.005))))
+    @example(Scenario(
+        name="budgets-break-as-the-link-fills-detect-only", node_count=3,
+        link_rate=10e9, tick=0.1, duration=1.0, seed=3, frame_size=64,
+        generator=NormalBroadcastProfile(burst_period=1.0, jitter=0.2,
+                                         broadcast_peak_fraction=0.5,
+                                         unicast_fraction=0.9),
+        agents=AgentConfig(sample_period=0.1, suppression_window=0.1,
+                           policy=None,
+                           thresholds=ThresholdDb(byte_threshold_mb=0.005))))
     @settings(max_examples=150, deadline=None)
     def test_matches_per_frame_reference(self, sc):
         expected = reference_run(sc)
