@@ -12,15 +12,20 @@ is handled by arithmetic, not frame by frame.
 
 The background generator's frames are never scheduled.  Each tick they
 form two streams, broadcast then unicast, frame i of n at step
-base + i * steps_per_tick // n, and the frames of both between two steps
-that hold other runs are handled as one rotating run per stream.  Such a
-stretch also ends wherever frame order could change a count: at a
-suppression-window edge, where a block lapses and a byte-budget window
-begins; at the step of a frame that breaks a byte budget; and at the step
-where the tick's link room runs out.  That step is handled on its own,
-and under a byte budget its broadcasts one frame per run.
-At a step holding other runs, its background frames follow the runs put
-there in an earlier tick and precede the rest.
+base + i * steps_per_tick // n, and the frames of both in a stretch of
+steps are handled as one rotating run per stream.  A stretch ends
+wherever frame order could change a count: at a suppression-window edge,
+where a block lapses and a byte-budget window begins; at the step of a
+frame that may break a byte budget; and at the step where the tick's
+link room runs out.  That step is handled on its own, and the broadcasts
+that may break a budget there each travel alone.
+Without a byte budget the background is deferred past the steps that
+hold other runs, each settled first while the link has room for all of
+its runs and the background up to it, and is booked at the tick's end or
+before a step that fails that bound: once per window segment in a tick
+whose link does not fill.  Under a budget a stretch also ends at each
+step that holds other runs, and there its background frames follow the
+runs put in an earlier tick and precede the rest.
 
 Every sampling tick the delivered traffic is rolled up into channel
 counters, classified, and offered to the agent fleet.  A rotating run
@@ -57,8 +62,8 @@ the port table, whichever is shorter.  Of any other run, the link
 carries the first frames it still has room for, in one pass over its
 nodes.  A run that can break a byte budget has all its frames from one
 node, as stretches end before a breaking frame and a step handled on its
-own splits its broadcasts; a break inside a run from more than one node
-fails the run.  A node breaks its budget once per window at most:
+own cuts its broadcasts there; a break inside a run from more than one
+node fails the run.  A node breaks its budget once per window at most:
 an enforcing fleet blocks the node from that frame on, and under
 detect-only agents its frames from there go unbudgeted.  Delivered loop
 frames spawn their replicas, one run per delivered run; everything
@@ -563,68 +568,105 @@ def run(scenario: Scenario) -> SimTrace:
         base + i * steps_per_tick // n, lie before step."""
         return -(-(step - base) * n // steps_per_tick)
 
-    def background(a: int, b: int) -> list[Run]:
+    def frames(a: int, b: int) -> int:
+        """The tick's background frames at steps [a, b), both streams."""
+        return (before(n_b, b) - before(n_b, a)
+                + before(n_u, b) - before(n_u, a))
+
+    def background(a: int, b: int, cuts: Iterable[int]) -> list[Run]:
         """The background frames at steps [a, b): one rotating run per
-        stream, except that under a byte budget the broadcasts of a single
-        step are one run per frame, as a frame there may break a budget."""
+        stream, except that each broadcast frame in `cuts` (stream
+        indices, in order) is a run of its own, as it may break a budget.
+
+        Without a byte budget `run` may build these after settling the
+        scheduled steps among [a, b), each under the bound that the link
+        had room for all of its runs and every background frame up to
+        it.  Each of those runs was then whole in frame order too, as no
+        background before it could take the room it needed; and these
+        frames, up to the last such step, fit in the room left after it,
+        so they meet the room they would have met in frame order, and
+        the link cuts those after it where it would have.
+        """
         runs = []
         for rr, ipid, bcast, n in streams:
-            i = before(n, a)
-            c = before(n, b) - i
-            if bcast and quota is not None and b == a + 1:
-                runs += [new(Run, ((rr + j) % nodes, ipid + j, True, "data",
-                                   None, 1, True, False))
-                         for j in range(i, i + c)]
-            elif c:
+            i, end = before(n, a), before(n, b)
+            for j in (cuts if bcast else ()):   # frames i..j-1, then j
+                if i < j:
+                    runs.append(new(Run, ((rr + i) % nodes, ipid + i, True,
+                                          "data", None, j - i, True, True)))
+                runs.append(new(Run, ((rr + j) % nodes, ipid + j, True,
+                                      "data", None, 1, True, True)))
+                i = j + 1
+            if i < end:
                 runs.append(new(Run, ((rr + i) % nodes, ipid + i, bcast,
-                                      "data", None, c, True, True)))
+                                      "data", None, end - i, True, True)))
         return runs
 
-    def background_end(a: int, b: int, room: int) -> int:
+    def breaks(a: int, b: int, room: int) -> list[int]:
+        """The broadcast frames at steps [a, b) that may break a byte
+        budget, as indices into their stream, in order: of each node with
+        `fit` frames of budget left, its frame `fit` there (counted from
+        0), if the link has room at a or the budget is spent."""
+        rr, _, _, n = streams[0]
+        t_a = a / STEPS_PER_MS
+        wid = a // window_steps
+        i0, i1 = before(n, a), before(n, b)
+        found = []
+        for i in range(i0, min(i1, i0 + nodes)):
+            v = (rr + i) % nodes
+            if v in ports and fleet.is_suppressed(v, t_a, True):
+                continue
+            fit = left[v] if byte_wid.get(v) == wid else quota
+            if room or not fit:         # a capped frame adds no bytes
+                brk = i + fit * nodes
+                if brk < i1:
+                    found.append(brk)
+        found.sort()
+        return found
+
+    def background_end(a: int, b: int, room: int) -> tuple[int, list[int]]:
         """The end k of a stretch [a, k), k <= b, of steps holding only
         background frames that can be handled as one run per stream,
         because frame order changes no count in it: no port's block or
         budget window changes, the link carries every frame or none, and
         no frame breaks a byte budget.  At least a + 1: a single step is
-        handled frame-exact, its broadcasts under a byte budget one frame
-        per run (see `background`)."""
+        handled frame-exact.  Also the frames `background` cuts out: those
+        of step a that may break a budget, when the stretch is step a
+        alone for them.
+
+        Without a byte budget the stretch may span deferred scheduled
+        steps (see `background`), whose runs took their room first:
+        `room` is what they left, and every frame up to the last of them
+        fits in it, so the link fills, if at all, after it.  Only then
+        does the search for the step where it fills run."""
         # a block lapses and a budget window begins only where the window
         # changes: end at the first step in a later window than a's
-        t_a = a / STEPS_PER_MS
-        wid = a // window_steps
-        b = min(b, (wid + 1) * window_steps)
-
-        def frames(k: int) -> int:
-            return sum(before(n, k) - before(n, a) for _, _, _, n in streams)
-
-        if room and frames(b) > room:
-            lo = a              # the step holding the first frame with no room
+        b = min(b, (a // window_steps + 1) * window_steps)
+        # the link can fill: end before the step holding the first frame
+        # with no room
+        if room and frames(a, b) > room:
+            lo = a
             while b - lo > 1:
                 mid = (lo + b) // 2
-                if frames(mid) > room:
+                if frames(a, mid) > room:
                     b = mid
                 else:
                     lo = mid
             b = lo
-        if quota is not None:
-            for rr, _, bcast, n in streams:
-                if not bcast:
-                    continue
-                i0, i1 = before(n, a), before(n, b)
-                for i in range(i0, min(i1, i0 + nodes)):
-                    v = (rr + i) % nodes
-                    if v in ports and fleet.is_suppressed(v, t_a, True):
-                        continue
-                    fit = left[v] if byte_wid.get(v) == wid else quota
-                    if room or not fit:     # a capped frame adds no bytes
-                        brk = i + fit * nodes
-                        if brk < i1:
-                            b = min(b, base + brk * steps_per_tick // n)
-        return max(b, a + 1)
+        b = max(b, a + 1)
+        if quota is None:
+            return b, []
+        cuts = breaks(a, b, room)
+        if not cuts:
+            return b, cuts
+        k = base + cuts[0] * steps_per_tick // n_b
+        if k > a:
+            return k, []
+        return a + 1, [j for j in cuts if j < before(n_b, a + 1)]
 
     bcast_rr = 0
     uni_rr = 0
-    last_step = -1
+    last_step = seeded = -1     # the steps visited, and seeded
     records: list[TickRecord] = []
     history: tuple[ChannelStats, ...] = ()
 
@@ -672,13 +714,38 @@ def run(scenario: Scenario) -> SimTrace:
         kinds: Counter = Counter()
         hits: set[int] = set()      # the IPIDs that qualified this tick
 
+        # Without a byte budget the background is deferred (see
+        # `background`).  Its IPIDs are fresh, so they never enter the IPID
+        # window, and a port's block changes only at a window edge, which
+        # no stretch crosses, as `observe` sets blocks at the tick's end:
+        # its frames differ from other runs only in the link room they
+        # take.  So a scheduled step is settled with the background still
+        # deferred when the link has room for every deferred frame up to
+        # and at it and every run it holds.  Otherwise, and at the tick's
+        # end, the deferred background is booked first, and from there
+        # the room search, the frame-exact step and the order of the runs
+        # put before the tick apply as under a budget.
         while True:
             nxt = due[0] if due and due[0] < stop else stop
-            if bg_step < nxt:
-                # background frames before the next step that holds runs
+            defer = False
+            if last_step < nxt < stop:
+                if seeded < nxt:    # first seen: put the loops' seeds
+                    seeded = nxt
+                    for i, (inj, passes, _) in loops.items():
+                        if nxt in passes and pending[i] == 0:
+                            put(nxt, new(Run, (inj.origin_node, next_ipid,
+                                               True, "seed", i, 1,
+                                               not inj.reuse_ipid, False)))
+                            next_ipid += 1
+                if quota is None and bg_step <= nxt:
+                    defer = (delivered + frames(bg_step, nxt + 1)
+                             + sum([r.count for r in schedule[nxt]]) <= cap)
+            if bg_step < nxt and not defer:
+                # the background, deferred or not, before the next step
+                # that holds runs, or before the tick's end
                 step = bg_step
-                bg_step = background_end(step, nxt, cap - delivered)
-                batch = background(step, bg_step)
+                bg_step, cuts = background_end(step, nxt, cap - delivered)
+                batch = background(step, bg_step, cuts)
                 t_s = step / STEPS_PER_MS
             elif nxt == stop:
                 break
@@ -688,17 +755,18 @@ def run(scenario: Scenario) -> SimTrace:
                     continue
                 last_step = step
                 t_s = step / STEPS_PER_MS
-                for i, (inj, passes, _) in loops.items():
-                    if step in passes and pending[i] == 0:
-                        put(step, new(Run, (inj.origin_node, next_ipid, True,
-                                            "seed", i, 1, not inj.reuse_ipid,
-                                            False)))
-                        next_ipid += 1
                 batch = schedule.pop(step)
                 early = held.pop(step, 0)
-                if bg_step == step:
+                if bg_step == step and not defer:
                     bg_step += 1
-                    batch[early:early] = background(step, bg_step)
+                    cuts = ()
+                    if quota is not None:
+                        # runs put before the tick may spend a budget
+                        # first, and then any broadcast here may break it
+                        cuts = (range(before(n_b, step), before(n_b, bg_step))
+                                if early else
+                                breaks(step, bg_step, cap - delivered))
+                    batch[early:early] = background(step, bg_step, cuts)
             for src, ipid, bcast, kind, owner, n, fresh, rotates in batch:
                 if kind == "replica":
                     replicated += n

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from stormctl.simulation import SimTrace, preset, run
 
@@ -40,3 +41,9 @@ def table5_trace() -> SimTrace:
 @pytest.fixture(scope="session")
 def table5_trace_unprotected() -> SimTrace:
     return run(preset("table5-control", agents=False))
+
+
+# Tier 1 runs Hypothesis's default profile, at the example counts the
+# tests name.  `--hypothesis-profile=soak` runs every property checked
+# against `tests/oracles.reference_run` at 3000 examples instead.
+settings.register_profile("soak", max_examples=3000)
