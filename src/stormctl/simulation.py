@@ -19,13 +19,13 @@ where a block lapses and a byte-budget window begins; at the step of a
 frame that may break a byte budget; and at the step where the tick's
 link room runs out.  That step is handled on its own, and the broadcasts
 that may break a budget there each travel alone.
-Without a byte budget the background is deferred past the steps that
-hold other runs, each settled first while the link has room for all of
-its runs and the background up to it, and is booked at the tick's end or
-before a step that fails that bound: once per window segment in a tick
-whose link does not fill.  Under a budget a stretch also ends at each
-step that holds other runs, and there its background frames follow the
-runs put in an earlier tick and precede the rest.
+Each step holding other runs has two batches: the runs put there before
+its tick, which precede its background frames, and the rest, which
+follow them.  A stretch also ends before each batch, unless no byte
+budget is set and the link has room for the batch and the background
+before it: then the background waits, and is booked at the tick's end
+or before a batch that fails that bound, so once per window segment in
+a tick whose link does not fill.
 
 Every sampling tick the delivered traffic is rolled up into channel
 counters, classified, and offered to the agent fleet.  A rotating run
@@ -531,10 +531,13 @@ def run(scenario: Scenario) -> SimTrace:
             loops[i] = (inj, range(round(inj.start_t * STEPS_PER_MS), end,
                                    max(hop, 1)), hop)
     pending = dict.fromkeys(loops, 0)
-    # heap of the steps to visit: those holding runs, and loop passes,
-    # each pass with a batch from the start so `put` never pushes it
-    due = sorted({step for _, passes, _ in loops.values() for step in passes})
-    schedule: dict[int, list[Run]] = {step: [] for step in due}
+    # heap of the keys to visit, two per step: key 2 * step holds the runs
+    # put there before its tick, which come before its background, and key
+    # 2 * step + 1 the rest, which follow it; each loop pass has a batch at
+    # its odd key from the start, so `put` never pushes it
+    due = sorted({2 * step + 1 for _, passes, _ in loops.values()
+                  for step in passes})
+    schedule: dict[int, list[Run]] = {key: [] for key in due}
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
     ipid_win = _IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
@@ -550,16 +553,14 @@ def run(scenario: Scenario) -> SimTrace:
     columns = att_b, att_t, del_b, del_t, sup = tuple([0] * nodes
                                                       for _ in range(5))
     ports = fleet.ports if enforce else {}  # the nodes that can be blocked
-    held: dict[int, int] = {}   # per step, the runs put there before its tick
 
     def put(step: int, r: Run) -> None:
         if 0 <= step < total_steps:
-            if step >= stop:    # held over: handled before the step's background
-                held[step] = held.get(step, 0) + 1
-            batch = schedule.get(step)
+            key = 2 * step + (step < stop)
+            batch = schedule.get(key)
             if batch is None:
-                schedule[step] = [r]
-                heappush(due, step)
+                schedule[key] = [r]
+                heappush(due, key)
             else:
                 batch.append(r)
 
@@ -573,20 +574,60 @@ def run(scenario: Scenario) -> SimTrace:
         return (before(n_b, b) - before(n_b, a)
                 + before(n_u, b) - before(n_u, a))
 
-    def background(a: int, b: int, cuts: Iterable[int]) -> list[Run]:
-        """The background frames at steps [a, b): one rotating run per
-        stream, except that each broadcast frame in `cuts` (stream
-        indices, in order) is a run of its own, as it may break a budget.
+    def background(a: int, b: int, room: int) -> tuple[int, list[Run]]:
+        """The end k of a stretch [a, k), k <= b, of background steps, and
+        its frames: one rotating run per stream, unless frame order
+        changes a count in it.  The stretch ends where a port's block or a
+        budget window may change, at a window edge, and before the step
+        where the link's `room` runs out.  It also ends before the step of
+        the first frame that may break a byte budget, or, where that step
+        is a, is step a alone, with each such broadcast frame a run of its
+        own.  So a single step is handled frame-exact.
 
-        Without a byte budget `run` may build these after settling the
-        scheduled steps among [a, b), each under the bound that the link
-        had room for all of its runs and every background frame up to
-        it.  Each of those runs was then whole in frame order too, as no
+        Without a byte budget `run` may book these frames after settling
+        the scheduled steps among [a, b), each under the bound that the
+        link had room for all of its runs and every background frame before
+        them.  Each of those runs was then whole in frame order too, as no
         background before it could take the room it needed; and these
-        frames, up to the last such step, fit in the room left after it,
-        so they meet the room they would have met in frame order, and
-        the link cuts those after it where it would have.
+        frames, up to the last such step, fit in the `room` left after it,
+        so the link fills, if at all, where it would have in frame order.
         """
+        b = min(b, (a // window_steps + 1) * window_steps)
+        if room and frames(a, b) > room:
+            lo = a
+            while b - lo > 1:
+                mid = (lo + b) // 2
+                if frames(a, mid) > room:
+                    b = mid
+                else:
+                    lo = mid
+            b = lo
+        b = max(b, a + 1)
+        cuts = []
+        if quota is not None:
+            # of each node with `fit` frames of budget left, its broadcast
+            # frame `fit` here (counted from 0) may break it, if the link
+            # has room at a or the budget is spent, as a capped frame adds
+            # no bytes
+            rr, _, _, n = streams[0]
+            t_a = a / STEPS_PER_MS
+            wid = a // window_steps
+            i0, i1 = before(n, a), before(n, b)
+            for i in range(i0, min(i1, i0 + nodes)):
+                v = (rr + i) % nodes
+                if v in ports and fleet.is_suppressed(v, t_a, True):
+                    continue
+                fit = left[v] if byte_wid.get(v) == wid else quota
+                if (room or not fit) and i + fit * nodes < i1:
+                    cuts.append(i + fit * nodes)
+            cuts.sort()
+            if cuts:
+                k = base + cuts[0] * steps_per_tick // n
+                if k > a:
+                    b, cuts = k, []
+                else:
+                    b = a + 1
+                    cuts = [j for j in cuts if j < before(n, b)]
         runs = []
         for rr, ipid, bcast, n in streams:
             i, end = before(n, a), before(n, b)
@@ -600,73 +641,11 @@ def run(scenario: Scenario) -> SimTrace:
             if i < end:
                 runs.append(new(Run, ((rr + i) % nodes, ipid + i, bcast,
                                       "data", None, end - i, True, True)))
-        return runs
-
-    def breaks(a: int, b: int, room: int) -> list[int]:
-        """The broadcast frames at steps [a, b) that may break a byte
-        budget, as indices into their stream, in order: of each node with
-        `fit` frames of budget left, its frame `fit` there (counted from
-        0), if the link has room at a or the budget is spent."""
-        rr, _, _, n = streams[0]
-        t_a = a / STEPS_PER_MS
-        wid = a // window_steps
-        i0, i1 = before(n, a), before(n, b)
-        found = []
-        for i in range(i0, min(i1, i0 + nodes)):
-            v = (rr + i) % nodes
-            if v in ports and fleet.is_suppressed(v, t_a, True):
-                continue
-            fit = left[v] if byte_wid.get(v) == wid else quota
-            if room or not fit:         # a capped frame adds no bytes
-                brk = i + fit * nodes
-                if brk < i1:
-                    found.append(brk)
-        found.sort()
-        return found
-
-    def background_end(a: int, b: int, room: int) -> tuple[int, list[int]]:
-        """The end k of a stretch [a, k), k <= b, of steps holding only
-        background frames that can be handled as one run per stream,
-        because frame order changes no count in it: no port's block or
-        budget window changes, the link carries every frame or none, and
-        no frame breaks a byte budget.  At least a + 1: a single step is
-        handled frame-exact.  Also the frames `background` cuts out: those
-        of step a that may break a budget, when the stretch is step a
-        alone for them.
-
-        Without a byte budget the stretch may span deferred scheduled
-        steps (see `background`), whose runs took their room first:
-        `room` is what they left, and every frame up to the last of them
-        fits in it, so the link fills, if at all, after it.  Only then
-        does the search for the step where it fills run."""
-        # a block lapses and a budget window begins only where the window
-        # changes: end at the first step in a later window than a's
-        b = min(b, (a // window_steps + 1) * window_steps)
-        # the link can fill: end before the step holding the first frame
-        # with no room
-        if room and frames(a, b) > room:
-            lo = a
-            while b - lo > 1:
-                mid = (lo + b) // 2
-                if frames(a, mid) > room:
-                    b = mid
-                else:
-                    lo = mid
-            b = lo
-        b = max(b, a + 1)
-        if quota is None:
-            return b, []
-        cuts = breaks(a, b, room)
-        if not cuts:
-            return b, cuts
-        k = base + cuts[0] * steps_per_tick // n_b
-        if k > a:
-            return k, []
-        return a + 1, [j for j in cuts if j < before(n_b, a + 1)]
+        return b, runs
 
     bcast_rr = 0
     uni_rr = 0
-    last_step = seeded = -1     # the steps visited, and seeded
+    last_key = seeded = -1      # the last key visited, and step seeded
     records: list[TickRecord] = []
     history: tuple[ChannelStats, ...] = ()
 
@@ -714,59 +693,46 @@ def run(scenario: Scenario) -> SimTrace:
         kinds: Counter = Counter()
         hits: set[int] = set()      # the IPIDs that qualified this tick
 
-        # Without a byte budget the background is deferred (see
-        # `background`).  Its IPIDs are fresh, so they never enter the IPID
-        # window, and a port's block changes only at a window edge, which
-        # no stretch crosses, as `observe` sets blocks at the tick's end:
-        # its frames differ from other runs only in the link room they
-        # take.  So a scheduled step is settled with the background still
-        # deferred when the link has room for every deferred frame up to
-        # and at it and every run it holds.  Otherwise, and at the tick's
-        # end, the deferred background is booked first, and from there
-        # the room search, the frame-exact step and the order of the runs
-        # put before the tick apply as under a budget.
+        # Without a byte budget the background may wait (see `background`).
+        # Its IPIDs are fresh, so they never enter the IPID window, and a
+        # port's block changes only at a window edge, which no stretch
+        # crosses, as `observe` sets blocks at the tick's end: its frames
+        # differ from other runs only in the link room they take.  So a
+        # key's batch is settled with the background before it still
+        # waiting when the link has room for that background and every run
+        # of the batch.  Otherwise, and at the tick's end, the background
+        # is booked first.
+        tick_end = 2 * stop
         while True:
-            nxt = due[0] if due and due[0] < stop else stop
-            defer = False
-            if last_step < nxt < stop:
-                if seeded < nxt:    # first seen: put the loops' seeds
-                    seeded = nxt
+            key = due[0] if due and due[0] < tick_end else tick_end
+            end = (key + 1) // 2    # the background before key's batch ends here
+            wait = False
+            if last_key < key < tick_end:
+                step = key // 2
+                if seeded < step:   # first seen: put the loops' seeds
+                    seeded = step
                     for i, (inj, passes, _) in loops.items():
-                        if nxt in passes and pending[i] == 0:
-                            put(nxt, new(Run, (inj.origin_node, next_ipid,
-                                               True, "seed", i, 1,
-                                               not inj.reuse_ipid, False)))
+                        if step in passes and pending[i] == 0:
+                            put(step, new(Run, (inj.origin_node, next_ipid,
+                                                True, "seed", i, 1,
+                                                not inj.reuse_ipid, False)))
                             next_ipid += 1
-                if quota is None and bg_step <= nxt:
-                    defer = (delivered + frames(bg_step, nxt + 1)
-                             + sum([r.count for r in schedule[nxt]]) <= cap)
-            if bg_step < nxt and not defer:
-                # the background, deferred or not, before the next step
-                # that holds runs, or before the tick's end
+                if quota is None and bg_step < end:
+                    wait = (delivered + frames(bg_step, end)
+                            + sum([r.count for r in schedule[key]]) <= cap)
+            if bg_step < end and not wait:
                 step = bg_step
-                bg_step, cuts = background_end(step, nxt, cap - delivered)
-                batch = background(step, bg_step, cuts)
-                t_s = step / STEPS_PER_MS
-            elif nxt == stop:
+                bg_step, batch = background(step, end, cap - delivered)
+            elif key == tick_end:
                 break
             else:
-                step = heappop(due)
-                if step <= last_step:   # put after its visit: never handled
+                heappop(due)
+                if key <= last_key:     # put after its visit: never handled
                     continue
-                last_step = step
-                t_s = step / STEPS_PER_MS
-                batch = schedule.pop(step)
-                early = held.pop(step, 0)
-                if bg_step == step and not defer:
-                    bg_step += 1
-                    cuts = ()
-                    if quota is not None:
-                        # runs put before the tick may spend a budget
-                        # first, and then any broadcast here may break it
-                        cuts = (range(before(n_b, step), before(n_b, bg_step))
-                                if early else
-                                breaks(step, bg_step, cap - delivered))
-                    batch[early:early] = background(step, bg_step, cuts)
+                last_key = key
+                step = key // 2
+                batch = schedule.pop(key)
+            t_s = step / STEPS_PER_MS
             for src, ipid, bcast, kind, owner, n, fresh, rotates in batch:
                 if kind == "replica":
                     replicated += n
@@ -862,8 +828,7 @@ def run(scenario: Scenario) -> SimTrace:
                             # The lane's frame `fit` breaks the budget if the
                             # frames before it are carried and spend it; a
                             # capped frame adds no bytes.  Only a one-lane run
-                            # can break one, as `background_end` and
-                            # `background` see to.
+                            # can break one, as `background` sees to.
                             fit = left[v]
                             if fit <= k and fit < c:
                                 if width > 1:
@@ -949,7 +914,8 @@ def run(scenario: Scenario) -> SimTrace:
         history = (stats,)
 
     if schedule:    # runs put at a step already visited were never handled
-        raise RuntimeError(f"frames never processed from step {min(schedule)}")
+        raise RuntimeError(
+            f"frames never processed from step {min(schedule) // 2}")
     if fleet is not None:
         fleet.finish(sc.duration)
     return SimTrace(

@@ -332,6 +332,27 @@ class TestOperationCounts:
                    for tr in trace.triggers)
         assert 0 < len(made) < frames_handled(trace) / 300
 
+    # the replicas a loop holds over from an earlier tick spend their
+    # budgets before a step's background is built, so under a byte budget
+    # that step's broadcasts are not cut into one-frame runs for them
+    def test_held_runs_leave_the_budgeted_background_whole(self, monkeypatch):
+        made = self.count_runs(monkeypatch)
+        sc = dataclasses.replace(WIDE_LOOP_BLOCKED, agents=dataclasses.replace(
+            WIDE_LOOP_BLOCKED.agents,
+            thresholds=ThresholdDb(byte_threshold_mb=0.1)))
+        trace = run(sc)
+        assert sum(r.ledger.replicated for r in trace.records)
+        assert 0 < len(made) < 180
+
+    # a loop pass on every step overruns the link: a step's background
+    # joins the stretch before it rather than travelling between its
+    # held-over replicas and the rest of its runs
+    def test_background_of_a_held_step_joins_its_stretch(self, monkeypatch):
+        made = self.count_runs(monkeypatch, "data")
+        trace = run(edge_scenarios()["capacity-cut-10g"])
+        assert sum(r.ledger.capped for r in trace.records)
+        assert 0 < len(made) <= 130
+
     # without a byte budget, on a link that never fills, a tick's
     # background is booked once, as one run per stream, however many loop
     # passes the tick holds
