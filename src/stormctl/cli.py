@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import agents, datasets, growth, plotting, simulation, tracefile
+from . import agents, datasets, growth, simulation, tracefile
 
 log = logging.getLogger("stormctl.cli")
 
@@ -77,6 +77,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(tracefile.format_trace(points))
     if args.plot:
+        from . import plotting      # only a chart needs it
         plotting.write_chart([("P(t)", points)], args.plot,
                              title="broadcast growth curve")
         print(f"wrote plot to {args.plot}", file=sys.stderr)
@@ -101,6 +102,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.model_out:
         tracefile.write_trace(fitted, args.model_out)
     if args.plot:
+        from . import plotting
         plotting.write_chart(
             [("observed", [(p.t, p.count) for p in points]),
              ("fitted rise", fitted)],
@@ -167,6 +169,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         tracefile.write_summary(summary, out / "summary.json")
         tracefile.write_scenario(scenario, out / "scenario.json")
         if args.plot:
+            from . import plotting
             records = trace.records
             plotting.write_chart(
                 [("broadcast pkts", [(r.t, r.stats.broadcast_pkts)

@@ -181,10 +181,6 @@ def channel_csv_chunks(trace: SimTrace) -> Iterator[str]:
             c.utilization, c.verdict.value, c.stage.value, t, t.join(rows))
 
 
-def format_channel_csv(trace: SimTrace) -> str:
-    return "".join(channel_csv_chunks(trace))
-
-
 def write_channel_csv(trace: SimTrace, path: PathLike) -> None:
     """Write the channel CSV tick by tick, never holding it whole."""
     write_text(path, channel_csv_chunks(trace))

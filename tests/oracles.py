@@ -575,8 +575,13 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
     )
 
 
+def channel_csv(trace: sim.SimTrace) -> str:
+    """The channel CSV that `tracefile.write_channel_csv` writes, whole."""
+    return "".join(tracefile.channel_csv_chunks(trace))
+
+
 def reference_channel_csv(trace: sim.SimTrace) -> str:
-    """`tracefile.format_channel_csv`, every row through `csv.writer`."""
+    """`channel_csv`, every row through `csv.writer`."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(tracefile.CHANNEL_HEADER)

@@ -698,3 +698,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    # only `--plot` draws a chart, so only its branches import plotting
+    def test_import_leaves_out_plotting(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import stormctl.cli; "
+                "print('stormctl.plotting' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, PACKAGE_ROOT],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]

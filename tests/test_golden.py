@@ -48,7 +48,7 @@ from stormctl.simulation import (
     scenario_presets,
 )
 
-from .oracles import reference_channel_csv
+from .oracles import channel_csv, reference_channel_csv
 
 GOLDEN = {
     ('normal', True): {
@@ -607,14 +607,14 @@ FIT_CASES = list(fit_inputs())
 def test_artifacts_match_golden_digests(name, agents):
     trace = preset_run((name, agents))
     assert digests(trace) == GOLDEN[(name, agents)]
-    assert tracefile.format_channel_csv(trace) == reference_channel_csv(trace)
+    assert channel_csv(trace) == reference_channel_csv(trace)
 
 
 @pytest.mark.parametrize("name", EDGE_CASES)
 def test_edge_scenarios_match_golden_digests(name):
     trace = edge_run(name)
     assert digests(trace) == EDGE_GOLDEN[name]
-    assert tracefile.format_channel_csv(trace) == reference_channel_csv(trace)
+    assert channel_csv(trace) == reference_channel_csv(trace)
 
 
 @pytest.mark.parametrize("name", FIT_CASES)

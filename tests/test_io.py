@@ -36,7 +36,7 @@ from stormctl.simulation import (
 )
 from stormctl import tracefile
 
-from .oracles import reference_channel_csv, reference_interpolate
+from .oracles import channel_csv, reference_channel_csv, reference_interpolate
 from .test_simulation import small_scenarios
 
 finite_times = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
@@ -187,7 +187,7 @@ class TestChannelCsv:
                               rec.senders.size, rec.senders.idle)
             records.append(rec._replace(senders=senders))
         crafted = replace(trace, records=records)
-        text = tracefile.format_channel_csv(crafted)
+        text = channel_csv(crafted)
         assert text == reference_channel_csv(crafted)
         assert f"{records[1].t!r},41,0,0,0,0,,,,\n" in text
         assert f"{records[1].t!r},40,0,5,0,2560,,,,\n" in text
@@ -195,12 +195,18 @@ class TestChannelCsv:
 
     def test_written_without_the_whole_text(self, tmp_path, monkeypatch,
                                             loop_trace):
-        def whole(trace):
-            raise AssertionError("the channel CSV was built whole")
+        given = []
+        original = tracefile.write_text
 
-        monkeypatch.setattr(tracefile, "format_channel_csv", whole)
+        def write_text(path, text):
+            assert not isinstance(text, str), "the channel CSV was built whole"
+            given.append(text)
+            original(path, text)
+
+        monkeypatch.setattr(tracefile, "write_text", write_text)
         path = tmp_path / "trace.csv"
         tracefile.write_channel_csv(loop_trace, path)
+        assert len(given) == 1
         assert path.read_bytes() == reference_channel_csv(loop_trace).encode()
 
     def test_long_trace_is_written_in_little_memory(self, tmp_path):
