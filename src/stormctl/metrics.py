@@ -5,7 +5,7 @@ Fixed operating thresholds (fractions of capacity unless noted):
   idle        utilization < 0.10
   busy        utilization > 0.50
   storm       utilization > 0.60, or a rising broadcast share above the
-              20% rule, or an IPID loop signature
+              20% rule at utilization >= 0.10, or an IPID loop signature
   stage       build-up band edges at 0.40 and 0.90
 
 The inter-packet gap floor is 96 bit-times, so min_ipg is 9600 ns at
@@ -224,15 +224,17 @@ def classify(
 
     `history` is the preceding ticks, oldest first; the broadcast-share
     rule only escalates to a storm verdict while the broadcast count is
-    still rising tick over tick.  `capacity_pkts` is the interval's
-    packet capacity.
+    still rising tick over tick, and only on a channel that is not idle:
+    a few broadcast frames after an empty tick are no storm.
+    `capacity_pkts` is the interval's packet capacity.
     """
     util = utilization(stats.total_pkts, capacity_pkts)
     ratio, rule_breach = broadcast_ratio(stats)
     shrunk = ipg_shrinkage(stats.observed_ipg, stats.link_rate)
     rising = bool(history) and stats.broadcast_pkts > history[-1].broadcast_pkts
 
-    if util > STORM_UTILIZATION or (rule_breach and rising) or ipid_loop:
+    if (util > STORM_UTILIZATION or ipid_loop
+            or (rule_breach and rising and util >= IDLE_UTILIZATION)):
         verdict = Verdict.STORM
     elif util < IDLE_UTILIZATION:
         verdict = Verdict.IDLE

@@ -127,18 +127,18 @@ GOLDEN = {
         'closed': '019e81b11cfc768f9d48364750133ea0786a91edaa67456a3f9e166138fad331',
         'records': 'aa2080c68f5d2294020a2481258420db63322576d45672351da46bec984a4eb5',
         'scenario.json': '12d5db8897a8696d8d695af2998bec057e43be5c70ab4f6801e2666319a9c505',
-        'summary.json': '9babfeab203de704afa6a364b038d733e941915a09d2482780a84498fbe88f0f',
+        'summary.json': '1ffa8df0053e1c22afab40be3266f85bcd48b6d1bc1cbc3d58bc3cc911dbcfdb',
         'tickets.jsonl': '5aa207842861cd7c8a7f72cf08a2182e387eb8e3e8e0eaf2f7506365904f0839',
-        'trace.csv': '256924478bf3222e84f7e35aa4fd78541802fced37cf6ac994b2d50db33ada22',
+        'trace.csv': 'd465838e77aa3c4fbb33733571dcb45e9f8f7d0e4cdf3e15da11d377515c1346',
         'triggers': '4d9ed6d2506cdeaf718b6935bafea1e91afe22d53c01a91a773f473d82530849',
     },
     ('table5-control', False): {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '9da447142a4e25f76027336d9c6e7089f2f746c2f1c0564078b1932e9e33acc1',
         'scenario.json': 'ba542ad48a1130bb4c80d0719b73c7879594e9ded2263cd9536503161dd0f417',
-        'summary.json': '37bc0687326721d47650849cdefb4c10ac27d5984b85cad0e2d61cad75d0090e',
+        'summary.json': '0640a1fbb1d6078c8d37cc9391f137a844cb8ebcf61857bc95ee41f97e7c0a54',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'trace.csv': 'd7864b93f1efa0d7874e2e5682af3eef862ad34b7a90e3567df95b6ff9741db7',
+        'trace.csv': '4adb7aa9adc2fd6270031568f1432db3020006d9c11842dc46202ad56747affb',
         'triggers': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     },
 }
@@ -157,9 +157,9 @@ EDGE_GOLDEN = {
         'closed': 'b36a1395427bc2769da1e236a2663e0c7c8683038997c39c86d7a2e161e7ac86',
         'records': '9da447142a4e25f76027336d9c6e7089f2f746c2f1c0564078b1932e9e33acc1',
         'scenario.json': 'a935f03de94657673e90f3dbcad4eaec56320debb66d9441bd3b6cfa0f979ec8',
-        'summary.json': '615e7bde960480951e600f289a16b3fef41057d4ca6e39dfdb3b6fde9d3e7f3a',
+        'summary.json': '6292c638ec06a1c785d3d2ed0bfd09c2f1fd0b40b3a5ff61b8a927255ec3eeae',
         'tickets.jsonl': 'aab4d0a6509d0f3fb4b702c3eba765e0e1dee0cd47f6776e53c2c501477dbb3a',
-        'trace.csv': 'd7864b93f1efa0d7874e2e5682af3eef862ad34b7a90e3567df95b6ff9741db7',
+        'trace.csv': '4adb7aa9adc2fd6270031568f1432db3020006d9c11842dc46202ad56747affb',
         'triggers': '5fecf7ab45b4c9fc263effd381d4ef6fcf4d456c8c3d15ff99d905a32077b2f8',
     },
     'bandwidth-policy': {
@@ -294,18 +294,18 @@ EDGE_GOLDEN = {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': 'e574049f4f2ab903b26c51057e859b77a830c5d47435ce8b993e63ff2228621a',
         'scenario.json': 'ad6fe3509547ddfff7d13407343c3dc7a9cfa2298ea7b4ed73161cc84e7b8e09',
-        'summary.json': '4331f4af77e3d124130d74a5c4c773b838d2def5f4816b3cae395b63b1b8bb3f',
+        'summary.json': '856d82006696468695f5931f1ca76cd52d7e59ea181bb14e8319291e20c4070a',
         'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'trace.csv': '0dc6a0d68dd17831f7ce637c4e8932586e0f4477fa30c9417b8f97f0d8adb1a3',
+        'trace.csv': '29126cbefcf786693106f2a021474f6fcafc613eab2744458085396fb77d1dee',
         'triggers': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     },
     'ipid-evict-before-observe': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': 'e5e51d4dd0740c9cd4fea75c8d9eff3fd42487ec4e5a6c9cf88a055cc2fc06ee',
         'scenario.json': '739b0f4d6173ce4d2c553b190eb6cdc799cf9919de3a607c59efd4d03908fcf0',
-        'summary.json': '003ebb1b54a1f25ff492621f2f6aa5cac48d24a96a035dbee472853005e78a02',
+        'summary.json': 'fadf5846f975ae713611a426bcd3a54b0ece2d36a8ac99e59ea1fd07241831b2',
         'tickets.jsonl': 'fc034b980635ebc695e1b208a32475ae92f0d8257165b4d962261c9145bdbf89',
-        'trace.csv': '1fa8a12e4f4eeba70b152f1ae2c7ef260e6d12a2b0ecd44363a29a12d73f7988',
+        'trace.csv': 'dee421464ae3d2329dbb998a4ff6ea1199c491d3c4b64c634267ab10198c67fd',
         'triggers': 'e0985f1609ae3f25e88d70d2ff2fae56be802eca0297526f8a763e7422a9d511',
     },
 }

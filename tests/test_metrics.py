@@ -138,6 +138,17 @@ class TestClassify:
         c = self.check(tick=1.0, bcast=40, total=100, history=(past,))
         assert c.verdict is Verdict.STORM
 
+    # one loop frame after an empty tick is a rising broadcast share of
+    # 100%, but at 0.4% utilization the channel is idle, not in a storm;
+    # the rule applies from the idle floor up (24 of 238 frames is 10.1%)
+    def test_rising_broadcast_share_needs_the_idle_floor(self):
+        empty = stats(tick=0.0, bcast=0, total=0)
+        for total, verdict in ((1, Verdict.IDLE), (23, Verdict.IDLE),
+                               (24, Verdict.STORM)):
+            c = self.check(tick=1.0, bcast=total, total=total,
+                           history=(empty,))
+            assert c.verdict is verdict, total
+
     def test_flat_broadcast_share_is_only_busy(self):
         past = stats(tick=0.0, bcast=40, total=100)
         c = self.check(tick=1.0, bcast=40, total=100, history=(past,))
