@@ -585,12 +585,13 @@ def run(scenario: Scenario) -> SimTrace:
         own.  So a single step is handled frame-exact.
 
         Without a byte budget `run` may book these frames after settling
-        the scheduled steps among [a, b), each under the bound that the
-        link had room for all of its runs and every background frame before
-        them.  Each of those runs was then whole in frame order too, as no
-        background before it could take the room it needed; and these
-        frames, up to the last such step, fit in the `room` left after it,
-        so the link fills, if at all, where it would have in frame order.
+        the batches of the steps among [a, b), each under the bound that
+        the link had room for all of its runs and every background frame
+        before them.  Each of those runs was then whole in frame order
+        too, as no background before it could take the room it needed;
+        and these frames, up to the last such step, fit in the `room` left
+        after it, so the link fills, if at all, where it would have in
+        frame order.
         """
         b = min(b, (a // window_steps + 1) * window_steps)
         if room and frames(a, b) > room:
@@ -705,7 +706,7 @@ def run(scenario: Scenario) -> SimTrace:
         tick_end = 2 * stop
         while True:
             key = due[0] if due and due[0] < tick_end else tick_end
-            end = (key + 1) // 2    # the background before key's batch ends here
+            end = (key + 1) // 2    # where the background before it ends
             wait = False
             if last_key < key < tick_end:
                 step = key // 2
