@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import defaultdict
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -178,38 +178,71 @@ def broadcast_ratio(stats: ChannelStats) -> BroadcastRatio:
     return BroadcastRatio(ratio, ratio > BROADCAST_RULE)
 
 
+class IpidWindow:
+    """Sliding window of IPID sightings, as counted entries.
+
+    An entry is `count` sightings of one IPID, from node `src`, at time
+    t; entries are added in time order.  An IPID seen min_repeats or more
+    times within any window_ms span (both ends included) marks a loop:
+    its frames are being recirculated rather than freshly generated.
+    """
+
+    def __init__(self, window_ms: float, min_repeats: int) -> None:
+        self.window_ms = window_ms
+        self.min_repeats = min_repeats
+        self._order: deque[tuple[float, int]] = deque()
+        self._per_ipid: dict[int, deque[tuple[float, Optional[int], int]]] = {}
+
+    def add(self, t: float, ipid: int, count: int,
+            src: Optional[int] = None) -> bool:
+        """Record an entry; whether its IPID now qualifies."""
+        self._order.append((t, ipid))
+        entries = self._per_ipid.setdefault(ipid, deque())
+        entries.append((t, src, count))
+        # the entry qualifies if its last sighting does: find the time of
+        # the min_repeats-th most recent sighting
+        need = self.min_repeats
+        for seen, _, n in reversed(entries):
+            need -= n
+            if need <= 0:
+                return t - seen <= self.window_ms
+        return False
+
+    def evict(self, now: float) -> None:
+        """Drop the entries older than window_ms before `now`."""
+        cutoff = now - self.window_ms
+        while self._order and self._order[0][0] < cutoff:
+            _, ipid = self._order.popleft()
+            entries = self._per_ipid[ipid]
+            entries.popleft()
+            if not entries:
+                del self._per_ipid[ipid]
+
+    def run_entries(self, ipids: Iterable[int]
+                    ) -> list[tuple[float, int, Optional[int], int]]:
+        """One (t, ipid, src, count) per entry of these IPIDs."""
+        return [(t, ipid, src, n) for ipid in ipids
+                for t, src, n in self._per_ipid.get(ipid, ())]
+
+
 def detect_ipid_loop(
     window: Iterable[tuple[int, float, int]],
     min_repeats: int = IPID_MIN_REPEATS,
     window_ms: float = IPID_WINDOW_MS,
 ) -> tuple[bool, tuple[int, ...]]:
-    """Looping-frame check over (ipid, t_ms, count) observations.
+    """Looping-frame check over (ipid, t_ms, count) observations, in any
+    order, by the rule of `IpidWindow`.
 
-    An observation is `count` sightings of one IPID at time t_ms.  An
-    IPID seen min_repeats or more times within any window_ms span (both
-    ends included) marks a loop; frames are being recirculated rather
-    than freshly generated.  Returns (found, offending ipids sorted).
+    An observation is `count` sightings of one IPID at time t_ms.
+    Returns (found, offending ipids sorted).
     """
     if min_repeats < 1:
         raise ValueError("min_repeats must be at least 1")
     if window_ms < 0:
         raise ValueError("window_ms must be nonnegative")
-    seen: dict[int, list[tuple[float, int]]] = defaultdict(list)
-    for ipid, t, count in window:
-        seen[ipid].append((t, count))
-    offenders = []
-    for ipid, runs in seen.items():
-        # slide a span ending at each observation, oldest first
-        runs.sort()
-        inside = lo = 0
-        for t, count in runs:
-            inside += count
-            while t - runs[lo][0] > window_ms:
-                inside -= runs[lo][1]
-                lo += 1
-            if inside >= min_repeats:
-                offenders.append(ipid)
-                break
+    scan = IpidWindow(window_ms, min_repeats)
+    offenders = {ipid for ipid, t, count in sorted(window, key=lambda o: o[1])
+                 if scan.add(t, ipid, count)}
     return bool(offenders), tuple(sorted(offenders))
 
 

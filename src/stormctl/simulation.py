@@ -1,8 +1,8 @@
 """Deterministic broadcast-domain simulator.
 
 Models one shared Ethernet segment as a discrete-event loop on 0.01 ms
-internal steps, visiting only the steps that hold frames or may seed a
-loop.  Loop passes and suppression windows are kept in steps: a loop
+internal steps, visiting only the steps that hold scheduled frames.  Loop
+passes and suppression windows are kept in steps: a loop
 passes at steps start, start + hop, ... before its end, and window w
 holds steps [w * window_steps, (w + 1) * window_steps).  Frames travel
 as runs, `count` frames handled in order, so the thousands of copies a
@@ -19,13 +19,14 @@ where a block lapses and a byte-budget window begins; at the step of a
 frame that may break a byte budget; and at the step where the tick's
 link room runs out.  That step is handled on its own, and the broadcasts
 that may break a budget there each travel alone.
-Each step holding other runs has two batches: the runs put there before
-its tick, which precede its background frames, and the rest, which
-follow them.  A stretch also ends before each batch, unless no byte
-budget is set and the link has room for the batch and the background
-before it: then the background waits, and is booked at the tick's end
-or before a batch that fails that bound, so once per window segment in
-a tick whose link does not fill.
+Each step holding other runs has up to three batches, one heap key each:
+the runs put there before its tick, which precede its background frames,
+then the rest, then the loops' seeds, in loop order.  A stretch also
+ends before each batch, unless no byte budget is set and the link has
+room for the batch and the background before it: then the background
+waits, and is booked at the tick's end or before a batch that fails
+that bound, so once per window segment in a tick whose link does not
+fill.
 
 Every sampling tick the delivered traffic is rolled up into channel
 counters, classified, and offered to the agent fleet.  A rotating run
@@ -68,7 +69,10 @@ an enforcing fleet blocks the node from that frame on, and under
 detect-only agents its frames from there go unbudgeted.  Delivered loop
 frames spawn their replicas, one run per delivered run; everything
 filtered dies without offspring, so a storm only persists while the loop
-keeps reseeding.  A per-tick conservation ledger
+keeps reseeding.  A loop has one run in flight: its first pass is seeded
+when the run starts, and a chain run that puts no replicas seeds the
+loop's next pass.  A run is never put at a heap key already visited;
+`run` fails rather than leave it unhandled.  A per-tick conservation ledger
 (generated + replicated - suppressed - capped == delivered) is checked
 inside the loop.
 """
@@ -77,12 +81,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .agents import AgentConfig, AgentFleet, Policy, ThresholdDb, Trigger, TroubleTicket
 from .datasets import interpolate, table4_hump
@@ -91,11 +95,13 @@ from .metrics import (
     INTERNAL_STEP_MS,
     STEPS_PER_MS,
     ChannelStats,
+    IpidWindow,
     StormClassification,
     TrafficSample,
     classify,
     is_whole,
     min_ipg,
+    utilization,
 )
 
 IPG_EQUIV_BYTES = 12            # inter-frame gap charged against capacity
@@ -383,49 +389,6 @@ class SimTrace:
         }
 
 
-class _IpidWindow:
-    """Sliding window of delivered broadcast frames, as counted entries.
-
-    Only runs that reuse an IPID enter it: a fresh IPID is seen once, and
-    a loop needs at least 2 sightings.  An entry is `count` deliveries of
-    one IPID from one node at time t.
-    """
-
-    def __init__(self, window_ms: float, min_repeats: int) -> None:
-        self.window_ms = window_ms
-        self.min_repeats = min_repeats
-        self._order: deque[tuple[float, int]] = deque()
-        self._per_ipid: dict[int, deque[tuple[float, int, int]]] = {}
-
-    def add(self, t: float, ipid: int, src: int, count: int) -> bool:
-        """Record a run's deliveries; whether its IPID now qualifies."""
-        self._order.append((t, ipid))
-        entries = self._per_ipid.setdefault(ipid, deque())
-        entries.append((t, src, count))
-        # the run qualifies if its last frame does: find the time of the
-        # min_repeats-th most recent sighting
-        need = self.min_repeats
-        for seen, _, n in reversed(entries):
-            need -= n
-            if need <= 0:
-                return t - seen <= self.window_ms
-        return False
-
-    def evict(self, now: float) -> None:
-        cutoff = now - self.window_ms
-        while self._order and self._order[0][0] < cutoff:
-            _, ipid = self._order.popleft()
-            entries = self._per_ipid[ipid]
-            entries.popleft()
-            if not entries:
-                del self._per_ipid[ipid]
-
-    def run_entries(self, ipids: Iterable[int]) -> list[tuple[float, int, int, int]]:
-        """One (t, ipid, src, count) per run of these IPIDs in the window."""
-        return [(t, ipid, src, n) for ipid in ipids
-                for t, src, n in self._per_ipid.get(ipid, ())]
-
-
 def _span_senders(node_count: int, cycles_b: int, cycles_t: int,
                   spans: list[tuple[int, int, int]], lone: list[int],
                   columns: tuple[list[int], ...], size: int,
@@ -530,17 +493,15 @@ def run(scenario: Scenario) -> SimTrace:
             hop = round(inj.pass_interval * STEPS_PER_MS)
             loops[i] = (inj, range(round(inj.start_t * STEPS_PER_MS), end,
                                    max(hop, 1)), hop)
-    pending = dict.fromkeys(loops, 0)
-    # heap of the keys to visit, two per step: key 2 * step holds the runs
-    # put there before its tick, which come before its background, and key
-    # 2 * step + 1 the rest, which follow it; each loop pass has a batch at
-    # its odd key from the start, so `put` never pushes it
-    due = sorted({2 * step + 1 for _, passes, _ in loops.values()
-                  for step in passes})
-    schedule: dict[int, list[Run]] = {key: [] for key in due}
+    # heap of the keys to visit, three per step: key 3 * step holds the
+    # runs put there before its tick, which come before its background,
+    # key 3 * step + 1 the other runs, and key 3 * step + 2 the loops'
+    # seeds, which follow them
+    due: list[int] = []
+    schedule: dict[int, list[Run]] = {}
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
-    ipid_win = _IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
+    ipid_win = IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
     # per node, the frames it may still deliver in window byte_wid[node]
     left: dict[int, float] = {}     # inf once broken there, detect-only
     byte_wid: dict[int, int] = {}
@@ -554,9 +515,14 @@ def run(scenario: Scenario) -> SimTrace:
                                                       for _ in range(5))
     ports = fleet.ports if enforce else {}  # the nodes that can be blocked
 
-    def put(step: int, r: Run) -> None:
-        if 0 <= step < total_steps:
-            key = 2 * step + (step < stop)
+    def put(step: int, r: Run, seed: bool = False) -> None:
+        """Add r to a batch of step, its seeds' if `seed`; a run past the
+        last step is dropped.  A key at or below the last one visited
+        would never be handled, so it fails the run."""
+        if step < total_steps:
+            key = 3 * step + (2 if seed else step < stop)
+            if key <= last_key:
+                raise RuntimeError(f"frames never processed from step {step}")
             batch = schedule.get(key)
             if batch is None:
                 schedule[key] = [r]
@@ -644,9 +610,22 @@ def run(scenario: Scenario) -> SimTrace:
                                       "data", None, end - i, True, True)))
         return b, runs
 
+    def seed(i: int, step: int) -> None:
+        """Put loop i's seed at its pass `step`."""
+        nonlocal next_ipid
+        inj = loops[i][0]
+        put(step, new(Run, (inj.origin_node, next_ipid, True, "seed", i, 1,
+                            not inj.reuse_ipid, False)), True)
+        next_ipid += 1
+
+    # A loop has at most one run in flight: its first pass is seeded here,
+    # and a chain run that puts no replicas seeds the loop's next pass.
+    last_key = -1               # the last key visited
+    for i, (_, passes, _) in loops.items():
+        if passes:
+            seed(i, passes[0])
     bcast_rr = 0
     uni_rr = 0
-    last_key = seeded = -1      # the last key visited, and step seeded
     records: list[TickRecord] = []
     history: tuple[ChannelStats, ...] = ()
 
@@ -703,24 +682,13 @@ def run(scenario: Scenario) -> SimTrace:
         # waiting when the link has room for that background and every run
         # of the batch.  Otherwise, and at the tick's end, the background
         # is booked first.
-        tick_end = 2 * stop
+        tick_end = 3 * stop
         while True:
             key = due[0] if due and due[0] < tick_end else tick_end
-            end = (key + 1) // 2    # where the background before it ends
-            wait = False
-            if last_key < key < tick_end:
-                step = key // 2
-                if seeded < step:   # first seen: put the loops' seeds
-                    seeded = step
-                    for i, (inj, passes, _) in loops.items():
-                        if step in passes and pending[i] == 0:
-                            put(step, new(Run, (inj.origin_node, next_ipid,
-                                                True, "seed", i, 1,
-                                                not inj.reuse_ipid, False)))
-                            next_ipid += 1
-                if quota is None and bg_step < end:
-                    wait = (delivered + frames(bg_step, end)
-                            + sum([r.count for r in schedule[key]]) <= cap)
+            end = (key + 2) // 3    # where the background before it ends
+            wait = (quota is None and key < tick_end and bg_step < end
+                    and delivered + frames(bg_step, end)
+                    + sum([r.count for r in schedule[key]]) <= cap)
             if bg_step < end and not wait:
                 step = bg_step
                 bg_step, batch = background(step, end, cap - delivered)
@@ -728,16 +696,15 @@ def run(scenario: Scenario) -> SimTrace:
                 break
             else:
                 heappop(due)
-                if key <= last_key:     # put after its visit: never handled
-                    continue
                 last_key = key
-                step = key // 2
+                step = key // 3
                 batch = schedule.pop(key)
+                if key % 3 == 2:    # put where chains end, run in loop order
+                    batch.sort(key=lambda r: r.inj)
             t_s = step / STEPS_PER_MS
             for src, ipid, bcast, kind, owner, n, fresh, rotates in batch:
                 if kind == "replica":
                     replicated += n
-                    pending[owner] -= n
                 else:
                     generated += n
                 budget = quota is not None and bcast
@@ -851,17 +818,17 @@ def run(scenario: Scenario) -> SimTrace:
                             del_b[v] += k
                 suppressed += dropped
                 capped += n - sent - dropped
-                if not sent:
-                    continue
-                delivered += sent
-                kinds[kind] += sent
-                # fresh IPIDs never repeat, so they never enter the window
-                if bcast and not fresh and ipid_win.add(t_s, ipid, src, sent):
-                    hits.add(ipid)
+                if sent:
+                    delivered += sent
+                    kinds[kind] += sent
+                    # fresh IPIDs never repeat, so they never enter the window
+                    if bcast and not fresh and ipid_win.add(t_s, ipid, sent,
+                                                            src):
+                        hits.add(ipid)
                 if kind in ("seed", "replica"):
                     loop, passes, hop = loops[owner]
                     nxt = step + hop
-                    if step < passes.stop and nxt < total_steps:
+                    if sent and step < passes.stop and nxt < total_steps:
                         k = sent * loop.factor
                         reuse = loop.reuse_ipid
                         put(nxt, new(Run, (src, ipid if reuse else next_ipid,
@@ -869,8 +836,9 @@ def run(scenario: Scenario) -> SimTrace:
                                            not reuse, False)))
                         if not reuse:
                             next_ipid += k
-                        pending[owner] += k
-                elif kind == "spoof":      # spoofs are single frames
+                    elif nxt in passes:     # the chain ends: seed the pass
+                        seed(owner, nxt)
+                elif kind == "spoof" and sent:     # spoofs are single frames
                     repliers = [m for m in range(sc.node_count) if m != src]
                     for j, replier in enumerate(repliers):
                         put(step + 1 + (j * steps_per_tick) // len(repliers),
@@ -891,7 +859,7 @@ def run(scenario: Scenario) -> SimTrace:
         for n in active:
             att_b[n] = att_t[n] = del_b[n] = del_t[n] = sup[n] = 0
         d_b = sum(senders.bcast_pkts)
-        load = min(1.0, delivered / cap) if cap else 0.0
+        load = utilization(delivered, cap)
         stats = ChannelStats(
             tick=t0,
             broadcast_pkts=d_b,
@@ -914,9 +882,6 @@ def run(scenario: Scenario) -> SimTrace:
                                   tuple(sorted(kinds.items()))))
         history = (stats,)
 
-    if schedule:    # runs put at a step already visited were never handled
-        raise RuntimeError(
-            f"frames never processed from step {min(schedule) // 2}")
     if fleet is not None:
         fleet.finish(sc.duration)
     return SimTrace(

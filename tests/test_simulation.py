@@ -371,6 +371,16 @@ class TestOperationCounts:
         assert sum(r.ledger.generated for r in trace.records) > 2000
         assert len(popped) <= 2 * len(trace.records)
 
+    # table5-control's loop passes every 50 ms from 50 to 3950 ms: each
+    # pass is one visit, whether its run is a seed or replicas put in an
+    # earlier 250 ms tick
+    @pytest.mark.parametrize("with_agents", [True, False])
+    def test_one_pop_per_loop_pass(self, monkeypatch, with_agents):
+        popped = self.count_calls(monkeypatch, simulation, "heappop")
+        trace = run(preset("table5-control", agents=with_agents))
+        assert sum(r.ledger.replicated for r in trace.records)
+        assert len(popped) <= 79
+
     # loop-storm over 1000 nodes with the per-node bandwidth rule on: about
     # a hundred nodes send per tick, and a few hold a bandwidth window
     def test_observe_visits_active_nodes_and_windows(self, monkeypatch):
@@ -1053,6 +1063,17 @@ class TestReferenceRun:
                             pass_interval=0.3),),
         agents=AgentConfig(policy=Policy.PACKET_BASED,
                            suppression_window=2.5)))
+    # Two loops on node 0 share the passes from 2.14 ms.  Loop 1 fills the
+    # link each tick, and its chain ends where a pass meets a full link, so
+    # its seeds are put after loop 0's at some passes and before them at
+    # others; a step's seeds still go in loop order.
+    @example(Scenario(
+        name="seeds-at-a-shared-pass", node_count=2, tick=0.25, duration=2.5,
+        frame_size=64,
+        injectors=(Injector(kind="loop", start_t=2.14, end_t=2.41,
+                            pass_interval=0.02, factor=1, reuse_ipid=False),
+                   Injector(kind="loop", start_t=0.0, pass_interval=0.02,
+                            factor=2, reuse_ipid=False))))
     @settings(max_examples=oracle_examples(150), deadline=None)
     def test_matches_per_frame_reference(self, sc):
         expected = reference_run(sc)
