@@ -17,30 +17,32 @@ milliseconds throughout.  P(0) == 0 exactly by construction.
 the curve is linear in its coefficients, so the least-squares a and b
 are solved exactly (with Ps >= 0 and Pe >= 0 held), and only m is
 searched: variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
-10(2), 1973).  The search scans a 10-cell geometric grid over a declared
-domain of m, then runs Brent's bounded minimiser (Brent, Algorithms for
-Minimization Without Derivatives, 1973, ch. 5) in the cells around
-every strict local minimum of the grid, and keeps the lowest RMSE seen.
-Brent never reaches the domain's edge, so a minimum on the edge is first
-solved once just inside it, at m(1 +/- 1e-6); if the RMSE does not fall
-there, the edge is its cell's minimum and Brent is skipped.  A fit takes
-a median of 22 solves on the benchmark's captures, and 12 on the
-calibration inputs, whose RMSE falls all the way to the domain's floor
-(47 when Brent searched the floor's cell too).
+10(2), 1973).  Each solve also gives the derivative of the residual sum
+of squares (RSS) in m, by the envelope theorem, from the loop that sums
+the residuals.  The search scans a 10-cell geometric grid over a
+declared domain of m, then starts at the grid's best point and takes
+secant steps on that derivative inside the grid cells beside it, with
+bisection as the safeguard and the lowest RMSE solved kept (Brent,
+Algorithms for Minimization Without Derivatives, 1973, ch. 4; Press et
+al.'s `dbrent`, Numerical Recipes, 10.3).  Where the RSS rises from a
+domain edge into the domain, the edge is the minimum and no search
+runs.  A fit takes a median of 16 solves on the benchmark's captures
+(22 under the Brent search it replaced), and 11, the grid's, on the
+calibration inputs, whose RSS rises from the domain's floor.
 The domain's top is lowered per trace so that e^(m t) stays finite over
 the rise.  The least-squares sums that do not depend on m are taken once
 per trace; the rest, once per m, in the one loop that builds the basis.
-Every sum, the RMSE's too, is a plain loop in rise order, never `sum()`,
-which Python 3.12+ compensates (Neumaier summation): the fit's bits are
-the same on every Python version.  A golden test fits under a `sum` that
-compensates as 3.12+ does; it has not been run on a 3.12 interpreter.
+Every sum, the RMSE's and the derivative's too, is a plain loop in rise
+order, never `sum()`, which Python 3.12+ compensates (Neumaier
+summation): the fit's bits are the same on every Python version.  A
+golden test fits under a `sum` that compensates as 3.12+ does; it has
+not been run on a 3.12 interpreter.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,10 +54,8 @@ FIT_M_MIN = 0.025
 FIT_M_MAX = 10.05
 
 _GRID_CELLS = 10                         # geometric cells of the coarse grid
-_M_RTOL = math.sqrt(sys.float_info.epsilon)  # Brent's tolerance, relative to m
+_M_RTOL = 1e-9                           # the search's tolerance, relative to m
 _G_MAX_LOG = 256 * math.log(2.0)         # rises keep t*e^(m t) <= 2**256
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-_EDGE_STEP = 1e-6                        # relative step inside a domain edge
 
 
 class FitError(ValueError):
@@ -166,12 +166,17 @@ def _as_points(trace: Iterable) -> list[TracePoint]:
 def _solver(ts: Sequence[float], ys: Sequence[float]):
     """Least-squares (a, b) for fixed m, honoring Ps >= 0 and Pe >= 0.
 
-    Returns solve(m) -> (a, b, rmse) for this rise.  The sums that do not
-    depend on m are taken once, here.  Every sum is a plain loop that adds
-    its products in rise order, never `sum()`, which Python 3.12+
-    compensates: the bits are the same on every version.  Uses explicit
-    normal equations so results do not depend on any linear-algebra
-    backend.
+    Returns solve(m) -> (a, b, rmse, drss) for this rise, where drss is
+    the derivative of the residual sum of squares in m.  At the least-
+    squares (a, b) it is the partial derivative with a and b held (the
+    envelope theorem), so with r = a*t + b*g - y and g = t*exp(m*t) it
+    is 2b * sum(r*t*g) inside the constraints, 2b * sum(r*t*(g + 1/m^2))
+    on Pe = 0, where a = -b/m moves with m, and 0 on Ps = 0.  The sums
+    that do not depend on m are taken once, here.  Every sum is a plain
+    loop that adds its products in rise order, never `sum()`, which
+    Python 3.12+ compensates: the bits are the same on every version.
+    Uses explicit normal equations so results do not depend on any
+    linear-algebra backend.
     """
     n = len(ts)
     exp = math.exp
@@ -180,12 +185,14 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
         s_tt += t * t
         s_ty += t * y
 
-    def rmse_of(a: float, b: float, gs: list[float]) -> float:
-        acc = 0.0
+    def rmse_of(a: float, b: float, gs: list[float]):
+        """The RMSE of a*t + b*g, and the sum of r*t*g."""
+        acc = s_rtg = 0.0
         for t, g, y in zip(ts, gs, ys):
             r = a * t + b * g - y
             acc += r * r
-        return math.sqrt(acc / n)
+            s_rtg += r * t * g
+        return math.sqrt(acc / n), s_rtg
 
     def solve(m: float):
         gs = []
@@ -202,7 +209,8 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
             b = (s_gy * s_tt - s_ty * s_tg) / det
             # Ps = b/tau, Pe = Ps + a*m/tau
             if b >= 0 and b + a * m >= 0:
-                return a, b, rmse_of(a, b, gs)
+                rmse, s_rtg = rmse_of(a, b, gs)
+                return a, b, rmse, 2 * b * s_rtg
 
         candidates = []
         # boundary Ps = 0: pure linear term, need Pe >= 0 i.e. a >= 0
@@ -216,10 +224,17 @@ def _solver(ts: Sequence[float], ys: Sequence[float]):
             b0 = max(s_hy / s_hh, 0.0)
             candidates.append((-b0 / m, b0))
         candidates.append((0.0, 0.0))
-        return min(
-            ((a, b, rmse_of(a, b, gs)) for a, b in candidates),
+        a, b, rmse, s_rtg = min(
+            ((a, b, *rmse_of(a, b, gs)) for a, b in candidates),
             key=lambda c: c[2],
         )
+        if not b:
+            return a, b, rmse, 0.0
+        # on Pe = 0, a = -b/m moves with m too
+        s_rt = 0.0
+        for t, g, y in zip(ts, gs, ys):
+            s_rt += (a * t + b * g - y) * t
+        return a, b, rmse, 2 * b * (s_rtg + s_rt / (m * m))
 
     return solve
 
@@ -242,60 +257,62 @@ def _grid(top: float) -> list[float]:
             for k in range(_GRID_CELLS)] + [top]
 
 
-def _brent(solve, lo: float, hi: float):
-    """(m, solve(m)) at a local minimum of the RMSE inside (lo, hi).
+def _search(solve, lo: float, x: float, sx, hi: float, w: float,
+            dw: float):
+    """(m, solve(m)) at a local minimum of the RMSE between lo and hi.
 
-    Brent's localmin: parabolic steps through the best three points,
-    golden-section steps where a parabola would not shrink the bracket.
-    Stops once m is known to within _M_RTOL relative.
+    x is the lowest point solved and sx its solve; the RMSE at lo and hi
+    is no lower, or x is on one of them, a domain edge.  w is a point
+    solved beside x and dw its derivative.  Each step solves the zero
+    of the derivative's secant through x and the last other point
+    solved, or the midpoint of x's longer side where that zero falls
+    outside the bracket or the step does not halve the step before last
+    (Brent's safeguard); a step shorter than _M_RTOL x is lengthened to
+    that.  A point lower than x becomes x, and one no lower an end.
+
+    Once a step changes the RMSE by no more than _M_RTOL of itself, the
+    RMSE's differences are rounding, and the sign of the derivative at x
+    rules out one side of it.  Not before: near an exact fit the RMSE
+    falls linearly into its minimum, and the derivative there can be
+    all rounding, from the ill-conditioned least-squares (a, b), while
+    the RMSE is not.  Stops once both sides of x are within 2 _M_RTOL x,
+    or the derivative at x is 0.
     """
-    x = w = v = lo + _GOLDEN_STEP * (hi - lo)
-    sx = solve(x)
-    fx = fw = fv = sx[2]
-    d = e = 0.0
+    last = before = hi - lo
     while True:
-        mid = 0.5 * (lo + hi)
-        tol = _M_RTOL * abs(x)
-        if abs(x - mid) <= 2 * tol - 0.5 * (hi - lo):
+        dx = sx[3]
+        tol = _M_RTOL * x
+        if not dx or max(x - lo, hi - x) <= 2 * tol:
             return x, sx
-        parabolic = False
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if (abs(p) < abs(0.5 * q * e_prev)
-                    and q * (lo - x) < p < q * (hi - x)):
-                d = p / q
-                parabolic = True
-                if x + d - lo < 2 * tol or hi - (x + d) < 2 * tol:
-                    d = tol if x < mid else -tol
-        if not parabolic:
-            e = (hi - x) if x < mid else (lo - x)
-            d = _GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        su = solve(u)
-        fu = su[2]
-        if fu <= fx:
-            if u < x:
-                hi = x
-            else:
-                lo = x
-            v, fv, w, fw = w, fw, x, fx
-            x, sx, fx = u, su, fu
+        far = lo if x - lo > hi - x else hi
+        u = x - dx * (w - x) / (dw - dx) if dw != dx else far
+        if lo < u < hi and abs(u - x) < 0.5 * before:
+            before, last = last, abs(u - x)
         else:
-            if u < x:
-                lo = u
+            u = 0.5 * (x + far)
+            before = last = abs(u - x)
+        if last < tol:
+            u = x + math.copysign(tol, far - x)
+        su = solve(u)
+        flat = abs(su[2] - sx[2]) <= _M_RTOL * sx[2]
+        if su[2] < sx[2]:
+            if u > x:
+                lo = x
             else:
+                hi = x
+            w, dw = x, dx
+            x, sx = u, su
+        else:
+            if u > x:
                 hi = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            else:
+                lo = u
+            w, dw = u, su[3]
+        if flat:
+            if sx[3] > 0:
+                hi = x
+            elif sx[3] < 0:
+                lo = x
 
 
 def fit_model(trace: Iterable) -> FitResult:
@@ -305,10 +322,10 @@ def fit_model(trace: Iterable) -> FitResult:
     (0, 0) point is prepended when absent.  Deterministic: the same
     input always produces bitwise-identical parameters.
 
-    m is searched on the grid, then by Brent around each of the grid's
-    local minima.  One on the domain's edge is searched only if the RMSE
-    falls just inside the edge, so a rise whose best m is the edge is
-    fitted in 11 + 1 solves: the grid's, and that one.
+    m is searched on the grid, then by `_search` in the cell between the
+    grid's best point and its neighbour on the side where the RSS falls.
+    Where that side is off the domain, the edge is the fit, in the
+    grid's 11 solves.
     """
     points = _as_points(trace)
     if not all(map(math.isfinite, itertools.chain.from_iterable(points))):
@@ -339,25 +356,18 @@ def fit_model(trace: Iterable) -> FitResult:
                     [math.ldexp(p.count, -scale) for p in rise])
     grid = _grid(top)
     sols = [solve(m) for m in grid]
-    rmses = [math.inf] + [sol[2] for sol in sols] + [math.inf]
-    best_m, best = min(zip(grid, sols), key=lambda c: c[1][2])
-    # Brent in the two cells around every strict local minimum of the
-    # grid; a flat run (the Ps = 0 boundary, where m has no effect)
-    # starts at most one search.  Brent never reaches the domain's edge:
-    # unless the RMSE falls just inside it, the edge is its cell's minimum
-    last = len(grid) - 1
-    for i in range(len(grid)):
-        if rmses[i + 1] < rmses[i] and rmses[i + 1] <= rmses[i + 2]:
-            if i in (0, last):
-                inward = _EDGE_STEP if i == 0 else -_EDGE_STEP
-                if solve(grid[i] * (1 + inward))[2] >= rmses[i + 1]:
-                    continue
-            m, sol = _brent(solve, grid[max(i - 1, 0)],
-                            grid[min(i + 1, last)])
-            if sol[2] < best[2]:
-                best_m, best = m, sol
+    i = min(range(len(grid)), key=lambda k: sols[k][2])
+    best_m, best = grid[i], sols[i]
+    # the search runs in the grid's cells on both sides of its best point,
+    # starting toward the one its derivative points down into; where that
+    # is off the domain's edge, the edge is the minimum
+    k = i - 1 if best[3] > 0 else i + 1
+    if best[3] and 0 <= k < len(grid):
+        best_m, best = _search(solve, grid[max(i - 1, 0)], best_m, best,
+                               grid[min(i + 1, len(grid) - 1)],
+                               grid[k], sols[k][3])
 
-    a, b, rmse = (math.ldexp(x, scale) for x in best)
+    a, b, rmse = (math.ldexp(x, scale) for x in best[:3])
     p_start = b / TAU
     p_end = max(p_start + a * best_m / TAU, 0.0)
     return FitResult(make_params(p_start, p_end, best_m), rmse)

@@ -22,6 +22,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import mpmath
 import numpy as np
+from hypothesis import settings
 
 from stormctl import growth
 from stormctl import simulation as sim
@@ -41,6 +42,16 @@ REF_FIT_M_MIN = 0.05
 REF_FIT_M_MAX = 10.0
 REF_FIT_M_STEP = 0.05
 REF_FIT_REFINE_ITERS = 80
+
+
+def oracle_examples(tier1: int) -> int:
+    """An oracle property's example count: `tier1` under the default
+    profile, the loaded profile's own under any other, such as the soak
+    (see conftest.py)."""
+    loaded = settings.default.max_examples
+    if loaded == settings.get_profile("default").max_examples:
+        return tier1
+    return loaded
 
 
 def mp_eval(p_start: float, p_end: float, m: float, t: float) -> mpmath.mpf:
@@ -109,12 +120,27 @@ def mp_solve(m: float, ts, ys):
     floats.  Where the {t, t*e^(mt)} normal equations are ill-conditioned
     (small m*t), the float solve's rounding outweighs the change in RMSE
     between close values of m; this one's does not."""
-    mpf = mpmath.mpf
     with mpmath.workdps(60):
-        solution = _least_squares(mpf(m), [mpf(t) for t in ts],
-                                  [mpf(y) for y in ys], mpmath.exp,
-                                  mpmath.sqrt)
+        solution = _mp_least_squares(mpmath.mpf(m), ts, ys)
     return tuple(map(float, solution))
+
+
+def mp_rss_slope(m: float, ts, ys) -> float:
+    """The derivative in m of `mp_solve`'s residual sum of squares: a
+    central difference over m(1 +/- 1e-20), taken in 60 digits and
+    rounded once to a float."""
+    with mpmath.workdps(60):
+        m = mpmath.mpf(m)
+        h = m * mpmath.mpf(10) ** -20
+        rss = [len(ts) * _mp_least_squares(x, ts, ys)[2] ** 2
+               for x in (m - h, m + h)]
+        return float((rss[1] - rss[0]) / (2 * h))
+
+
+def _mp_least_squares(m, ts, ys):
+    mpf = mpmath.mpf
+    return _least_squares(m, [mpf(t) for t in ts], [mpf(y) for y in ys],
+                          mpmath.exp, mpmath.sqrt)
 
 
 def _least_squares(m, ts, ys, exp, sqrt):

@@ -311,8 +311,8 @@ EDGE_GOLDEN = {
 }
 
 FIT_GOLDEN = {
-    'table1': '23809c4d810efbaf5344b0f228f1d1ec3553da065e2e64b819a6c3933114eec5',
-    'table3': '23809c4d810efbaf5344b0f228f1d1ec3553da065e2e64b819a6c3933114eec5',
+    'table1': 'cfda311f288a08ad9ed18aa9cb4c4c92fdd9e4d5ca60ed2e20a42352c42d7f5d',
+    'table3': 'cfda311f288a08ad9ed18aa9cb4c4c92fdd9e4d5ca60ed2e20a42352c42d7f5d',
     'table4': '46437945a5513314ceafabc102fffe0f737ce4a67d69c98f1a471a3133acb0de',
     'ideal-profile-2': 'abe18dde61ab9bfef319a0ce518af85bd72248bd9a328735c021f47507220227',
     'ideal-profile-238': '1828dcb22766e96c933a0a09edda6847307a87946f80b7fb63922b432dc30c31',
@@ -320,8 +320,8 @@ FIT_GOLDEN = {
     'interior-growth-curve': '653644a624b45c2dbb5f5ff6514763e038f80cee783d6d469f81dbcaef904b63',
     'interior-linear': '36a6c4bb2924fe79b76b424f69a50be78ce059fab5a042a096bcfd083b4550d2',
     'ps0-concave': '1134a2425e8b4244da0d5bcac49e3ee290a4e4277d419d95b1eb6fe8d587fb4a',
-    'pe0-convex': 'c4e95704c142ce35feaea226e4ef398e166e1a26e47f01c9b456d7de1f01f449',
-    'det0-short-span': 'a08a320046bfef0dffb561a5e2694dcb113777a4c0df7d46965076302404ebe4',
+    'pe0-convex': 'd7b41ffd466afd7a0cb656e4ccef9b1d0ccc034dc8300de656efce06beaac266',
+    'det0-short-span': 'f619de1f3f34ee0a074b5f74385e520df06114e9006fc8ada91a958e31955685',
     'det0-short-span-ps0': '038d972d60adea73cf663afe3f8e296e88f400a85056dbd386ad7faa0074c756',
     'zero-fallback-underflow': '4bc7bcf582b980c6b8342128ea356b5524355d71480bc6803e4cb1bdad517eab',
 }

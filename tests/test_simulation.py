@@ -33,6 +33,7 @@ from .oracles import (
     channel_csv,
     ipid_loop_bruteforce,
     loop_expected_counts,
+    oracle_examples,
     reference_channel_csv,
     reference_run,
 )
@@ -46,16 +47,6 @@ WIDE_LOOP_BLOCKED = Scenario(
     generator=NormalBroadcastProfile(),
     injectors=(Injector(kind="loop", start_t=2.03, origin_node=998),),
     agents=AgentConfig(policy=Policy.PACKET_BASED))
-
-
-def oracle_examples(tier1: int) -> int:
-    """An oracle property's example count: `tier1` under the default
-    profile, the loaded profile's own under any other, such as the soak
-    (see conftest.py)."""
-    loaded = settings.default.max_examples
-    if loaded == settings.get_profile("default").max_examples:
-        return tier1
-    return loaded
 
 
 def frames_handled(trace) -> int:
