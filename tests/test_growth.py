@@ -288,9 +288,10 @@ class TestFitContract:
     # counts whose squared residuals underflow unless scaled
     @example([(0.5, 1.1e-170), (1.0, 2.3e-170), (1.5, 4.1e-170),
               (2.0, 7.9e-170)])
-    # a search started away from the grid's best point left it at the
-    # grid point (RMSE 106.28 here, 116.53 on the next rise; the 282-
-    # solve oracle finds 35.40 and 96.37) or short of the minimum
+    # rises where a search that starts away from the grid's best point
+    # misses the minimum: it keeps the grid point, at RMSE 106.28 and
+    # 116.53 where the 282-solve oracle finds 35.40 and 96.37, or, on
+    # the third, stops short of the minimum
     @example([(0.40625, 170.39183322894652), (0.46875, 259.4228651718286),
               (0.9375, 1987.3934942141348), (1.25, 4626.913735922708),
               (1.625, 10000.0)])
@@ -309,8 +310,8 @@ class TestFitContract:
               (4.09375, 6482.78238334006), (4.21875, 6834.505561594093),
               (4.3125, 8876.675663174474), (4.546875, 9456.495616033877)])
     # near-exact fits, whose RMSE falls linearly into its minimum while
-    # the derivative there is rounding: a search that cut its bracket by
-    # the derivative's sign stopped 1.8e-7 and 5.4e-7 of m short
+    # the derivative there is rounding: cut by that derivative's sign,
+    # the bracket loses the minimum (1.8e-7 and 5.4e-7 of m away)
     @example([(0.5, 3032.055208916142), (1.0, 6065.058405753299),
               (1.5, 9099.198925199285), (1.625, 9857.937073428513)])
     @example([(0.5, 44640.34099014838), (0.75, 66969.46562136953),
