@@ -24,9 +24,9 @@ exceed the threshold on `consecutive_required` successive samples, or
 the burst to outlive the reference while still growing.
 
 Suppression windows are wall-aligned, each a whole number of 0.01 ms
-steps.  One rule, `AgentConfig.window_of`, numbers them in steps for
-blocking, ticket closing, replay and byte budgets: a trigger in window w
-blocks the port through w, then the port resumes on its own.
+steps, numbered by `AgentConfig.window_of` for blocking, ticket closing,
+replay and byte budgets: a trigger acted on in window w (at its tick's
+end, or its frame's step) blocks the port through w, then it resumes.
 Re-triggering after resumption opens a new ticket; triggers during an
 active suppression are coalesced into the existing one.
 """
@@ -103,6 +103,9 @@ class ThresholdDb:
             raise ValueError("ipid_min_repeats must be at least 2")
         if self.ipid_window_ms < 0:
             raise ValueError("ipid_window_ms must be nonnegative")
+        if not is_whole(self.ipid_window_ms * STEPS_PER_MS, 0):
+            raise ValueError(f"ipid_window_ms must be a whole number of "
+                             f"{INTERNAL_STEP_MS} ms steps")
         if self.byte_threshold_mb is not None and self.byte_threshold_mb <= 0:
             raise ValueError("byte_threshold_mb must be positive")
         if self.nbw_factor < 0 or (self.nbw_permissible or 0) < 0:
@@ -424,7 +427,8 @@ class AgentFleet:
                                         float(thresholds.ipid_min_repeats)))
 
         self.trigger_log.extend(triggers)
-        opened = [self._blame(trigger) for trigger in triggers]
+        wid = self.config.window_of(t + stats.interval_ms)  # the tick's end
+        opened = [self._blame(trigger, wid) for trigger in triggers]
         return [ticket for ticket in opened if ticket is not None]
 
     def byte_breach(self, node: int, t: float, observed_mb: float
@@ -436,36 +440,36 @@ class AgentFleet:
         trigger = Trigger(TriggerCause.NBW_EXCEEDED, node, t, observed_mb,
                           limit if limit is not None else observed_mb)
         self.trigger_log.append(trigger)
-        return self._blame(trigger)
+        return self._blame(trigger, self.config.window_of(t))
+
+    def _blocked(self, node: int, t: float) -> bool:
+        """Whether node's port is blocked at time t; a node with no port
+        never is."""
+        port = self.ports.get(node)
+        return port is not None and self.config.window_of(t) <= port.through
 
     def is_suppressed(self, node: int, t: float, is_broadcast: bool) -> bool:
-        """Whether a frame from node's port at time t is filtered; a node
-        with no port never is."""
-        port = self.ports.get(node)
+        """Whether a frame from node's port at time t is filtered."""
         policy = self.config.policy
-        if (port is None or policy is None
-                or self.config.window_of(t) > port.through):
-            return False
-        return policy is Policy.PACKET_BASED or is_broadcast
+        return (policy is not None and self._blocked(node, t)
+                and (policy is Policy.PACKET_BASED or is_broadcast))
 
     def reconnect(self, node: int, t: float) -> bool:
         """Operator-forced reconnect of node's port at time t; no-op with a
         warning when the port is not blocked then."""
-        port = self.ports.get(node)
-        if port is None or self.config.window_of(t) > port.through:
+        if not self._blocked(node, t):
             log.warning("reconnect of node %s: port is not blocked", node)
             return False
-        port.through = -math.inf
+        self.ports[node].through = -math.inf
         log.info("node %s reconnected by operator at t=%s ms", node, t)
         return True
 
     # -- ticket lifecycle --------------------------------------------------
 
-    def _blame(self, trigger: Trigger) -> Optional[TroubleTicket]:
-        """Record a breach by trigger.node: open a ticket and block its port
-        through the trigger's window, or, while the port is blocked,
-        coalesce the trigger into the open ticket."""
-        wid = self.config.window_of(trigger.t)
+    def _blame(self, trigger: Trigger, wid: int) -> Optional[TroubleTicket]:
+        """Record a breach by trigger.node, acted on in window wid: open a
+        ticket and block its port through wid, or, while the port is
+        blocked there, coalesce the trigger into the open ticket."""
         self._roll_window(wid)
         port = self.ports.setdefault(trigger.node, Port())
         port.breach = self._window_id

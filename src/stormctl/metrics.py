@@ -179,38 +179,39 @@ def broadcast_ratio(stats: ChannelStats) -> BroadcastRatio:
 
 
 class IpidWindow:
-    """Sliding window of IPID sightings, as counted entries.
+    """Sliding window of IPID sightings, as counted entries, in steps.
 
-    An entry is `count` sightings of one IPID, from node `src`, at time
-    t; entries are added in time order.  An IPID seen min_repeats or more
-    times within any window_ms span (both ends included) marks a loop:
-    its frames are being recirculated rather than freshly generated.
+    An entry is `count` sightings of one IPID, from node `src`, at 0.01
+    ms step `step`; entries are added in step order.  An IPID seen
+    min_repeats or more times within any span of window_steps steps (both
+    ends included) marks a loop: its frames are being recirculated rather
+    than freshly generated.
     """
 
-    def __init__(self, window_ms: float, min_repeats: int) -> None:
-        self.window_ms = window_ms
+    def __init__(self, window_steps: int, min_repeats: int) -> None:
+        self.window_steps = window_steps
         self.min_repeats = min_repeats
-        self._order: deque[tuple[float, int]] = deque()
-        self._per_ipid: dict[int, deque[tuple[float, Optional[int], int]]] = {}
+        self._order: deque[tuple[int, int]] = deque()
+        self._per_ipid: dict[int, deque[tuple[int, Optional[int], int]]] = {}
 
-    def add(self, t: float, ipid: int, count: int,
+    def add(self, step: int, ipid: int, count: int,
             src: Optional[int] = None) -> bool:
         """Record an entry; whether its IPID now qualifies."""
-        self._order.append((t, ipid))
+        self._order.append((step, ipid))
         entries = self._per_ipid.setdefault(ipid, deque())
-        entries.append((t, src, count))
-        # the entry qualifies if its last sighting does: find the time of
+        entries.append((step, src, count))
+        # the entry qualifies if its last sighting does: find the step of
         # the min_repeats-th most recent sighting
         need = self.min_repeats
         for seen, _, n in reversed(entries):
             need -= n
             if need <= 0:
-                return t - seen <= self.window_ms
+                return step - seen <= self.window_steps
         return False
 
-    def evict(self, now: float) -> None:
-        """Drop the entries older than window_ms before `now`."""
-        cutoff = now - self.window_ms
+    def evict(self, now: int) -> None:
+        """Drop the entries more than window_steps before step `now`."""
+        cutoff = now - self.window_steps
         while self._order and self._order[0][0] < cutoff:
             _, ipid = self._order.popleft()
             entries = self._per_ipid[ipid]
@@ -220,9 +221,9 @@ class IpidWindow:
 
     def run_entries(self, ipids: Iterable[int]
                     ) -> list[tuple[float, int, Optional[int], int]]:
-        """One (t, ipid, src, count) per entry of these IPIDs."""
-        return [(t, ipid, src, n) for ipid in ipids
-                for t, src, n in self._per_ipid.get(ipid, ())]
+        """One (t, ipid, src, count) per entry of these IPIDs, t in ms."""
+        return [(step / STEPS_PER_MS, ipid, src, n) for ipid in ipids
+                for step, src, n in self._per_ipid.get(ipid, ())]
 
 
 def detect_ipid_loop(
@@ -233,16 +234,17 @@ def detect_ipid_loop(
     """Looping-frame check over (ipid, t_ms, count) observations, in any
     order, by the rule of `IpidWindow`.
 
-    An observation is `count` sightings of one IPID at time t_ms.
-    Returns (found, offending ipids sorted).
+    An observation is `count` sightings of one IPID at time t_ms, which
+    is counted at its nearest 0.01 ms step; window_ms is a whole number
+    of steps.  Returns (found, offending ipids sorted).
     """
     if min_repeats < 1:
         raise ValueError("min_repeats must be at least 1")
-    if window_ms < 0:
-        raise ValueError("window_ms must be nonnegative")
-    scan = IpidWindow(window_ms, min_repeats)
+    if not is_whole(window_ms * STEPS_PER_MS, 0):
+        raise ValueError("window_ms must be a nonnegative whole number of steps")
+    scan = IpidWindow(round(window_ms * STEPS_PER_MS), min_repeats)
     offenders = {ipid for ipid, t, count in sorted(window, key=lambda o: o[1])
-                 if scan.add(t, ipid, count)}
+                 if scan.add(round(t * STEPS_PER_MS), ipid, count)}
     return bool(offenders), tuple(sorted(offenders))
 
 

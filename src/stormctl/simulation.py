@@ -2,7 +2,7 @@
 
 Models one shared Ethernet segment as a discrete-event loop on 0.01 ms
 internal steps, visiting only the steps that hold scheduled frames.  Loop
-passes and suppression windows are kept in steps: a loop
+passes, suppression windows and IPID sightings are kept in steps: a loop
 passes at steps start, start + hop, ... before its end, and window w
 holds steps [w * window_steps, (w + 1) * window_steps).  Frames travel
 as runs, `count` frames handled in order, so the thousands of copies a
@@ -501,7 +501,8 @@ def run(scenario: Scenario) -> SimTrace:
     schedule: dict[int, list[Run]] = {}
     rate_acc = {i: 0.0 for i, inj in enumerate(sc.injectors)
                 if inj.kind in ("faulty_nic", "smurf")}
-    ipid_win = IpidWindow(thresholds.ipid_window_ms, thresholds.ipid_min_repeats)
+    ipid_win = IpidWindow(round(thresholds.ipid_window_ms * STEPS_PER_MS),
+                          thresholds.ipid_min_repeats)
     # per node, the frames it may still deliver in window byte_wid[node]
     left: dict[int, float] = {}     # inf once broken there, detect-only
     byte_wid: dict[int, int] = {}
@@ -822,7 +823,7 @@ def run(scenario: Scenario) -> SimTrace:
                     delivered += sent
                     kinds[kind] += sent
                     # fresh IPIDs never repeat, so they never enter the window
-                    if bcast and not fresh and ipid_win.add(t_s, ipid, sent,
+                    if bcast and not fresh and ipid_win.add(step, ipid, sent,
                                                             src):
                         hits.add(ipid)
                 if kind in ("seed", "replica"):
@@ -876,7 +877,7 @@ def run(scenario: Scenario) -> SimTrace:
         if fleet is not None:
             fleet.observe(t0, stats, senders, ipid_win.run_entries(hits))
         # after `observe`, which must scan every sighting the verdict counted
-        ipid_win.evict(stop / STEPS_PER_MS)
+        ipid_win.evict(stop)
         ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
         records.append(TickRecord(t0, stats, classification, senders, ledger,
                                   tuple(sorted(kinds.items()))))

@@ -268,15 +268,17 @@ def reference_interpolate(points, t: float) -> float:
 
 
 def ipid_loop_bruteforce(entries, min_repeats: int, window_ms: float):
-    """Quadratic scan for any IPID repeating within one window span."""
+    """Quadratic scan for any IPID repeating within one window span, with
+    every time and the window counted in whole 0.01 ms steps."""
     offenders = set()
     by_ipid = {}
+    window = round(window_ms * sim.STEPS_PER_MS)
     for ipid, t in entries:
-        by_ipid.setdefault(ipid, []).append(t)
-    for ipid, times in by_ipid.items():
-        times = sorted(times)
-        for i in range(len(times)):
-            inside = [t for t in times if times[i] <= t <= times[i] + window_ms]
+        by_ipid.setdefault(ipid, []).append(round(t * sim.STEPS_PER_MS))
+    for ipid, steps in by_ipid.items():
+        steps = sorted(steps)
+        for i in range(len(steps)):
+            inside = [s for s in steps if steps[i] <= s <= steps[i] + window]
             if len(inside) >= min_repeats:
                 offenders.add(ipid)
                 break
@@ -331,32 +333,34 @@ class _Frame(NamedTuple):
 
 
 class _FrameIpidWindow:
-    """Sliding window of delivered broadcast frames, one entry per frame."""
+    """Sliding window of delivered broadcast frames, one entry per frame,
+    at their 0.01 ms steps."""
 
     def __init__(self, window_ms: float, min_repeats: int) -> None:
-        self.window_ms = window_ms
+        self.window = round(window_ms * sim.STEPS_PER_MS)
         self.min_repeats = min_repeats
-        self._order: deque[tuple[float, int]] = deque()
-        self._per_ipid: dict[int, deque[tuple[float, int]]] = {}
+        self._order: deque[tuple[int, int]] = deque()
+        self._per_ipid: dict[int, deque[tuple[int, int]]] = {}
 
-    def add(self, t: float, ipid: int, src: int) -> bool:
-        self._order.append((t, ipid))
-        times = self._per_ipid.setdefault(ipid, deque())
-        times.append((t, src))
+    def add(self, step: int, ipid: int, src: int) -> bool:
+        self._order.append((step, ipid))
+        steps = self._per_ipid.setdefault(ipid, deque())
+        steps.append((step, src))
         k = self.min_repeats
-        return len(times) >= k and t - times[-k][0] <= self.window_ms
+        return len(steps) >= k and step - steps[-k][0] <= self.window
 
-    def evict(self, now: float) -> None:
-        cutoff = now - self.window_ms
+    def evict(self, now: int) -> None:
+        cutoff = now - self.window
         while self._order and self._order[0][0] < cutoff:
             _, ipid = self._order.popleft()
-            times = self._per_ipid[ipid]
-            times.popleft()
-            if not times:
+            steps = self._per_ipid[ipid]
+            steps.popleft()
+            if not steps:
                 del self._per_ipid[ipid]
 
     def run_entries(self, ipid: int) -> list[tuple[float, int, int, int]]:
-        return [(t, ipid, src, 1) for t, src in self._per_ipid.get(ipid, ())]
+        return [(step / sim.STEPS_PER_MS, ipid, src, 1)
+                for step, src in self._per_ipid.get(ipid, ())]
 
 
 def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
@@ -531,7 +535,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                     node["d_b"] += 1
                     if byte_limit is not None:
                         byte_acc[frame.src] += frame.size
-                    if ipid_win.add(t_s, frame.ipid, frame.src):
+                    if ipid_win.add(step, frame.ipid, frame.src):
                         hits.add(frame.ipid)
                 if chain:
                     inj = sc.injectors[frame.inj]
@@ -581,7 +585,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                               sc.frame_size, idle)
         if fleet is not None:
             tickets.extend(fleet.observe(t0, stats, senders, hit_entries))
-        ipid_win.evict((base + steps_per_tick) / sim.STEPS_PER_MS)
+        ipid_win.evict(base + steps_per_tick)
         ledger = sim.TickLedger(generated, replicated, suppressed, capped,
                                 delivered)
         records.append(sim.TickRecord(t0, stats, classification, senders,

@@ -71,6 +71,8 @@ class TestThresholdDb:
          "nbw_permissible and nbw_factor must be nonnegative"),
         ({"nbw_factor": -1.0},
          "nbw_permissible and nbw_factor must be nonnegative"),
+        ({"ipid_window_ms": 0.005},
+         "ipid_window_ms must be a whole number of 0.01 ms steps"),
     ])
     def test_rejects_bad_value(self, bad, message):
         with pytest.raises(ValueError, match=message):
@@ -216,8 +218,9 @@ class TestSuppression:
         return fleet
 
     def handle_storm(self, fleet, t):
-        """Blame node 0 for a trigger at t; returns the new ticket."""
-        return fleet._blame(self.trigger(t))
+        """Blame node 0 for a trigger acted on at t; returns the new
+        ticket."""
+        return fleet._blame(self.trigger(t), fleet.config.window_of(t))
 
     def test_blocks_until_end_of_wall_aligned_window(self):
         fleet = self.fleet()
@@ -390,9 +393,9 @@ class TestFleet:
 class TestSuppressionTable:
     NODES = range(3)
 
-    def fleet(self, policy):
-        fleet = AgentFleet(AgentConfig(policy=policy), len(self.NODES),
-                           link_rate=1e9, capacity_pkts=100)
+    def fleet(self, policy, **config_kw):
+        fleet = AgentFleet(AgentConfig(policy=policy, **config_kw),
+                           len(self.NODES), link_rate=1e9, capacity_pkts=100)
         fleet.calibrate(None)
         return fleet
 
@@ -411,6 +414,18 @@ class TestSuppressionTable:
             assert fleet.is_suppressed(1, t, True)
             assert not fleet.is_suppressed(1, t, False)
         assert not fleet.is_suppressed(1, 2000.0, True)
+
+    def test_trigger_in_a_windows_last_tick_blocks_the_next_window(self):
+        # the tick [1, 2) ms is counted at its end, 2.0 ms, when window 0
+        # (0-2 ms) is over: the block runs through window 1, which holds
+        # that step, while the ticket keeps the tick's time
+        fleet = self.fleet(Policy.PACKET_BASED, suppression_window=2.0)
+        assert [tk.t for tk in self.overload(fleet, 1.0)] == [1.0]
+        for t in (2.0, 3.0, 3.99):
+            assert fleet.is_suppressed(1, t, False)
+        assert not fleet.is_suppressed(1, 4.0, False)
+        assert self.overload(fleet, 2.0) == []     # acted on in window 1
+        assert [tk.t for tk in self.overload(fleet, 3.0)] == [3.0]
 
     def test_bandwidth_fleet_never_blocks_other_nodes(self):
         fleet = self.fleet(Policy.BANDWIDTH_BASED)

@@ -558,6 +558,14 @@ class TestRejectedScenarioFiles:
             lambda doc: doc["agents"]["thresholds"].update(ipid_window_ms=-5.0))
         assert "ipid_window_ms must be nonnegative" in err
 
+    def test_ipid_window_between_steps(self, tmp_path, capsys):
+        err = self.run_edited(
+            tmp_path, capsys,
+            lambda doc: doc["agents"]["thresholds"].update(
+                ipid_window_ms=0.005))
+        assert err == ("stormctl: scenario.agents.thresholds: ipid_window_ms "
+                       "must be a whole number of 0.01 ms steps\n")
+
 
 def _slots(doc) -> list:
     """(container, key or index) of every value inside a JSON document."""

@@ -145,20 +145,20 @@ GOLDEN = {
 
 EDGE_GOLDEN = {
     'detect-only-budget': {
-        'closed': 'c4f79e5b13368886fd664a21d006f0f99af6bc4b9a78e3ef63b4e190d57e0726',
+        'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': '3d9100a9d3a41f35969496fdefedf8ba8daa56b026efd39c4de7e6d741da0eb0',
         'scenario.json': 'b6b4356fc371e90fbd8be5622bb350aad539725638588e2df366beed1c494e64',
-        'summary.json': 'bd3002850ad633608263f12e94aaeb3b887ec80eebfdbba4bdcd402d5f4e5c76',
-        'tickets.jsonl': 'bf5246457e2b332efeee08afd267408f0ac171fcd74d059dcc578a4341bd9bf7',
+        'summary.json': 'adebb4f76deeb6562ce3a79b46f81207c31d0907ff9a5f94fda89df2284a4422',
+        'tickets.jsonl': '0885e03ed0ca24ea44087e55b87cb6a68be1b14def108bcc5f1b8b97ebaadd37',
         'trace.csv': '2150eab8d6e74e225213ab0079dbfef1c4cab946994a455fdeeca15b06caf3c4',
         'triggers': '3fec40d94fea3a14c837b21a989e370e607f2f46f6d5e5375c63d9e1f1a71cdc',
     },
     'table5-detect-only': {
-        'closed': 'b36a1395427bc2769da1e236a2663e0c7c8683038997c39c86d7a2e161e7ac86',
+        'closed': '83a4ef507cfa88bd82e7e70b1e8a82f44763d38a5af46e03b324ff652b8a3bc4',
         'records': '9da447142a4e25f76027336d9c6e7089f2f746c2f1c0564078b1932e9e33acc1',
         'scenario.json': 'a935f03de94657673e90f3dbcad4eaec56320debb66d9441bd3b6cfa0f979ec8',
-        'summary.json': '6292c638ec06a1c785d3d2ed0bfd09c2f1fd0b40b3a5ff61b8a927255ec3eeae',
-        'tickets.jsonl': 'aab4d0a6509d0f3fb4b702c3eba765e0e1dee0cd47f6776e53c2c501477dbb3a',
+        'summary.json': '3b0d93cf3aacd36bb00f0cd2b4fd850e69adfa36adb3e37e7b7ee50f916b923e',
+        'tickets.jsonl': '7390ac968136864d65db388d24c23a647daf7505a357349a8af8184cbf8dd456',
         'trace.csv': '4adb7aa9adc2fd6270031568f1432db3020006d9c11842dc46202ad56747affb',
         'triggers': '5fecf7ab45b4c9fc263effd381d4ef6fcf4d456c8c3d15ff99d905a32077b2f8',
     },
@@ -181,13 +181,13 @@ EDGE_GOLDEN = {
         'triggers': '08ec6e652b1b705130793d4c9926a4d6cc5611f0fd58fcbca89edb712fb763f6',
     },
     'smurf-and-loop': {
-        'closed': 'b4dd1478d4ad891b19e63c816f5029198a6af2b850984bec99d919df599a4dcf',
-        'records': 'a64d52f362d4370754ec7f329c3807fba565cebab37a5284d45809ace8ad07d9',
+        'closed': '45a77d8cbbd20361288dcea8537097a36e305e9c136efe21def6b7fd90c05b26',
+        'records': '110652eaded22756656ab4168204c260577fc795dae71e833ff0ccd0e57672da',
         'scenario.json': 'c5ed489bca549e1df27541d5ca221d43b6b0c30a8aee8be0684a892fd2d3f0c6',
-        'summary.json': '9c88bf1aafe6dc07594718931a63bf024bc4f56ebaf0a2114eb8a567b67579cd',
-        'tickets.jsonl': 'c590a56ec392ba240aab6a4520902c65580925a452be33e0d304bb68af6276a6',
-        'trace.csv': '6b0e0c475e30a349c9957a4b07b20f77fe09783abb037c21fac887f76504cfe0',
-        'triggers': '03ad140b34c2c444805ddaa5fa45d6c40ba560cff13129c59cd509ab1901aec3',
+        'summary.json': '232ef72efac9aa99cbff4be697a4369548ddca04087f50fcbab217b1c0ddd8bc',
+        'tickets.jsonl': '72ac65aa8a9ebb01a780a4c103c26b326f566ff35e50662d82c5075c37a3ac81',
+        'trace.csv': '1910987103fedb9c56ef292a37c35111fca4b25b66257202cc30ed5befd4ceea',
+        'triggers': 'bbcff7f1f9c354137cb9daef03dd6a575efd9e8d530e6604657bb50ef649511e',
     },
     'ipid-repeats-2': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -226,78 +226,76 @@ EDGE_GOLDEN = {
         'triggers': '9db0d3deb826239d2a11b768860647b6dfb527b387a190b5d52880854997fc12',
     },
     'wide-faulty-nic-bandwidth': {
-        'closed': '2a3fec759cc64543077985bb37f563dca99347d0379307db6fb79783fb74674d',
-        'records': 'b10635f0a8db4d5cdfa46b9fd3b91bab9e43b7bc737eca1d4c6bbe4e81c48d75',
+        'closed': '830a6eead9f22258faf91346076266dca5b59834b18b3d9c25e5ddb31457aa0a',
+        'records': '8a6b6557ebc2f22c0b4e1c43f8f37b408ccab33a2340406f5bc51f0b5631b424',
         'scenario.json': '276739acddd17e586d41a7b6abd01f7164495d3118512b52238d45572f212f69',
-        'summary.json': 'db091850033ddc13c52f9e75cddd7fe715f7ffdd806d166b9d4429148dd69a3d',
-        'tickets.jsonl': 'aecf7b3d1940b461e56f764eb3e50e90e2a3e6703eecedd3b1be5fa0318ddccb',
-        'trace.csv': 'fe5099d023b42dcbec40d98269d2952ce4df8d03003f0f00c3ec8583a09b6c88',
-        'triggers': '91ba1a10c7ca7408efbb798992cf80c48ad2590e270d9f8fbb2e32fc81627f0e',
+        'summary.json': '415e782309bfd0623c313a6cba67592753fd062081fb7dd884e2c4e2f50058cd',
+        'tickets.jsonl': 'e33954f4fdde515c7fa44bdd53283f846d4b3f0233622c09cc4e71aedf0606b7',
+        'trace.csv': '3d7bf33a4cecdd6406d83c9131339274bdfc2482009a18b541a82548e122dced',
+        'triggers': '8f05984a77ba48a0dfc3dc26e07700eacaf1808b5e3a8d8ef1249de57d38ce1e',
     },
     'dense-packet-block': {
-        'closed': '7b74c1f8412e253fdf34ffe3fc8ad2a482a9754b5750f684e4ab69cdfa0ad6e2',
-        'records': '78932da6fa4b3b0ee4962c7b2cde3ab4a62882f5e02bc396e7111c659420ef96',
+        'closed': 'c833fef62fd13ab2323c97c7664307e46ad8c7d5eab90cfce1fe8c8090a64dd9',
+        'records': '1c446dc63bcdea506e26846a969cacd611ae05142e5e69e5daed5e43d542b8c0',
         'scenario.json': '8fb832027671701bdc9f3e5f9b2a0bd660da7eaa73c3e546acf3889dd409ad87',
-        'summary.json': 'c7bf46a97b60f50aa5bf828c0a883f553b6b40a0514bed0d393521412735ef26',
-        'tickets.jsonl': 'c202b6524d5942d8b31167678387c5677a819296e77a4ce3eaf48a35cd1da36e',
-        'trace.csv': '52bf5cf3d3d3b5f8cac3a0c78749f8879b1f75d8960f98b20215db9ca4a5412e',
-        'triggers': '9b25f49486bd2bc8012741f03d55ac666469c1d456efa1cf779fbaf0ffc7209f',
+        'summary.json': '4c49e8ec3eba5d7ed0008a0e1d0fece7505f2e906d734a5737accf24d54865b3',
+        'tickets.jsonl': 'b459bf673cbb5cff0e724e8f73e1722aa3c228f9f484828e43499dc1468d4bfe',
+        'trace.csv': 'e118225a41aa2c62259c5153aad0850129847499cf1302bf095ff4f5c112979c',
+        'triggers': '4e3d5cec47738c71843af9a9f285cf84efae2e705204d729981a32550d51542d',
     },
     'dense-bandwidth-block': {
-        'closed': '34f593656a6a2855bde665a0968bbee80361620fd958d44a1990ad0b8bca2647',
-        'records': '270f105a7c8df73fd21b73417cb1459a338fdf079e45a9c26b9892c026a2f493',
+        'closed': 'b03a770189bf7ac830ec73a0b9fc5bc52dcefd43ae82770175ef0337b7430abb',
+        'records': 'f188f9a209e2dc5b9ba0fbacc2d2a485738227e7a738d7184ceb025e132255b2',
         'scenario.json': '3234cf9023884165e99a6225efe2287374f37b7e98215fa6147ca1cab1f2922c',
-        'summary.json': '7234e95c747dd6287c5a676d4996decf16c98938ecaa8466a3d5649083942222',
-        'tickets.jsonl': 'a64c96f55731e1931c84e71e2bacb2550985135be6f370589ecfea4030f06b88',
-        'trace.csv': '7da2e0214b036c683448e62a96b025e7dc2de0c2a20ab780e0983e2234743f34',
-        'triggers': '9698e2db8a949f51cd9045fc91e98447c75b4f9361640a918f8fe01ecdb01844',
+        'summary.json': '04ca5301fbc9eddbd52cd5dc56c558b3709d51bde0e9acea5f1625ac77e1b10c',
+        'tickets.jsonl': '89388c08dca8139eb096014e591c33f4ad0017d01bd4762cf75e550d57ba99d2',
+        'trace.csv': 'acc5b9b8f81780d046dfd8fe492ad58f4597622ef33de1e1b92e73dddd113811',
+        'triggers': 'cc3e16155fe3d85f417e6d8981302ffec796384796c7757c98d533c5fc340949',
     },
     'dense-budget-enforce': {
-        'closed': 'b6daae449b74289fe66584c897807b55408250aec6fb70623285891b1dfa354b',
-        'records': 'f3c87fe14a83511f14f025bcfb31240b588765ca7ee7a0e6c80e3e6ed84ed162',
+        'closed': '95e9ec5239cd9d57ad9be62aac618394dde7eb5289ab4c4ae4bad8a09b662b51',
+        'records': '3012f21fa4f12928a018c537738b484caebdf1a7c7d4e86f78826785c1823f65',
         'scenario.json': '08c48cc2b1c4a433aef5e452a12d0e7bc5a775d66f367d1b66197c04cb251a76',
-        'summary.json': '87642159d591fa1c3c1f743c70b98bc5b1df9ef959a457227e4589600fd5fe49',
-        'tickets.jsonl': 'a665a6a4ca2dd7af6f50c9fb7b1758942429ee26291758b2cb44269985f8590b',
-        'trace.csv': '80688b5dba9e87ceabf9a4c814c7b6b2846ece826ed56c92f39f0c3033ddd69f',
-        'triggers': 'fea028ed28f7e44f68f2f19b19dad3e1b9c614808af80ed217cc305a7c23edfd',
+        'summary.json': '8500157ade5decd6f24baef8be24075af3ec8b660bce2942185253f830b8fdb0',
+        'tickets.jsonl': '2e1483d17b5864cd9a641014b4d9e3e0e6ecba154fc01c09e40a1d356a16df13',
+        'trace.csv': '29afe7a5a3ec73964c0189ad444a561a3dcb5f96d0ed33db9c674e1a943b73d1',
+        'triggers': '11eb66e2e645a06ff7f8d0ed27c4b4399c5e7640cea8cbe0e5e2fa1b156ccbc9',
     },
     'dense-budget-detect': {
-        'closed': '4f46d78c6d2443b2a68620f4c0419f996621960f4076c8b4034efb3d37f4362d',
+        'closed': 'fada4a3dabcdda7010e4ef8906b4fc8d4871c14d749232b22e543a989310b4d7',
         'records': 'd39b149517e39079fbf2344d4df92354737a7126c2e5b0232fba5fc376a589e3',
         'scenario.json': '9ca49e295a52e53fca662490c14a1c8502ddcceaf9f7d05d17d220cd11bead7b',
-        'summary.json': 'c613e1e56f41a9c680b7401ecb60a02046bdac521dd70bb5358f6601c8eb47f6',
-        'tickets.jsonl': '8fbab9b8f81835fad3fa0f77f6328273ef78b2a9392ea2760746375bc82685ba',
+        'summary.json': 'c53f406cce071bc223fd1473a2c98cf7a96cf7bbd167930814603cd42db3b71a',
+        'tickets.jsonl': '423d3125bc7be71ffcec2a70ac20703bd178dca4286fedcfa0fcaa9660b34a09',
         'trace.csv': '186545ed2b9d583feaed24a0cb42395454e6d5bfd84dd7561d5063c8aff1b318',
         'triggers': '3765c3f7952e7324abf4c09ffe5e723994312fc9303870db49764d33d0110e07',
     },
     'dense-capacity-cut': {
-        'closed': 'e934f23dd3541521d16aa4dbc819285faa09ca530378cc6c3ee57521369012a9',
-        'records': 'e7d09ea37efb38e7250b7f08b9de3a403ccfec53c082ba845b13f035efcae512',
+        'closed': 'e11e1daf2ceda404e53167b4705becebf032ed15002d4007704694c0edadaa4b',
+        'records': '80e1e1884904b951e438ef75401fdce58f3167c64ccd05fa137bfbbe27ecdfd0',
         'scenario.json': '975bc509e99e2f54bc24e27b670cf78c2818da683ab25d434827034ba737e7b8',
-        'summary.json': 'a59a1ba934b2a2f3444803c64f0d9af87f5597a279fb46530ad4262ac28af82f',
-        'tickets.jsonl': 'f1cfb81103587bb560609b17b7c5467b4a5c78cf31514ea6c625f9fb5483d5ba',
-        'trace.csv': '89f563f59e8fd9f519f5c50bba5aa809b9b3c9f5270478c3eaa2564688783ab7',
-        'triggers': 'ddf907c132735a6963cd67ef02950c0615bf07bb96c5b6975c02a14864e4c2b3',
+        'summary.json': 'bbd3c7b2d1740511f0830ce044e66b9a12bf9011c59f5487a2d56cad91520aff',
+        'tickets.jsonl': '408811e69dc974b1e79e99e2bd0b0b36e43980b631e1a77dcbdec18faedf70a6',
+        'trace.csv': '2035f82752357b78a1d39eb0fa6e8888704295f775301acb96a3b117e287f573',
+        'triggers': 'd8a510c24cd41f2c72b7fa7d63a133815667384ea4b1ffb6b377a19c07e1078d',
     },
     'dense-fifth-ms-window': {
-        'closed': '10ee136f25c3841ddd099f952f4a11f2e755d267d348fdd152ec089adae6f9fb',
-        'records': '2788214f59d596d2cf2e62603587a1bb70d1259b17bef1c36871812aab367038',
+        'closed': '3dadf4883e5d5b8721ecd920b213171ec28c01f122cbfadadab050554900b6cf',
+        'records': '1bac7641736f2156cab6dd849868f80b683d795c2f443c1401b50e0260b4fa35',
         'scenario.json': '828d6bb20a58b808835e2c1dc4c66972608a79e4b5826c961819f19cf19ab598',
-        'summary.json': '3421b92dc55bbe672f2e26da2d37086889b13e1c4c0fb7cdce7c855a1d811558',
-        'tickets.jsonl': '62cfaaa657883f06e082072c893c0183e79969594fdc5ecd24600b2958074365',
-        'trace.csv': '3ea580b0720c633ae1bd044a8387807e90f220e25da04315de96d3d2683e0684',
-        'triggers': '30038e11582adc8d5f0e3391b8073dc0dfefe06098a1dc0d0edd9c64170bb12c',
+        'summary.json': '74ad67118c3081a31f8d92266ca880c3099455d0ed0fe20b8c616e948cf16198',
+        'tickets.jsonl': '202dbafcd270292947b1b03a4ce52d4ff5827b7dbdfbf5777ea8d20e584d3a03',
+        'trace.csv': '612b4fe3027c6b4f3648f5a24eccd591a1954a210057301272c0cc18a4b3c2d7',
+        'triggers': '2803e7a7b39bf888320dab41366cc4c8af0d43807840422a5580455dd2b5b2e0',
     },
-    # This digest encodes the known IPID float-span defect (see
-    # edge_scenarios); it is expected to move when that is mended.
     'ipid-span-float-edge': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'records': 'e574049f4f2ab903b26c51057e859b77a830c5d47435ce8b993e63ff2228621a',
         'scenario.json': 'ad6fe3509547ddfff7d13407343c3dc7a9cfa2298ea7b4ed73161cc84e7b8e09',
-        'summary.json': '856d82006696468695f5931f1ca76cd52d7e59ea181bb14e8319291e20c4070a',
-        'tickets.jsonl': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'trace.csv': '29126cbefcf786693106f2a021474f6fcafc613eab2744458085396fb77d1dee',
-        'triggers': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'summary.json': 'a5b0ffeb9172367d9081b162b1b6f50624fd88fb64283156906c9a09d39bfa99',
+        'tickets.jsonl': '417806c82d8789ebecec54493130e546384d2f1b30dbf758e968a702571b49ab',
+        'trace.csv': 'd912f922022f257de6df04604eabcaa54a724f22d8d1b36618a266f772984710',
+        'triggers': '8b7b2387a0d62b3f147ff6ca8bc4815070c66d640d34fd8887ae8e3a8e43600b',
     },
     'ipid-evict-before-observe': {
         'closed': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -420,10 +418,10 @@ def edge_scenarios() -> dict[str, Scenario]:
                                suppression_window=5.0,
                                thresholds=ThresholdDb(nbw_permissible=1200.0))),
         *_dense_generator_scenarios(),
-        # A known IPID-window defect, pinned as it stands; its digests are
-        # expected to move when the window keeps integer steps.  A reused
-        # IPID seen at 28.02, 78.02 and 128.02 ms spans 100.00000000000001
-        # ms in floats, so the 3-in-100 ms rule never judges it a loop.
+        # A reused IPID seen at 28.02, 78.02 and 128.02 ms spans
+        # 100.00000000000001 ms in floats but 10000 steps, the window's own
+        # length, so the 3-in-100 ms rule judges it a loop: one IPID_LOOP
+        # trigger and a ticket at the 128 ms tick.
         Scenario(
             name="ipid-span-float-edge", node_count=2, tick=1.0,
             duration=140.0, seed=1,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stormctl.metrics import (
@@ -206,16 +206,25 @@ class TestIpidLoop:
         assert detect_ipid_loop([(7, 5.0, 3)]) == (True, (7,))
         assert detect_ipid_loop([(7, 5.0, 2)]) == (False, ())
 
-    # times are multiples of 2.5 ms, exact in binary, so spans that end
-    # exactly on the window's edge are drawn too; the draw is unsorted
-    # and repeats times
+    def test_span_is_counted_in_steps(self):
+        # in floats 128.02 - 28.02 is 100.00000000000001, past the window;
+        # in 0.01 ms steps the span is 10000, the window's own length
+        assert detect_ipid_loop([(7, 28.02, 1), (7, 78.02, 1),
+                                 (7, 128.02, 1)]) == (True, (7,))
+
+    # times are 0.01 ms steps 2.5 ms apart, shifted by 0 or 0.02 ms, so
+    # spans that end exactly on the window's edge are drawn too, some of
+    # them longer than the window in floats; the draw is unsorted and
+    # repeats times
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 60),
-                              st.integers(1, 5)), max_size=40),
+                              st.integers(1, 5), st.sampled_from([0, 2])),
+                    max_size=40),
            st.integers(2, 6), st.sampled_from([0.0, 2.5, 25.0, 100.0]))
     @settings(max_examples=300, deadline=None)
+    @example([(7, 12, 1, 2), (7, 32, 1, 2), (7, 52, 1, 2)], 3, 100.0)
     def test_agrees_with_bruteforce_on_random_windows(self, draws, k, w):
-        observations = [(ipid, slot * 2.5, count)
-                        for ipid, slot, count in draws]
+        observations = [(ipid, (slot * 250 + shift) / 100, count)
+                        for ipid, slot, count, shift in draws]
         frames = [(ipid, t) for ipid, t, count in observations
                   for _ in range(count)]
         assert detect_ipid_loop(observations, k, w) == \

@@ -1128,6 +1128,20 @@ class TestWindowRule:
         assert windows == list(range(50))
         assert trace.records == reference_run(sc).records
 
+    # `observe` acts at a tick's end, so its block runs through the window
+    # holding that step; the window of the tick's start would have lapsed
+    # by then whenever the window is no longer than the tick.
+    @pytest.mark.parametrize("window, tickets, suppressed",
+                             [(0.5, 30, 505), (1.0, 15, 845)])
+    def test_windows_no_longer_than_the_tick_block(self, window, tickets,
+                                                   suppressed):
+        sc = preset("loop-storm")
+        sc = dataclasses.replace(sc, agents=dataclasses.replace(
+            sc.agents, suppression_window=window))
+        trace = run(sc)
+        assert len(trace.tickets) == tickets
+        assert sum(r.ledger.suppressed for r in trace.records) == suppressed
+
 
 class TestIpidTriggers:
     # Seen at 1.2, 1.4 and 1.6 ms, the IPID qualifies in the tick ending
