@@ -214,9 +214,7 @@ class StaticAgent:
             fit = fit_model(points)
         except FitError as exc:
             raise CalibrationError(f"cannot fit normal burst: {exc}") from exc
-        rise = rise_segment(points if points[0].t == 0
-                            else [TracePoint(0.0, 0.0)] + points)
-        rise_end, pe = rise[-1].t, rise[-1].count
+        rise_end, pe = rise_segment(points)[-1]
 
         step = self.config.sample_period
         span = points[-1].t

@@ -19,15 +19,15 @@ are solved exactly (with Ps >= 0 and Pe >= 0 held), and only m is
 searched: variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
 10(2), 1973).  Each solve also gives the derivative of the residual sum
 of squares (RSS) in m, by the envelope theorem, from the loop that sums
-the residuals.  The search scans a 10-cell geometric grid over a
-declared domain of m, then starts at the grid's best point and takes
-secant steps on that derivative inside the grid cells beside it, with
-bisection as the safeguard and the lowest RMSE solved kept (Brent,
-Algorithms for Minimization Without Derivatives, 1973, ch. 4; Press et
-al.'s `dbrent`, Numerical Recipes, 10.3).  Where the RSS rises from a
-domain edge into the domain, the edge is the minimum and no search
-runs.  A fit takes a median of 16 solves on the benchmark's captures
-(22 under the Brent search it replaced), and 11, the grid's, on the
+the residuals.  The search scans a 5-cell geometric grid over a
+declared domain of m, which only picks a basin, then starts at the
+grid's best point and takes secant steps on that derivative inside the
+grid cells beside it, with bisection as the safeguard and the lowest
+RMSE solved kept (Brent, Algorithms for Minimization Without
+Derivatives, 1973, ch. 4; Press et al.'s `dbrent`, Numerical Recipes,
+10.3).  Where the RSS rises from a domain edge into the domain, the
+edge is the minimum and no search runs.  A fit takes a median of 12
+solves on the benchmark's captures, and 6, the grid's, on the
 calibration inputs, whose RSS rises from the domain's floor.
 The domain's top is lowered per trace so that e^(m t) stays finite over
 the rise.  The least-squares sums that do not depend on m are taken once
@@ -53,7 +53,7 @@ TAU = math.tau  # 2*pi
 FIT_M_MIN = 0.025
 FIT_M_MAX = 10.05
 
-_GRID_CELLS = 10                         # geometric cells of the coarse grid
+_GRID_CELLS = 5                          # geometric cells of the coarse grid
 _M_RTOL = 1e-9                           # the search's tolerance, relative to m
 _G_MAX_LOG = 256 * math.log(2.0)         # rises keep t*e^(m t) <= 2**256
 
@@ -324,8 +324,8 @@ def fit_model(trace: Iterable) -> FitResult:
 
     m is searched on the grid, then by `_search` in the cell between the
     grid's best point and its neighbour on the side where the RSS falls.
-    Where that side is off the domain, the edge is the fit, in the
-    grid's 11 solves.
+    Where that side is off the domain, the edge is the fit, from the
+    grid's solves alone.
     """
     points = _as_points(trace)
     if not all(map(math.isfinite, itertools.chain.from_iterable(points))):

@@ -309,8 +309,8 @@ EDGE_GOLDEN = {
 }
 
 FIT_GOLDEN = {
-    'table1': 'cfda311f288a08ad9ed18aa9cb4c4c92fdd9e4d5ca60ed2e20a42352c42d7f5d',
-    'table3': 'cfda311f288a08ad9ed18aa9cb4c4c92fdd9e4d5ca60ed2e20a42352c42d7f5d',
+    'table1': '8e2ebaf992b0d40f64005d8c13b3dc8acb0f1335f142319670331f889dc312fa',
+    'table3': '8e2ebaf992b0d40f64005d8c13b3dc8acb0f1335f142319670331f889dc312fa',
     'table4': '46437945a5513314ceafabc102fffe0f737ce4a67d69c98f1a471a3133acb0de',
     'ideal-profile-2': 'abe18dde61ab9bfef319a0ce518af85bd72248bd9a328735c021f47507220227',
     'ideal-profile-238': '1828dcb22766e96c933a0a09edda6847307a87946f80b7fb63922b432dc30c31',
@@ -318,8 +318,8 @@ FIT_GOLDEN = {
     'interior-growth-curve': '653644a624b45c2dbb5f5ff6514763e038f80cee783d6d469f81dbcaef904b63',
     'interior-linear': '36a6c4bb2924fe79b76b424f69a50be78ce059fab5a042a096bcfd083b4550d2',
     'ps0-concave': '1134a2425e8b4244da0d5bcac49e3ee290a4e4277d419d95b1eb6fe8d587fb4a',
-    'pe0-convex': 'd7b41ffd466afd7a0cb656e4ccef9b1d0ccc034dc8300de656efce06beaac266',
-    'det0-short-span': 'f619de1f3f34ee0a074b5f74385e520df06114e9006fc8ada91a958e31955685',
+    'pe0-convex': '6082ac23eead712e98f44a726eeae695aecbee2e99cbd9bc7430dc0bec850249',
+    'det0-short-span': '8054ac013069cf138c5f846ca0fab4a49963bd8f7629fd4e97984fe8a6811885',
     'det0-short-span-ps0': '038d972d60adea73cf663afe3f8e296e88f400a85056dbd386ad7faa0074c756',
     'zero-fallback-underflow': '4bc7bcf582b980c6b8342128ea356b5524355d71480bc6803e4cb1bdad517eab',
 }

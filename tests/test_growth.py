@@ -372,6 +372,11 @@ def counted_solves():
         yield counts
 
 
+def grid_size(points) -> int:
+    """The number of solves the grid takes on this trace's rise."""
+    return len(growth._grid(growth._m_top(rise_of(points)[-1][0])))
+
+
 def curve_rmse(params, ts, ys) -> float:
     return math.sqrt(sum((eval_ptr(params, t) - y) ** 2
                          for t, y in zip(ts, ys)) / len(ts))
@@ -434,14 +439,15 @@ class TestEdgeMinimum:
         with counted_solves() as counts:
             fit = fit_model(points)
         assert fit.params.m == m
-        assert counts == [11]       # the grid alone
+        assert counts == [grid_size(points)]    # the grid alone
 
     def test_fall_inside_the_edge_is_searched(self):
         m = FIT_M_MIN * 1.01        # below the grid's second point
         assert growth._grid(FIT_M_MAX)[1] > m
+        points = self.curve(2000.0, 8000.0, m)
         with counted_solves() as counts:
-            fit = fit_model(self.curve(2000.0, 8000.0, m))
-        assert counts[0] > 11
+            fit = fit_model(points)
+        assert counts[0] > grid_size(points)
         assert rel_err(fit.params.m, m) <= 1e-6
 
 
@@ -475,9 +481,9 @@ class TestCaptureSweep:
     def test_solve_counts(self, swept):
         counts = swept[2]
         assert len(counts) == 400
-        # measured: a median of 16 solves and a maximum of 22
-        assert max(counts) <= 24
-        assert statistics.median(counts) <= 17
+        # measured: a median of 12 solves and a maximum of 21
+        assert max(counts) <= 21
+        assert statistics.median(counts) <= 12
 
     # rises of 0.2 to 6 s: the growth constant's ceiling, not the old
     # search's top of 10, bounds their domains
@@ -507,10 +513,21 @@ class TestCaptureSweep:
         points = CALIBRATION_INPUTS[name]
         with counted_solves() as counts:
             fit = fit_model(points)
-        assert counts == [11]       # the grid: the RSS rises from its floor
+        # the grid alone: the RSS rises from its floor
+        assert counts == [grid_size(points)]
         # the RMSE falls all the way down to the domain's floor
         assert fit.params.m == FIT_M_MIN
         assert fit.rmse <= reference_fit_model(points).rmse * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("name", list(fit_inputs()))
+def test_pinned_input_no_worse_than_the_reference(name):
+    # the grid's size decides which basin the search keeps: at 4, 6 or 8
+    # cells, det0-short-span keeps a worse one, at RMSE 22740.08,
+    # 22729.16 or 22725.73 against the reference's 22717.58
+    points = fit_inputs()[name]
+    assert fit_model(points).rmse <= \
+        reference_fit_model(points).rmse * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("m", [FIT_M_MIN, 0.05, 0.3, 1.5, 6.0, FIT_M_MAX])
