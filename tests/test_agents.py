@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import pytest
 
@@ -504,3 +505,13 @@ class TestReplay:
     def test_silent_reference_rejected(self):
         with pytest.raises(CalibrationError):
             replay_elementwise([(0.0, 1.0)], [(0.0, 0.0)])
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_nan_time_rejected(self, blocked):
+        # every row's time is rounded to its step, also inside a blocked
+        # window, so a NaN time raises wherever it falls
+        reference = [(0.0, 100.0), (0.1, 100.0)]
+        data = [(0.0, 400.0), (0.1, 400.0), (0.2, 400.0), (math.nan, 100.0)]
+        config = AgentConfig(consecutive_required=1 if blocked else 4)
+        with pytest.raises(ValueError):
+            replay_elementwise(data, reference, config)

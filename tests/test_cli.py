@@ -263,6 +263,13 @@ class TestTraceReadErrors:
         assert err == (f"stormctl: cannot read trace {path}: "
                        f"No such file or directory\n")
 
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t_ms,count\n0,0\n0.1,5\xff\n")
+        err = self.rejected(capsys, path)
+        assert err.startswith(f"stormctl: cannot read trace {path}: ")
+        assert "Traceback" not in err
+
 
 class TestShortTraceRows:
     """A count trace row with a missing cell exits 2 and names the row;

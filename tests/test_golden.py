@@ -1,4 +1,4 @@
-"""Golden digests: every preset's artifacts and every fit, pinned.
+"""Golden digests: every preset's artifacts, every fit and replay, pinned.
 
 Each bundled scenario runs with its agents and without them, and each
 edge scenario below (paths the presets never take) runs once; the
@@ -11,10 +11,13 @@ the tables below, and `trace.csv` must equal the reference formatter's
 output.  Each fit input below (the bundled packet traces, the
 calibration profile at every preset's capacity, and seeded rises that
 together take every branch of the least-squares solver) has the sha256
-of its `FitResult`, taken over `float.hex` of every field.  A refactor
-must leave every digest unchanged.  Only an intentional change of
-behaviour may update the tables, and the change that does so must say
-why.
+of its `FitResult`, taken over `float.hex` of every field.  Each replay
+input (the bundled packet traces and seeded capture-like rises, replayed
+against the normal burst under the default suppression window and under
+0.5 ms windows, which re-arm) has the sha256 of the tickets and breaches
+`replay_elementwise` returns.  A refactor must leave every digest
+unchanged.  Only an intentional change of behaviour may update the
+tables, and the change that does so must say why.
 
 To print the current tables:
 
@@ -34,8 +37,8 @@ from pathlib import Path
 import pytest
 
 from stormctl import tracefile
-from stormctl.agents import AgentConfig, Policy, ThresholdDb
-from stormctl.datasets import PACKET_TRACES, load_trace
+from stormctl.agents import AgentConfig, Policy, ThresholdDb, replay_elementwise
+from stormctl.datasets import PACKET_TRACES, load_trace, table4_hump
 from stormctl.growth import FitResult, eval_ptr, fit_model, make_params
 from stormctl.simulation import (
     Injector,
@@ -324,6 +327,23 @@ FIT_GOLDEN = {
     'zero-fallback-underflow': '4bc7bcf582b980c6b8342128ea356b5524355d71480bc6803e4cb1bdad517eab',
 }
 
+REPLAY_GOLDEN = {
+    ('table1', 'default'): '42174f6094caff01a72c8a9a06eda03d70fa1cbe6556b8749be630f7d55317fd',
+    ('table1', 'window-0.5ms'): '0d659c4b40b98b627c0d04bec7c4c84b2be49ba51c7c834f7968faad96f24e15',
+    ('table3', 'default'): '42174f6094caff01a72c8a9a06eda03d70fa1cbe6556b8749be630f7d55317fd',
+    ('table3', 'window-0.5ms'): '56f4469b34349ae8fcf69e10a836f5470ecf993d81b7c2f8128c60672ce91cf0',
+    ('table4', 'default'): '2d1de89253216acf31f74d449ad620fc751769568dd79441b82e265e1f34e1e5',
+    ('table4', 'window-0.5ms'): '6bc59bf523b2928b807235b8b5bfb984c37aefe0d256515c6a8405075c12a931',
+    ('capture-0', 'default'): '82295123c69699df4c55a43fa24b53eafa4d43b166da7504e1df4bd1ee68dcc4',
+    ('capture-0', 'window-0.5ms'): '0b3a8acbf576869e9dfa7d5bd29623af808440403b76377d570fd390ba3c8eb0',
+    ('capture-1', 'default'): '8ef9cd1d86989e09d12a473119d7633b08dc6187483f397189a671aedaf75357',
+    ('capture-1', 'window-0.5ms'): 'b507b4c83b8b9fb70d6df5e08fb1c045970a871fc8891edb2cb3f54793a681aa',
+    ('capture-2', 'default'): '6c384fa8d8574b986d234e17e90aed66e75acc685919dbc62b21e0dc88a98bf3',
+    ('capture-2', 'window-0.5ms'): 'b5ee29b047b6306767a12225079a9b9f43bede3e62c913e8b3551f01a7428036',
+    ('capture-long', 'default'): '5fac083ae7ab6871762093bba378149239e8097446764dc4b86552177e9696a2',
+    ('capture-long', 'window-0.5ms'): '910006bc23e5b20b71c8f80f1ea202206bdef47ee196d90ae7f3263958626072',
+}
+
 
 def _ipid_scenario(repeats: int) -> Scenario:
     # the factor-1 loop shows its IPID 4 times per 1 ms: enough for 2
@@ -505,15 +525,16 @@ def seeded_rise(seed: int, dt: float, power: float,
     return points
 
 
-def seeded_curve_rise(seed: int) -> list[tuple[float, float]]:
-    """Twenty samples of a rising growth curve with +/-5% noise, rounded."""
+def seeded_curve_rise(seed: int, n: int = 20) -> list[tuple[float, float]]:
+    """n samples, 0.1 ms apart, of a rising growth curve with +/-5% noise,
+    rounded: the benchmark's captures, give or take their noise."""
     rng = random.Random(f"fit-curve/{seed}")
     p_start = rng.uniform(1000.0, 6000.0)
     params = make_params(p_start, rng.uniform(p_start, 12000.0),
                          rng.uniform(0.3, 1.2))
     return [(k * 0.1, float(round(eval_ptr(params, k * 0.1)
                                   * (1 + 0.05 * (2 * rng.random() - 1)))))
-            for k in range(20)]
+            for k in range(n)]
 
 
 def fit_inputs() -> dict[str, list]:
@@ -539,6 +560,32 @@ def fit_inputs() -> dict[str, list]:
         "zero-fallback-underflow": seeded_rise(0, 1e-170, 1),
     })
     return inputs
+
+
+def replay_inputs() -> dict[str, list]:
+    """Every trace replayed against `table4_hump()` with a pinned digest:
+    the bundled packet traces, and rises shaped like the benchmark's
+    captures, one of them longer than the 28-row reference."""
+    inputs = {name: load_trace(name) for name in sorted(PACKET_TRACES)}
+    for seed in range(3):
+        inputs[f"capture-{seed}"] = seeded_curve_rise(seed)
+    inputs["capture-long"] = seeded_curve_rise(3, n=36)
+    return inputs
+
+
+# the default window holds every row in one; 0.5 ms windows re-arm
+REPLAY_WINDOWS = {"default": AgentConfig(),
+                  "window-0.5ms": AgentConfig(suppression_window=0.5)}
+
+
+def replay_digest(points: list, config: AgentConfig) -> str:
+    tickets, breaches = replay_elementwise(points, table4_hump(), config)
+    text = "".join(
+        f"{tk.ticket_id} {tk.node} {tk.t!r} {tk.cause.value} "
+        f"{tk.observed!r} {tk.threshold!r}\n" for tk in tickets) + "".join(
+        f"{b.index} {b.t!r} {b.observed!r} {b.expected!r} {b.deviation!r}\n"
+        for b in breaches)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def fit_digest(fit: FitResult) -> str:
@@ -597,6 +644,8 @@ CASES = [(name, agents) for name in scenario_presets()
          for agents in (True, False)]
 EDGE_CASES = list(edge_scenarios())
 FIT_CASES = list(fit_inputs())
+REPLAY_CASES = [(name, window) for name in replay_inputs()
+                for window in REPLAY_WINDOWS]
 
 
 @pytest.mark.parametrize("name,agents", CASES,
@@ -618,6 +667,13 @@ def test_edge_scenarios_match_golden_digests(name):
 @pytest.mark.parametrize("name", FIT_CASES)
 def test_fits_match_golden_digests(name):
     assert fit_digest(fit_model(fit_inputs()[name])) == FIT_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name,window", REPLAY_CASES,
+                         ids=[f"{n}-{w}" for n, w in REPLAY_CASES])
+def test_replays_match_golden_digests(name, window):
+    digest = replay_digest(replay_inputs()[name], REPLAY_WINDOWS[window])
+    assert digest == REPLAY_GOLDEN[(name, window)]
 
 
 _plain_sum = builtins.sum
@@ -671,4 +727,10 @@ if __name__ == "__main__":
     print("FIT_GOLDEN = {")
     for name, points in fit_inputs().items():
         print(f"    {name!r}: {fit_digest(fit_model(points))!r},")
+    print("}")
+    print()
+    print("REPLAY_GOLDEN = {")
+    for name, window in REPLAY_CASES:
+        digest = replay_digest(replay_inputs()[name], REPLAY_WINDOWS[window])
+        print(f"    {(name, window)!r}: {digest!r},")
     print("}")

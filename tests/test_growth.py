@@ -222,7 +222,7 @@ class TestFit:
         assert fit.rmse == math.ldexp(one.rmse, exponent)
 
     def test_rejects_nonincreasing_times(self):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="must be strictly increasing"):
             fit_model([(0, 0), (1, 5), (1, 6), (2, 7), (3, 8)])
 
     @pytest.mark.parametrize("point", [(2, math.nan), (math.nan, 7),
@@ -232,12 +232,42 @@ class TestFit:
             fit_model([(0, 0), (1, 5), point, (3, 8), (4, 9)])
 
     def test_rejects_too_short_rise(self):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="got 2$"):
             fit_model([(0, 0), (1, 100), (2, 50), (3, 20)])
 
     def test_rejects_flat_trace(self):
-        with pytest.raises(FitError):
+        # the first zero is the peak: the rise is too short to show growth
+        with pytest.raises(FitError, match="got 1$"):
             fit_model([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
+
+    # a trace with several faults is named by the first check it fails:
+    # finite, then increasing, then nonnegative, then the rise's length,
+    # then its growth
+    @pytest.mark.parametrize("trace,message", [
+        ([(0, 0), (2, 5), (1, 6), (3, math.nan), (4, 9)], "must be finite"),
+        ([(0, 0), (math.inf, 5), (1, 6)], "must be finite"),
+        ([(-1, 0), (2, 5), (1, 6), (3, 8), (4, 9)],
+         "must be strictly increasing"),
+        ([(-1, 0), (1, 5), (2, 6), (3, 8), (4, 9)], "must be nonnegative"),
+        ([(-1, 0), (1, 5), (2, 1)], "must be nonnegative"),
+        ([(-1, 0), (1, 0), (2, 0), (3, 0), (4, 0)], "must be nonnegative"),
+        ([(0, 0), (1, 50), (2, 100), (3, 20)], "got 3$"),
+        ([], "got 0$"),
+        ([(0, -4), (1, -3), (2, -2), (3, -1), (4, -5)],
+         "shows no growth to fit"),
+    ], ids=["nan-after-disorder", "inf-before-disorder",
+            "disorder-and-negative", "negative", "negative-and-short",
+            "negative-and-flat", "three-point-rise", "empty", "no-growth"])
+    def test_first_failing_check_names_the_fault(self, trace, message):
+        with pytest.raises(FitError, match=message):
+            fit_model(trace)
+
+    def test_equal_peaks_fit_the_rise_to_the_first(self):
+        rise = [(0.0, 0.0), (0.1, 900.0), (0.2, 2100.0), (0.3, 3800.0),
+                (0.4, 6000.0)]
+        trace = rise + [(0.5, 4000.0), (0.6, 6000.0), (0.7, 7000.0)]
+        assert fit_model(trace[:-1]) == fit_model(rise)
+        assert fit_model(trace) != fit_model(rise)
 
 
 @st.composite

@@ -78,6 +78,32 @@ class TestCountTraces:
                 f"{path}: row 3: expected 2 cells, got 1")):
             tracefile.read_trace(path)
 
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"t_ms,count\r\n0.1,5\r\n\r\n0.2,9\r\n")
+        assert tracefile.read_trace(path) == [TracePoint(0.1, 5.0),
+                                              TracePoint(0.2, 9.0)]
+
+    def test_quoted_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('"t_ms","count"\n"0.1","5"\n0.2,"9"\n')
+        assert tracefile.read_trace(path) == [TracePoint(0.1, 5.0),
+                                              TracePoint(0.2, 9.0)]
+
+    @pytest.mark.parametrize("row", ["0.1,nan", "inf,5", "0.1,-inf"])
+    def test_non_finite_cell_names_its_row(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"t_ms,count\n0,0\n\n{row}\n0.3,9\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 2: t_ms and count must be finite")):
+            tracefile.read_trace(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"t_ms,count\n0,0\n0.1,5\xff\n")
+        with pytest.raises(ValueError):
+            tracefile.read_trace(path)
+
     @given(st.lists(st.tuples(st.floats() | st.integers(-2**53, 2**53),
                               st.floats()), max_size=20))
     @example([(float("nan"), float("inf")), (float("-inf"), -0.0),
