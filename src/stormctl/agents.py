@@ -541,10 +541,12 @@ def replay_elementwise(
     tickets: list[TroubleTicket] = []
     breaches: list[ReplayDeviation] = []
     run = 0
-    through = -math.inf     # the last window a ticket blocks
+    window = config.window_steps
+    resume = -math.inf      # the first step past the window a ticket blocks
     for idx, (t, count) in enumerate(data):
         t, count = float(t), float(count)
-        if config.window_of(t) <= through:
+        step = round(t * STEPS_PER_MS)      # as `window_of` rounds t
+        if step < resume:
             continue
         ref = ref_counts[idx] if idx < len(ref_counts) else 0.0
         dev = _deviation(count, ref, eps)
@@ -554,7 +556,8 @@ def replay_elementwise(
         else:
             run = 0
         if run >= config.consecutive_required:
-            through = config.window_of(t)
+            through = step // window
+            resume = (through + 1) * window
             tickets.append(_issue_ticket(len(tickets) + 1, Trigger(
                 TriggerCause.PTR_DEVIATION, OFFLINE_NODE, t, dev, thr),
                 through, config))

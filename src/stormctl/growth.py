@@ -41,7 +41,6 @@ not been run on a 3.12 interpreter.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -153,14 +152,14 @@ def build_ptr_array(
     return PtrArray(t_start=t_start, step=step, values=values)
 
 
+def _first_peak(counts: list[float]) -> int:
+    """The index of the highest count; of equal ones, the first."""
+    return counts.index(max(counts))
+
+
 def rise_segment(trace: Sequence[TracePoint]) -> list[TracePoint]:
     """The build-up portion of a trace: everything up to the first peak."""
-    peak = max(range(len(trace)), key=lambda i: (trace[i].count, -i))
-    return list(trace[: peak + 1])
-
-
-def _as_points(trace: Iterable) -> list[TracePoint]:
-    return [TracePoint(float(t), float(c)) for t, c in trace]
+    return list(trace[: _first_peak([p.count for p in trace]) + 1])
 
 
 def _solver(ts: Sequence[float], ys: Sequence[float]):
@@ -327,24 +326,41 @@ def fit_model(trace: Iterable) -> FitResult:
     Where that side is off the domain, the edge is the fit, from the
     grid's solves alone.
     """
-    points = _as_points(trace)
-    if not all(map(math.isfinite, itertools.chain.from_iterable(points))):
+    # one pass converts every point; its faults are raised after it, in
+    # the checks' order, so a later point that fails to convert still
+    # raises its own error first
+    isfinite = math.isfinite
+    ts: list[float] = []
+    ys: list[float] = []
+    finite = increasing = True
+    last = -math.inf
+    for t, y in trace:
+        t, y = float(t), float(y)
+        if not (isfinite(t) and isfinite(y)):
+            finite = False
+        elif t <= last:
+            increasing = False
+        last = t
+        ts.append(t)
+        ys.append(y)
+    if not finite:
         raise FitError("trace times and counts must be finite")
-    if any(b.t <= a.t for a, b in zip(points, points[1:])):
+    if not increasing:
         raise FitError("trace times must be strictly increasing")
-    if points and points[0].t < 0:
+    if ts and ts[0] < 0:
         raise FitError("trace times must be nonnegative")
-    if points and points[0].t > 0:
-        points.insert(0, TracePoint(0.0, 0.0))
-    rise = rise_segment(points) if points else []
-    if len(rise) < 4:
-        raise FitError(f"need at least 4 points in the rise, got {len(rise)}")
-    peak = rise[-1].count
+    if ts and ts[0] > 0:
+        ts.insert(0, 0.0)
+        ys.insert(0, 0.0)
+    end = _first_peak(ys) + 1 if ys else 0     # the rise is ts[:end]
+    if end < 4:
+        raise FitError(f"need at least 4 points in the rise, got {end}")
+    peak, t_end = ys[end - 1], ts[end - 1]
     if peak <= 0:
         raise FitError("trace shows no growth to fit")
-    top = _m_top(rise[-1].t)
+    top = _m_top(t_end)
     if top < FIT_M_MIN:
-        raise FitError(f"a rise of {rise[-1].t:g} ms is too long to fit: "
+        raise FitError(f"a rise of {t_end:g} ms is too long to fit: "
                        f"t*e^(m t) passes 2**256 for every m from "
                        f"{FIT_M_MIN:g}")
 
@@ -352,8 +368,7 @@ def fit_model(trace: Iterable) -> FitResult:
     # power of two is exact, and the squared residuals of tiny counts no
     # longer underflow, nor those of huge ones overflow
     scale = math.frexp(peak)[1]
-    solve = _solver([p.t for p in rise],
-                    [math.ldexp(p.count, -scale) for p in rise])
+    solve = _solver(ts[:end], [math.ldexp(y, -scale) for y in ys[:end]])
     grid = _grid(top)
     sols = [solve(m) for m in grid]
     i = min(range(len(grid)), key=lambda k: sols[k][2])

@@ -100,20 +100,26 @@ def _blocks(chunks: Iterable[str]) -> Iterator[bytes]:
         yield b"".join(pending)
 
 
-def _csv_rows(fh, path: PathLike,
-              names: Sequence[str]) -> Iterable[tuple[str, ...]]:
+def _csv_rows(path: PathLike,
+              names: Sequence[str]) -> list[tuple[str, ...]]:
     """The cells named `names`, in that order, of each non-blank row under
-    the header; a row shorter than the header is an error."""
-    reader = csv.reader(fh)
+    the header of the UTF-8 CSV file at path; a row shorter than the
+    header is an error."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
     if not set(names) <= set(header):
         raise ValueError(f"{path}: expected a {','.join(names)} header")
+    width = len(header)
     pick = itemgetter(*map(header.index, names))
+    rows = []
     for row, cells in enumerate(filter(None, reader), start=1):
-        if len(cells) < len(header):
-            raise ValueError(f"{path}: row {row}: expected {len(header)} "
+        if len(cells) < width:
+            raise ValueError(f"{path}: row {row}: expected {width} "
                              f"cells, got {len(cells)}")
-        yield pick(cells)
+        rows.append(pick(cells))
+    return rows
 
 
 # -- count traces --------------------------------------------------------
@@ -129,16 +135,23 @@ def write_trace(points: Iterable, path: PathLike) -> None:
 
 
 def read_trace(path: PathLike) -> list[TracePoint]:
+    """The count trace at path, one point per row.
+
+    The columns are found by their header names, `t_ms` and `count`, in
+    any order, and other columns are allowed.  Blank rows are skipped
+    and not numbered.  Cells may be quoted as CSV quotes them.  A row
+    with fewer cells than the header, or a time or count that is not a
+    finite number, is a ValueError naming the path and the row.
+    """
     isfinite = math.isfinite
     points = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = _csv_rows(fh, path, ("t_ms", "count"))
-        for row, (t, count) in enumerate(rows, start=1):
-            t, count = float(t), float(count)
-            if not (isfinite(t) and isfinite(count)):
-                raise ValueError(f"{path}: row {row}: t_ms and count must "
-                                 f"be finite")
-            points.append(_tuple_new(TracePoint, (t, count)))
+    for row, (t, count) in enumerate(_csv_rows(path, ("t_ms", "count")),
+                                     start=1):
+        t, count = float(t), float(count)
+        if not (isfinite(t) and isfinite(count)):
+            raise ValueError(f"{path}: row {row}: t_ms and count must "
+                             f"be finite")
+        points.append(_tuple_new(TracePoint, (t, count)))
     return points
 
 
@@ -190,10 +203,9 @@ def read_channel_csv(path: PathLike) -> list[dict]:
     """Rows as dicts; numeric fields parsed, node_id left as written."""
     numeric = {"t_ms", "bcast_pkts", "total_pkts", "bcast_bytes",
                "total_bytes", "ipg_ns", "utilization"}
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [{key: (float(cell) if cell else None) if key in numeric
-                 else cell for key, cell in zip(CHANNEL_HEADER, cells)}
-                for cells in _csv_rows(fh, path, CHANNEL_HEADER)]
+    return [{key: (float(cell) if cell else None) if key in numeric
+             else cell for key, cell in zip(CHANNEL_HEADER, cells)}
+            for cells in _csv_rows(path, CHANNEL_HEADER)]
 
 
 # -- tickets ---------------------------------------------------------------
