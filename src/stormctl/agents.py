@@ -440,11 +440,18 @@ class AgentFleet:
         self.trigger_log.append(trigger)
         return self._blame(trigger, self.config.window_of(t))
 
-    def _blocked(self, node: int, t: float) -> bool:
-        """Whether node's port is blocked at time t; a node with no port
-        never is."""
+    def resume_step(self, node: int) -> float:
+        """The step where node's port stops being blocked: it is blocked
+        at every step before it, and -inf for a node with no port."""
         port = self.ports.get(node)
-        return port is not None and self.config.window_of(t) <= port.through
+        if port is None:
+            return -math.inf
+        return (port.through + 1) * self.config.window_steps
+
+    def _blocked(self, node: int, t: float) -> bool:
+        """Whether node's port is blocked at time t, whose nearest step
+        `window_of` numbers."""
+        return round(t * STEPS_PER_MS) < self.resume_step(node)
 
     def is_suppressed(self, node: int, t: float, is_broadcast: bool) -> bool:
         """Whether a frame from node's port at time t is filtered."""

@@ -71,7 +71,11 @@ frames spawn their replicas, one run per delivered run; everything
 filtered dies without offspring, so a storm only persists while the loop
 keeps reseeding.  A loop has one run in flight: its first pass is seeded
 when the run starts, and a chain run that puts no replicas seeds the
-loop's next pass.  A run is never put at a heap key already visited;
+loop's next pass.  A seed put while its origin's port is blocked at its
+pass holds a frame for each pass before the block, the pass's tick or
+the loop ends, and the loop's next pass follows the last of them: as a
+block never ends early within `run`, each of those passes dies at
+ingress.  A run is never put at a heap key already visited;
 `run` fails rather than leave it unhandled.  A per-tick conservation ledger
 (generated + replicated - suppressed - capped == delivered) is checked
 inside the loop.
@@ -117,8 +121,9 @@ class ScenarioError(ValueError):
 
 
 class Run(NamedTuple):
-    """`count` frames at one step, or background frames over a stretch of
-    steps, handled in order.
+    """`count` frames handled in order: all at one step, background
+    frames over a stretch of steps, or a blocked loop's seeds, one at
+    each of its passes.
 
     Frame j comes from node `src`, or from node (src + j) % node_count
     when the run rotates: the background generator's frames take the
@@ -612,15 +617,28 @@ def run(scenario: Scenario) -> SimTrace:
         return b, runs
 
     def seed(i: int, step: int) -> None:
-        """Put loop i's seed at its pass `step`."""
+        """Put loop i's seed at its pass `step`: one frame, or, while its
+        origin's port is blocked there, one fresh run of a frame a pass for
+        every pass before the block, the pass's tick or the loop ends.  A
+        block never ends early within `run`, and seeds are broadcasts, so
+        each of those passes dies at ingress under either policy, and its
+        tick's counts are those of one seed a pass."""
         nonlocal next_ipid
-        inj = loops[i][0]
-        put(step, new(Run, (inj.origin_node, next_ipid, True, "seed", i, 1,
-                            not inj.reuse_ipid, False)), True)
-        next_ipid += 1
+        inj, passes, _ = loops[i]
+        v = inj.origin_node
+        k = 1
+        if v in ports:
+            end = min(fleet.resume_step(v), passes.stop,
+                      (step // steps_per_tick + 1) * steps_per_tick)
+            if end > step:
+                k = -(-(end - step) // passes.step)
+        put(step, new(Run, (v, next_ipid, True, "seed", i, k,
+                            k > 1 or not inj.reuse_ipid, False)), True)
+        next_ipid += k
 
     # A loop has at most one run in flight: its first pass is seeded here,
-    # and a chain run that puts no replicas seeds the loop's next pass.
+    # and a chain run that puts no replicas seeds the loop's next pass,
+    # the one after a seed run's last.
     last_key = -1               # the last key visited
     for i, (_, passes, _) in loops.items():
         if passes:
@@ -828,7 +846,8 @@ def run(scenario: Scenario) -> SimTrace:
                         hits.add(ipid)
                 if kind in ("seed", "replica"):
                     loop, passes, hop = loops[owner]
-                    nxt = step + hop
+                    # a seed run holds one frame per pass
+                    nxt = step + (n * hop if kind == "seed" else hop)
                     if sent and step < passes.stop and nxt < total_steps:
                         k = sent * loop.factor
                         reuse = loop.reuse_ipid

@@ -103,10 +103,10 @@ def _blocks(chunks: Iterable[str]) -> Iterator[bytes]:
 def _csv_rows(path: PathLike,
               names: Sequence[str]) -> list[tuple[str, ...]]:
     """The cells named `names`, in that order, of each non-blank row under
-    the header of the UTF-8 CSV file at path; a row shorter than the
-    header is an error."""
+    the header of the UTF-8 CSV file at path, past one leading byte-order
+    mark; a row shorter than the header is an error."""
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        text = fh.read().decode("utf-8").removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
     if not set(names) <= set(header):

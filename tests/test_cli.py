@@ -76,6 +76,15 @@ class TestFitCommand:
         assert code == EXIT_OK
         assert tracefile.read_params(params).params.m > 0
 
+    def test_fit_trace_with_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        tracefile.write_trace(load_trace("table1"), path)
+        main(["fit", "--trace", str(path)])
+        plain = capsys.readouterr().out
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["fit", "--trace", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
     def test_trace_and_dataset_conflict(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         tracefile.write_trace(load_trace("table1"), path)

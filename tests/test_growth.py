@@ -346,6 +346,11 @@ class TestFitContract:
               (1.5, 9099.198925199285), (1.625, 9857.937073428513)])
     @example([(0.5, 44640.34099014838), (0.75, 66969.46562136953),
               (0.8125, 72552.7757211012), (0.9375, 83720.6977572192)])
+    # a near-exact fit with a point close to t = 0, whose float solve
+    # rounds near the minimum; the 5-cell grid's search reaches it
+    @example([(0.0, 0.0), (0.001, 0.009851320039220346),
+              (0.4877861230558401, 9954.360097646659),
+              (0.4887861230558401, 10000.0)])
     def test_no_worse_than_the_grid_and_a_local_minimum(self, trace):
         try:
             fit = fit_model(trace)

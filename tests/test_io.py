@@ -104,6 +104,13 @@ class TestCountTraces:
         with pytest.raises(ValueError):
             tracefile.read_trace(path)
 
+    # spreadsheet exports often lead with a UTF-8 byte-order mark
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbft_ms,count\n0,0\n0.1,5\n")
+        assert tracefile.read_trace(path) == [TracePoint(0.0, 0.0),
+                                              TracePoint(0.1, 5.0)]
+
     @given(st.lists(st.tuples(st.floats() | st.integers(-2**53, 2**53),
                               st.floats()), max_size=20))
     @example([(float("nan"), float("inf")), (float("-inf"), -0.0),
@@ -186,6 +193,13 @@ class TestChannelCsv:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: row 3: expected 10 cells, got 3")):
             tracefile.read_channel_csv(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path, normal_trace):
+        path = tmp_path / "trace.csv"
+        tracefile.write_channel_csv(normal_trace, path)
+        plain = tracefile.read_channel_csv(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert tracefile.read_channel_csv(path) == plain
 
     def test_crafted_node_rows_match_reference(self):
         """Node rows the run seldom makes, against the csv.writer oracle:

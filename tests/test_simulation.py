@@ -413,6 +413,30 @@ class TestOperationCounts:
         assert trace.tickets
         assert asked and all(asked)
 
+    # A bare loop passing every 0.2 ms: its IPID trigger blocks origin 1
+    # at the end of the tick at 2 ms, for the rest of the run.  A blocked
+    # loop's passes in a tick are settled as one seed run, so the origin
+    # is asked about once a tick, not once a pass; in the tick at 3 ms
+    # also once for the replicas held over from the tick before.
+    def test_blocked_loop_asks_once_per_tick(self, monkeypatch):
+        asked = []
+        original = AgentFleet.is_suppressed
+
+        def is_suppressed(fleet, node, t, is_broadcast):
+            asked.append((node, int(t)))
+            return original(fleet, node, t, is_broadcast)
+
+        monkeypatch.setattr(AgentFleet, "is_suppressed", is_suppressed)
+        trace = run(Scenario(
+            name="blocked-loop", node_count=3, duration=20.0,
+            injectors=(Injector(kind="loop", start_t=2.0, origin_node=1),),
+            agents=AgentConfig(policy=Policy.PACKET_BASED)))
+        blocked = [int(r.t) for r in trace.records if r.ledger.suppressed]
+        assert blocked == list(range(3, 20))
+        per_tick = [asked.count((1, tick)) for tick in blocked]
+        assert len(asked) == sum(per_tick)
+        assert per_tick == [2] + [1] * 16
+
     # samples are built through simulation._tuple_new, which skips
     # TrafficSample's own __new__; each one built either way is counted.
     # A run builds only its idle samples: a sender's is built when read.
@@ -1065,6 +1089,41 @@ class TestReferenceRun:
                             pass_interval=0.02, factor=1, reuse_ipid=False),
                    Injector(kind="loop", start_t=0.0, pass_interval=0.02,
                             factor=2, reuse_ipid=False))))
+    # A seed put while its origin's port is blocked settles every pass
+    # before the block, the tick or the loop ends as one run.  loop-storm
+    # with 0.5 ms windows: each block set at a tick's end lapses halfway
+    # through the next tick, and the passes before it are one run.
+    @example(Scenario(
+        name="loop-storm-half-ms-windows", node_count=5, duration=40.0,
+        seed=7, generator=NormalBroadcastProfile(),
+        injectors=(Injector(kind="loop", start_t=10.0, origin_node=1),),
+        agents=AgentConfig(policy=Policy.PACKET_BASED,
+                           suppression_window=0.5)))
+    # the loop ends at 6.5 ms, inside its origin's block: the run of the
+    # tick at 6 ms holds the passes at 6.0, 6.2 and 6.4 ms only
+    @example(Scenario(
+        name="loop-ends-while-blocked", node_count=4, duration=10.0, seed=2,
+        generator=NormalBroadcastProfile(),
+        injectors=(Injector(kind="loop", start_t=2.0, end_t=6.5,
+                            origin_node=3),),
+        agents=AgentConfig(policy=Policy.PACKET_BASED)))
+    # two loops on node 2, with passes 0.2 and 0.3 ms apart, each settled
+    # as its own run per tick under the one block
+    @example(Scenario(
+        name="two-loops-one-blocked-origin", node_count=4, duration=10.0,
+        seed=3, generator=NormalBroadcastProfile(),
+        injectors=(Injector(kind="loop", start_t=2.0, origin_node=2),
+                   Injector(kind="loop", start_t=2.5, origin_node=2,
+                            pass_interval=0.3, reuse_ipid=False)),
+        agents=AgentConfig(policy=Policy.PACKET_BASED)))
+    # A budget of 9 frames per window: the loop's fourth pass, at 0.4 ms,
+    # breaks it and blocks origin 0 mid-tick, so the passes from 0.6 ms
+    # to the tick's end are one run.
+    @example(Scenario(
+        name="budget-blocks-the-origin-mid-tick", node_count=2, duration=4.0,
+        injectors=(Injector(kind="loop", start_t=0.1, pass_interval=0.1),),
+        agents=AgentConfig(policy=Policy.PACKET_BASED,
+                           thresholds=ThresholdDb(byte_threshold_mb=0.005))))
     @settings(max_examples=oracle_examples(150), deadline=None)
     def test_matches_per_frame_reference(self, sc):
         expected = reference_run(sc)
