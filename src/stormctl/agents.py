@@ -449,8 +449,8 @@ class AgentFleet:
         return (port.through + 1) * self.config.window_steps
 
     def _blocked(self, node: int, t: float) -> bool:
-        """Whether node's port is blocked at time t, whose nearest step
-        `window_of` numbers."""
+        """Whether node's port is blocked at the step nearest time t, as
+        `window_of` rounds it."""
         return round(t * STEPS_PER_MS) < self.resume_step(node)
 
     def is_suppressed(self, node: int, t: float, is_broadcast: bool) -> bool:
