@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 IDLE_UTILIZATION = 0.10
@@ -55,10 +54,7 @@ class Stage(enum.Enum):
     FINAL = "final"
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    """One sampling tick of channel-level counters."""
-
+class _ChannelCounters(NamedTuple):
     tick: float            # ms, start of the sampling interval
     broadcast_pkts: int
     total_pkts: int
@@ -68,24 +64,43 @@ class ChannelStats:
     link_rate: float       # bits/s
     interval_ms: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.link_rate <= 0:
+
+class ChannelStats(_ChannelCounters):
+    """One sampling tick of channel-level counters.
+
+    A named tuple whose construction checks its counters: a call,
+    `_make` and `_replace` all raise ValueError on a bad one.  Only
+    `simulation.run`, whose counters hold by construction, builds them
+    unchecked, with `tuple.__new__`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tick: float, broadcast_pkts: int, total_pkts: int,
+                broadcast_bytes: int, total_bytes: int, observed_ipg: float,
+                link_rate: float, interval_ms: float = 1.0) -> ChannelStats:
+        if link_rate <= 0:
             raise ValueError("link_rate must be positive")
-        if self.interval_ms <= 0:
+        if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
-        if min(self.broadcast_pkts, self.total_pkts,
-               self.broadcast_bytes, self.total_bytes) < 0:
+        if min(broadcast_pkts, total_pkts, broadcast_bytes, total_bytes) < 0:
             raise ValueError("traffic counters must be nonnegative")
-        if self.broadcast_pkts > self.total_pkts:
+        if broadcast_pkts > total_pkts:
             raise ValueError("broadcast packets cannot exceed total packets")
-        if self.broadcast_bytes > self.total_bytes:
+        if broadcast_bytes > total_bytes:
             raise ValueError("broadcast bytes cannot exceed total bytes")
-        if self.observed_ipg < 0:
+        if observed_ipg < 0:
             raise ValueError("observed_ipg must be nonnegative")
+        return tuple.__new__(cls, (tick, broadcast_pkts, total_pkts,
+                                   broadcast_bytes, total_bytes, observed_ipg,
+                                   link_rate, interval_ms))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ChannelStats:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class StormClassification:
+class StormClassification(NamedTuple):
     verdict: Verdict
     stage: Stage
     utilization: float
@@ -284,11 +299,4 @@ def classify(
         stage = Stage.BUILDUP
     else:
         stage = Stage.FINAL
-    return StormClassification(
-        verdict=verdict,
-        stage=stage,
-        utilization=util,
-        broadcast_ratio=ratio,
-        ipg_shrunk=shrunk,
-        ipid_loop=ipid_loop,
-    )
+    return StormClassification(verdict, stage, util, ratio, shrunk, ipid_loop)

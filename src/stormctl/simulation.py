@@ -37,9 +37,12 @@ wraps past the last node.  Every other run is booked node by node, into
 five integer columns indexed by node.  At the tick's end a sweep over
 the span edges builds the `Senders` columns a segment of nodes at a
 time, and merges in the nodes booked one by one, whose entries are
-reset to 0; a node's sample is built only when a reader asks for it,
-and every other node shows one shared idle sample.  All randomness
-flows from one seeded generator, so a scenario replays bit-identically.
+reset to 0.  No sample is built in `run`: a sender's is built when a
+reader asks for it, and every other node shows one shared idle sample,
+built for the whole run on the first read of a record's samples.  Each
+tick's channel counters and classification are plain named tuples.  All
+randomness flows from one seeded generator, so a scenario replays
+bit-identically.
 
 Traffic sources:
 
@@ -86,7 +89,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import repeat
@@ -111,8 +114,9 @@ from .metrics import (
 IPG_EQUIV_BYTES = 12            # inter-frame gap charged against capacity
 CALIBRATION_STEP_MS = 0.1       # sampling of the ideal burst for calibration
 
-# Runs and node samples are built as _tuple_new(Run, fields), which skips
-# the named tuple's Python-level __new__ and its argument binding.
+# Runs, node samples and each tick's records are built as _tuple_new(Run,
+# fields), which skips the named tuple's Python-level __new__, its
+# argument binding and, for `ChannelStats`, its checks.
 _tuple_new = tuple.__new__
 
 
@@ -311,24 +315,68 @@ class TickLedger(NamedTuple):
     delivered: int
 
 
-@dataclass(slots=True)
+class IdleSamples:
+    """A run's idle sample of each node, its counts all 0, in node order:
+    built on the first read, then shared by every record of the run."""
+
+    __slots__ = ("node_count", "_samples")
+
+    def __init__(self, node_count: int) -> None:
+        self.node_count = node_count
+        self._samples: tuple[TrafficSample, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IdleSamples):
+            return NotImplemented
+        return self.node_count == other.node_count
+
+    @property
+    def samples(self) -> tuple[TrafficSample, ...]:
+        if not self._samples:
+            self._samples = tuple(
+                _tuple_new(TrafficSample, (n, 0, 0, 0, 0, 0, 0, 0))
+                for n in range(self.node_count))
+        return self._samples
+
+
 class Senders:
     """The nodes that sent in one tick, in node order, with their counts
     as columns named as `TrafficSample`'s fields.
 
     A sequence of `TrafficSample`s, one per sender, each built when
-    read, its bytes the frames times `size`.  `idle` is the run's
-    shared sample of every node, which a node that sent nothing shows.
+    read, its bytes the frames times `size`.  `idle` holds the run's
+    shared sample of every node, which a node that sent nothing shows;
+    it builds them only when first read.
     """
 
-    nodes: tuple[int, ...]
-    bcast_pkts: tuple[int, ...]
-    total_pkts: tuple[int, ...]
-    attempted_bcast: tuple[int, ...]
-    attempted_total: tuple[int, ...]
-    suppressed: tuple[int, ...]
-    size: int
-    idle: tuple[TrafficSample, ...] = field(repr=False)
+    __slots__ = ("nodes", "bcast_pkts", "total_pkts", "attempted_bcast",
+                 "attempted_total", "suppressed", "size", "idle")
+
+    def __init__(self, nodes: tuple[int, ...], bcast_pkts: tuple[int, ...],
+                 total_pkts: tuple[int, ...],
+                 attempted_bcast: tuple[int, ...],
+                 attempted_total: tuple[int, ...],
+                 suppressed: tuple[int, ...], size: int,
+                 idle: IdleSamples) -> None:
+        self.nodes = nodes
+        self.bcast_pkts = bcast_pkts
+        self.total_pkts = total_pkts
+        self.attempted_bcast = attempted_bcast
+        self.attempted_total = attempted_total
+        self.suppressed = suppressed
+        self.size = size
+        self.idle = idle
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Senders):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        columns = ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__[:-1])
+        return f"Senders({columns})"
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -353,8 +401,9 @@ class TickRecord(NamedTuple):
     @property
     def samples(self) -> tuple[TrafficSample, ...]:
         """Every node's sample, in node order: a sender's built from
-        `senders`, any other node's its shared idle sample."""
-        slots = list(self.senders.idle)
+        `senders`, any other node's its run's shared idle sample, which
+        the first read of any of the run's records builds."""
+        slots = list(self.senders.idle.samples)
         for s in self.senders:
             slots[s.node] = s
         return tuple(slots)
@@ -397,7 +446,7 @@ class SimTrace:
 def _span_senders(node_count: int, cycles_b: int, cycles_t: int,
                   spans: list[tuple[int, int, int]], lone: list[int],
                   columns: tuple[list[int], ...], size: int,
-                  idle: tuple[TrafficSample, ...]) -> Senders:
+                  idle: IdleSamples) -> Senders:
     """A tick's senders: the nodes its spans reach, merged with the nodes
     `lone` (sorted) booked one by one in `columns` (attempted broadcast
     and total, delivered broadcast and total, suppressed).
@@ -512,9 +561,9 @@ def run(scenario: Scenario) -> SimTrace:
     left: dict[int, float] = {}     # inf once broken there, detect-only
     byte_wid: dict[int, int] = {}
     new = _tuple_new            # takes all fields, a run's `rotates` too
-    # a node that sends nothing in a tick shows this same sample in it
-    idle = tuple(new(TrafficSample, (n, 0, 0, 0, 0, 0, 0, 0))
-                 for n in range(sc.node_count))
+    # a node that sends nothing in a tick shows its one idle sample, built
+    # on the first read of any record's `samples`
+    idle = IdleSamples(nodes)
     # per node, this tick's broadcast and total attempted, broadcast and
     # total delivered, and suppressed frames; nonzero only in `active`
     columns = att_b, att_t, del_b, del_t, sup = tuple([0] * nodes
@@ -689,7 +738,7 @@ def run(scenario: Scenario) -> SimTrace:
         # node on
         cycles_b = cycles_t = 0
         spans: list[tuple[int, int, int]] = []
-        kinds: Counter = Counter()
+        kinds: dict[str, int] = {}
         hits: set[int] = set()      # the IPIDs that qualified this tick
 
         # Without a byte budget the background may wait (see `background`).
@@ -839,7 +888,7 @@ def run(scenario: Scenario) -> SimTrace:
                 capped += n - sent - dropped
                 if sent:
                     delivered += sent
-                    kinds[kind] += sent
+                    kinds[kind] = kinds.get(kind, 0) + sent
                     # fresh IPIDs never repeat, so they never enter the window
                     if bcast and not fresh and ipid_win.add(step, ipid, sent,
                                                             src):
@@ -880,16 +929,12 @@ def run(scenario: Scenario) -> SimTrace:
             att_b[n] = att_t[n] = del_b[n] = del_t[n] = sup[n] = 0
         d_b = sum(senders.bcast_pkts)
         load = utilization(delivered, cap)
-        stats = ChannelStats(
-            tick=t0,
-            broadcast_pkts=d_b,
-            total_pkts=delivered,
-            broadcast_bytes=d_b * sc.frame_size,
-            total_bytes=delivered * sc.frame_size,
-            observed_ipg=base_ipg * max(0.0, 1.0 - load),
-            link_rate=sc.link_rate,
-            interval_ms=sc.tick,
-        )
+        # unchecked: its counts are nonnegative, and its broadcasts are among
+        # its delivered frames, by construction
+        stats = new(ChannelStats, (t0, d_b, delivered, d_b * size,
+                                   delivered * size,
+                                   base_ipg * max(0.0, 1.0 - load),
+                                   sc.link_rate, sc.tick))
         classification = classify(stats, history,
                                   ipid_loop=bool(hits),
                                   capacity_pkts=cap)
@@ -897,9 +942,10 @@ def run(scenario: Scenario) -> SimTrace:
             fleet.observe(t0, stats, senders, ipid_win.run_entries(hits))
         # after `observe`, which must scan every sighting the verdict counted
         ipid_win.evict(stop)
-        ledger = TickLedger(generated, replicated, suppressed, capped, delivered)
-        records.append(TickRecord(t0, stats, classification, senders, ledger,
-                                  tuple(sorted(kinds.items()))))
+        ledger = new(TickLedger, (generated, replicated, suppressed, capped,
+                                  delivered))
+        records.append(new(TickRecord, (t0, stats, classification, senders,
+                                        ledger, tuple(sorted(kinds.items())))))
         history = (stats,)
 
     if fleet is not None:

@@ -28,7 +28,7 @@ from stormctl import growth
 from stormctl import simulation as sim
 from stormctl import tracefile
 from stormctl.agents import AgentConfig, AgentFleet
-from stormctl.metrics import ChannelStats, TrafficSample, classify, min_ipg
+from stormctl.metrics import ChannelStats, classify, min_ipg
 
 # Frozen oracle grid for the curve fit.  Chosen once, from the stated
 # parameter ranges, before the production fit existed; never tuned to it.
@@ -437,8 +437,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
 
     bcast_rr = 0
     uni_rr = 0
-    idle = tuple(TrafficSample(n, 0, 0, 0, 0, 0, 0, 0)
-                 for n in range(sc.node_count))
+    idle = sim.IdleSamples(sc.node_count)
     records: list[sim.TickRecord] = []
     tickets = []
     history: tuple[ChannelStats, ...] = ()

@@ -47,6 +47,18 @@ def test_traced_run_counts_the_ipid_scan():
     assert tracer.layers["simulation.run"].calls == 1
 
 
+# The per-layer figures divide by these counts: each tick is classified
+# and observed once, through the names the tracer wraps.
+def test_traced_run_classifies_and_observes_each_tick_once():
+    spans = load("spans")
+    with spans.Tracer() as tracer:
+        trace = simulation.run(simulation.preset("loop-storm"))
+    ticks = len(trace.records)
+    assert ticks == 40
+    assert tracer.layers["metrics.classify"].calls == ticks
+    assert tracer.layers["agents.observe"].calls == ticks
+
+
 def test_simulator_workloads_pass_their_checks(tmp_path):
     workloads, checks = load("workloads"), load("checks")
     problems = {}

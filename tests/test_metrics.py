@@ -108,6 +108,58 @@ class TestChannelStatsValidation:
             ChannelStats(0.0, -1, 5, 0, 2560, 96.0, 1e9)
 
 
+class TestChannelStatsContract:
+    """`ChannelStats` is a named tuple that checks its counters however it
+    is built, except through `tuple.__new__`, as `simulation.run` builds
+    it."""
+
+    def test_keywords_and_the_default_interval(self):
+        s = stats(bcast=2, total=5)
+        assert ChannelStats(tick=0.0, broadcast_pkts=2, total_pkts=5,
+                            broadcast_bytes=1024, total_bytes=2560,
+                            observed_ipg=96.0, link_rate=1e9) == s
+        assert ChannelStats(0.0, 2, 5, 1024, 2560, 96.0, 1e9).interval_ms \
+            == 1.0
+        assert tuple(s) == (0.0, 2, 5, 1024, 2560, 96.0, 1e9, 1.0)
+
+    def test_fields_cannot_be_assigned(self):
+        s = stats(bcast=2, total=5)
+        with pytest.raises(AttributeError):
+            s.total_pkts = 1
+        with pytest.raises(AttributeError):
+            s.extra = 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"total_pkts": -1}, "nonnegative"),
+        ({"broadcast_pkts": 6}, "broadcast packets cannot exceed"),
+        ({"broadcast_bytes": 9999}, "broadcast bytes cannot exceed"),
+        ({"observed_ipg": -0.5}, "observed_ipg"),
+        ({"link_rate": 0.0}, "link_rate"),
+        ({"interval_ms": 0.0}, "interval_ms"),
+    ])
+    def test_make_and_replace_check(self, change, message):
+        s = stats(bcast=2, total=5)
+        with pytest.raises(ValueError, match=message):
+            s._replace(**change)
+        values = s._asdict() | change
+        with pytest.raises(ValueError, match=message):
+            ChannelStats._make(values.values())
+        with pytest.raises(ValueError, match=message):
+            ChannelStats(**values)
+
+    def test_replace_and_make_keep_the_type(self):
+        s = stats(bcast=2, total=5)
+        assert type(s._replace(total_pkts=6)) is ChannelStats
+        assert type(ChannelStats._make(s)) is ChannelStats
+        assert s._replace(total_pkts=6).total_pkts == 6
+
+    def test_only_tuple_new_skips_the_checks(self):
+        bad = tuple.__new__(ChannelStats, (0.0, 6, 5, 0, 0, 96.0, 1e9, 1.0))
+        assert bad.broadcast_pkts == 6
+        with pytest.raises(ValueError):
+            ChannelStats(*bad)
+
+
 class TestClassify:
     CAP = 238.0
 

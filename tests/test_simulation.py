@@ -17,7 +17,7 @@ from stormctl.agents import (
     ThresholdDb,
     TriggerCause,
 )
-from stormctl.metrics import TrafficSample, Verdict
+from stormctl.metrics import ChannelStats, TrafficSample, Verdict, classify
 from stormctl.simulation import (
     Injector,
     NormalBroadcastProfile,
@@ -439,7 +439,8 @@ class TestOperationCounts:
 
     # samples are built through simulation._tuple_new, which skips
     # TrafficSample's own __new__; each one built either way is counted.
-    # A run builds only its idle samples: a sender's is built when read.
+    # A run builds no sample: a sender's is built when read, and the idle
+    # samples on the first read of `TickRecord.samples`.
     def test_node_samples_follow_the_active_nodes(self, monkeypatch):
         made = []
         original = simulation._tuple_new
@@ -462,7 +463,7 @@ class TestOperationCounts:
         # either, as the run's one trigger, an IPID loop's, names its node
         assert [tr.cause for tr in trace.triggers] == [TriggerCause.IPID_LOOP]
         assert trace.tickets
-        assert len(made) == sc.node_count
+        assert made == []
         sent = sum(len(rec.senders) for rec in trace.records)
         assert 0 < sent < sc.node_count * len(trace.records) / 4
         # every record shows one sample per node, in node order: each
@@ -1161,6 +1162,31 @@ class TestReferenceRun:
         assert got.tickets == expected.tickets
         assert got.triggers == expected.triggers
         assert got.closed == expected.closed
+
+
+class TestTickStats:
+    """`run` builds each tick's `ChannelStats` without its checks: every
+    one must pass them, and its classification must be `classify`'s."""
+
+    @staticmethod
+    def assert_checked(trace):
+        history = ()
+        for rec in trace.records:
+            assert type(rec.stats) is ChannelStats
+            assert ChannelStats(*rec.stats) == rec.stats
+            assert rec.classification == classify(
+                rec.stats, history, rec.classification.ipid_loop,
+                capacity_pkts=trace.capacity_pkts)
+            history = (rec.stats,)
+
+    @pytest.mark.parametrize("name", sorted(scenario_presets()))
+    def test_presets_build_checked_stats(self, name):
+        self.assert_checked(run(preset(name)))
+
+    @given(small_scenarios())
+    @settings(max_examples=oracle_examples(150), deadline=None)
+    def test_runs_build_checked_stats(self, sc):
+        self.assert_checked(run(sc))
 
 
 class TestWindowRule:
