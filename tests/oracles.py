@@ -27,7 +27,13 @@ from hypothesis import settings
 from stormctl import growth
 from stormctl import simulation as sim
 from stormctl import tracefile
-from stormctl.agents import AgentConfig, AgentFleet
+from stormctl.agents import (
+    CLEAN_WINDOWS_TO_CLOSE,
+    AgentConfig,
+    AgentFleet,
+    Policy,
+    TriggerCause,
+)
 from stormctl.metrics import ChannelStats, classify, min_ipg
 
 # Frozen oracle grid for the curve fit.  Chosen once, from the stated
@@ -289,6 +295,95 @@ def open_tickets(fleet: AgentFleet) -> list:
     """The fleet's open tickets, by node, each node's in the order raised."""
     return [tk for node in sorted(fleet.ports)
             for tk in fleet.ports[node].tickets]
+
+
+class PortTicket(NamedTuple):
+    ticket_id: int
+    node: int
+    step: int           # the step of the trigger's time
+    cause: TriggerCause
+
+
+class PortModel:
+    """The storm handler's tickets and blocks, from the `agents` module
+    docstring, one breach at a time in step order.
+
+    A breach is acted on at a step, in window w = step // window: its
+    tick's end for a trigger of `observe`, its frame's step for a byte
+    budget.  It opens a ticket unless the node's port is blocked through
+    w; either way the port is then blocked through w, and it resumes at
+    the first step of w + 1.  A blocked port filters every frame under
+    the packet policy, broadcasts only under the bandwidth policy, and
+    nothing when detect-only; tickets coalesce alike under every policy.
+    A node's open tickets close at the end of its last clean window,
+    CLEAN_WINDOWS_TO_CLOSE windows past its last breach.
+
+    Where the docstring is silent, the model states the rule the code
+    follows:
+      * a closure is recorded once a breach, by any node, or `finish` is
+        acted on in a window past the last clean one; the closures
+        recorded at once are in the order of their last clean window,
+        then of node, each node's tickets in the order they opened;
+      * `finish` at step e is acted on CLEAN_WINDOWS_TO_CLOSE windows
+        past e's window, so it closes the tickets of every node whose
+        last breach is in a window before e's, even where that node's
+        last clean window ends after e.
+    """
+
+    def __init__(self, window: int, policy: Optional[Policy]) -> None:
+        self.window = window
+        self.policy = policy
+        self.breaches: dict[int, list[int]] = {}    # node: its windows
+        self.open: dict[int, list[PortTicket]] = {}
+        self.tickets: list[PortTicket] = []
+        self.closed: list[tuple[int, int]] = []     # (ticket id, step)
+        self.acted = -math.inf      # the latest window acted on
+
+    def blocked_through(self, node: int) -> float:
+        return max(self.breaches.get(node, ()), default=-math.inf)
+
+    def resume_step(self, node: int) -> float:
+        return (self.blocked_through(node) + 1) * self.window
+
+    def suppressed(self, node: int, step: int, is_broadcast: bool) -> bool:
+        return (self.policy is not None and step < self.resume_step(node)
+                and (self.policy is Policy.PACKET_BASED or is_broadcast))
+
+    def breach(self, node: int, cause: TriggerCause, t_step: int,
+               act_step: int) -> Optional[PortTicket]:
+        """A trigger at step t_step blamed on node, acted on at act_step;
+        returns the ticket it opens, if any."""
+        w = act_step // self.window
+        self._act(w)
+        opens = self.blocked_through(node) < w
+        self.breaches.setdefault(node, []).append(w)
+        if not opens:
+            return None
+        ticket = PortTicket(len(self.tickets) + 1, node, t_step, cause)
+        self.tickets.append(ticket)
+        self.open.setdefault(node, []).append(ticket)
+        return ticket
+
+    def finish(self, step: int) -> None:
+        self._act(step // self.window + CLEAN_WINDOWS_TO_CLOSE)
+
+    def _act(self, w: int) -> None:
+        if w <= self.acted:
+            return
+        self.acted = w
+        due = sorted((self.blocked_through(node) + CLEAN_WINDOWS_TO_CLOSE,
+                      node) for node, held in self.open.items() if held)
+        for last_clean, node in due:
+            if last_clean < w:
+                end = (last_clean + 1) * self.window
+                self.closed += [(tk.ticket_id, end) for tk in self.open[node]]
+                self.open[node] = []
+
+
+def reference_ports(config: AgentConfig) -> PortModel:
+    """A `PortModel` of a fleet with this config."""
+    window = round(config.suppression_window * sim.STEPS_PER_MS)
+    return PortModel(window, config.policy)
 
 
 def first_elementwise_ticket(data, reference, threshold=0.05, consecutive=3):

@@ -6,6 +6,15 @@ import logging
 import math
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from stormctl import agents
 from stormctl.agents import (
@@ -23,9 +32,15 @@ from stormctl.agents import (
 )
 from stormctl.datasets import interpolate, load_trace, table4_hump
 from stormctl.growth import eval_ptr, make_params
-from stormctl.metrics import ChannelStats, TrafficSample, min_ipg
+from stormctl.metrics import STEPS_PER_MS, ChannelStats, TrafficSample, min_ipg
 
-from .oracles import first_elementwise_ticket, open_tickets
+from .oracles import (
+    PortTicket,
+    first_elementwise_ticket,
+    open_tickets,
+    oracle_examples,
+    reference_ports,
+)
 
 CURVE = make_params(500.0, 90000.0, 1.5)
 
@@ -459,6 +474,136 @@ class TestSuppressionTable:
         assert fleet.reconnect(1, 200.0)
         assert not fleet.is_suppressed(1, 200.0, True)
         assert not fleet.is_suppressed(1, 200.0, False)
+
+
+NBW_LIMIT = 1000.0      # bytes a node may send in a tick
+CAPACITY = 100          # packets a tick
+
+
+class PortMachine(RuleBasedStateMachine):
+    """Drives an `AgentFleet` and `oracles.reference_ports` with the same
+    calls in step order (ticks at their end, byte breaches at their step,
+    then `finish`), and checks after each call that the tickets, the
+    closures and each port's block agree."""
+
+    @initialize(policy=st.sampled_from([*Policy, None]),
+                window=st.sampled_from([1, 3, 10, 110]),
+                nodes=st.integers(1, 4))
+    def make(self, policy, window, nodes):
+        config = AgentConfig(
+            policy=policy, suppression_window=window / STEPS_PER_MS,
+            thresholds=ThresholdDb(nbw_permissible=NBW_LIMIT, nbw_factor=1.0,
+                                   nbw_window_ticks=1, ipid_min_repeats=2))
+        self.fleet = AgentFleet(config, nodes, capacity_pkts=CAPACITY)
+        self.fleet.calibrate(None)
+        self.model = reference_ports(config)
+        self.window = window
+        self.nodes = nodes
+        self.now = 0                # the latest step acted on
+        self.last_tick = -1         # the latest tick's first step
+        self.finished = False
+
+    def later(self, windows: int, steps: int) -> int:
+        return self.now + windows * self.window + steps % self.window
+
+    @precondition(lambda self: not self.finished)
+    @rule(windows=st.integers(0, 3), steps=st.integers(0, 109),
+          interval=st.integers(1, 120), storm=st.booleans(),
+          talkers=st.dictionaries(st.integers(0, 3), st.integers(1, 3),
+                                  max_size=3),
+          floods=st.sets(st.integers(0, 3)),
+          loop=st.none() | st.integers(0, 3))
+    def tick(self, windows, steps, interval, storm, talkers, floods, loop):
+        """A tick that ends at or after the latest step: over the
+        utilization ceiling if `storm`, with `talkers` attempting that
+        many broadcasts, nodes `floods` over their byte budget and,
+        unless None, node `loop` repeating an IPID."""
+        nodes = range(self.nodes)
+        attempts = [0] * self.nodes
+        for v, n in talkers.items():
+            attempts[v % self.nodes] = n
+        start = max(self.later(windows, steps) - interval, self.last_tick + 1)
+        end = start + interval
+        self.last_tick, self.now = start, end
+        t = start / STEPS_PER_MS
+        total = CAPACITY if storm else 0
+        stats = ChannelStats(
+            tick=t, broadcast_pkts=total, total_pkts=total, broadcast_bytes=0,
+            total_bytes=0, observed_ipg=0.0, link_rate=1e9,
+            interval_ms=interval / STEPS_PER_MS)
+        flooding = sorted({v % self.nodes for v in floods})
+        # a sample for each node that sent, as `run` passes them
+        samples = [sample(v, 0, bcast_bytes=NBW_LIMIT + 1 if v in flooding
+                          else 0, attempted=attempts[v])
+                   for v in nodes if attempts[v] or v in flooding]
+        entries = []
+        blamed = []
+        if storm:
+            # the top talker, lowest id on a tie; node 0 if none tried
+            top = min(nodes, key=lambda v: (-attempts[v], v))
+            blamed.append((TriggerCause.UTILIZATION_EXCEEDED,
+                           top if attempts[top] else 0))
+        blamed += [(TriggerCause.NBW_EXCEEDED, v) for v in flooding]
+        if loop is not None:
+            entries = [(t, 7, loop % self.nodes, 2)]
+            blamed.append((TriggerCause.IPID_LOOP, loop % self.nodes))
+        got = self.fleet.observe(t, stats, samples, entries)
+        want = [self.model.breach(node, cause, start, end)
+                for cause, node in blamed]
+        assert self.summary(got) == [tk for tk in want if tk is not None]
+
+    @precondition(lambda self: not self.finished)
+    @rule(node=st.integers(0, 3), windows=st.integers(0, 3),
+          steps=st.integers(0, 109))
+    def byte_breach(self, node, windows, steps):
+        node %= self.nodes
+        self.now = step = self.later(windows, steps)
+        got = self.fleet.byte_breach(node, step / STEPS_PER_MS, 3.0)
+        want = self.model.breach(node, TriggerCause.NBW_EXCEEDED, step, step)
+        assert self.summary([got] if got else []) == ([want] if want else [])
+
+    @precondition(lambda self: not self.finished)
+    @rule(windows=st.integers(0, 3), steps=st.integers(0, 109))
+    def finish(self, windows, steps):
+        self.now = step = self.later(windows, steps)
+        self.fleet.finish(step / STEPS_PER_MS)
+        self.model.finish(step)
+        self.finished = True
+
+    @rule(windows=st.integers(0, 3), steps=st.integers(0, 109))
+    def probe(self, windows, steps):
+        self.check_blocks([self.later(windows, steps)])
+
+    @invariant()
+    def agree(self):
+        assert self.summary(self.fleet.tickets) == self.model.tickets
+        assert [(tk.ticket_id, round(when * STEPS_PER_MS))
+                for tk, when in self.fleet.closed] == self.model.closed
+        for node in range(self.nodes):
+            assert self.fleet.resume_step(node) == self.model.resume_step(node)
+        self.check_blocks([self.now, self.now + 1])
+
+    def check_blocks(self, steps):
+        for node in range(self.nodes):
+            resume = self.model.resume_step(node)
+            near = [resume - 1, resume] if resume > self.now else []
+            for step in steps + near:
+                for bcast in (True, False):
+                    assert (self.fleet.is_suppressed(
+                        node, step / STEPS_PER_MS, bcast)
+                        == self.model.suppressed(node, step, bcast)), (
+                            node, step, bcast)
+
+    @staticmethod
+    def summary(tickets):
+        return [PortTicket(tk.ticket_id, tk.node,
+                           round(tk.t * STEPS_PER_MS), tk.cause)
+                for tk in tickets]
+
+
+TestPortModel = PortMachine.TestCase
+TestPortModel.settings = settings(max_examples=oracle_examples(100),
+                                  stateful_step_count=30, deadline=None)
 
 
 class TestReplay:
