@@ -29,6 +29,11 @@ replay and byte budgets: a trigger acted on in window w (at its tick's
 end, or its frame's step) blocks the port through w, then it resumes.
 Re-triggering after resumption opens a new ticket; triggers during an
 active suppression are coalesced into the existing one.
+
+The port table is asked in the simulator's clock: `is_suppressed` and
+`byte_breach` take a step, `resume_step` answers one.  `observe` reads
+its time, in ms, from its tick's stats, and `finish` takes the run's
+end in ms; triggers and tickets keep their `t` in ms.
 """
 
 from __future__ import annotations
@@ -359,21 +364,23 @@ class AgentFleet:
 
     def observe(
         self,
-        t: float,
         stats: ChannelStats,
         node_samples: Iterable[TrafficSample],
         ipid_entries: Sequence[tuple[float, int, int, int]] = (),
     ) -> list[TroubleTicket]:
         """Run one sampling tick; returns any tickets opened at this tick.
 
-        node_samples holds, in any order, at least the samples of the nodes
-        that sent in this tick; a node without one sent nothing.
+        Its triggers take the tick's time, `stats.tick`, in ms, and are
+        acted on at the tick's end.  node_samples holds, in any order, at
+        least the samples of the nodes that sent in this tick; a node
+        without one sent nothing.
         ipid_entries are (t, ipid, src, count) for runs of broadcast frames
         seen inside the loop-scan window ending at this tick: `count`
         frames of one IPID from one node at time t.
         """
         verdict = self.detector.sample_channel(stats)
         thresholds = self.config.thresholds
+        t = stats.tick
 
         triggers: list[Trigger] = []
         if verdict.breach:
@@ -429,16 +436,17 @@ class AgentFleet:
         opened = [self._blame(trigger, wid) for trigger in triggers]
         return [ticket for ticket in opened if ticket is not None]
 
-    def byte_breach(self, node: int, t: float, observed_mb: float
+    def byte_breach(self, node: int, step: int, observed_mb: float
                     ) -> Optional[TroubleTicket]:
-        """A frame pushed a node's per-window broadcast bytes over the cap.
-        A node breaks it at most once per window; under detect-only agents
-        its later frames there go unbudgeted."""
+        """A frame at `step` pushed a node's per-window broadcast bytes
+        over the cap; its trigger's `t` is the step's time in ms.  A node
+        breaks it at most once per window; under detect-only agents its
+        later frames there go unbudgeted."""
         limit = self.config.thresholds.byte_threshold_mb
-        trigger = Trigger(TriggerCause.NBW_EXCEEDED, node, t, observed_mb,
-                          limit if limit is not None else observed_mb)
+        trigger = Trigger(TriggerCause.NBW_EXCEEDED, node, step / STEPS_PER_MS,
+                          observed_mb, observed_mb if limit is None else limit)
         self.trigger_log.append(trigger)
-        return self._blame(trigger, self.config.window_of(t))
+        return self._blame(trigger, step // self.config.window_steps)
 
     def resume_step(self, node: int) -> float:
         """The step where node's port stops being blocked: it is blocked
@@ -448,26 +456,11 @@ class AgentFleet:
             return -math.inf
         return (port.through + 1) * self.config.window_steps
 
-    def _blocked(self, node: int, t: float) -> bool:
-        """Whether node's port is blocked at the step nearest time t, as
-        `window_of` rounds it."""
-        return round(t * STEPS_PER_MS) < self.resume_step(node)
-
-    def is_suppressed(self, node: int, t: float, is_broadcast: bool) -> bool:
-        """Whether a frame from node's port at time t is filtered."""
+    def is_suppressed(self, node: int, step: int, is_broadcast: bool) -> bool:
+        """Whether a frame from node's port at `step` is filtered."""
         policy = self.config.policy
-        return (policy is not None and self._blocked(node, t)
+        return (policy is not None and step < self.resume_step(node)
                 and (policy is Policy.PACKET_BASED or is_broadcast))
-
-    def reconnect(self, node: int, t: float) -> bool:
-        """Operator-forced reconnect of node's port at time t; no-op with a
-        warning when the port is not blocked then."""
-        if not self._blocked(node, t):
-            log.warning("reconnect of node %s: port is not blocked", node)
-            return False
-        self.ports[node].through = -math.inf
-        log.info("node %s reconnected by operator at t=%s ms", node, t)
-        return True
 
     # -- ticket lifecycle --------------------------------------------------
 
@@ -506,7 +499,7 @@ class AgentFleet:
             self.ports[node].tickets.clear()
 
     def finish(self, t: float) -> None:
-        """Advance window bookkeeping to the end of the run."""
+        """Advance window bookkeeping to the end of the run, at t ms."""
         self._roll_window(self.config.window_of(t) + CLEAN_WINDOWS_TO_CLOSE)
 
 

@@ -632,12 +632,11 @@ def run(scenario: Scenario) -> SimTrace:
             # has room at a or the budget is spent, as a capped frame adds
             # no bytes
             rr, _, _, n = streams[0]
-            t_a = a / STEPS_PER_MS
             wid = a // window_steps
             i0, i1 = before(n, a), before(n, b)
             for i in range(i0, min(i1, i0 + nodes)):
                 v = (rr + i) % nodes
-                if v in ports and fleet.is_suppressed(v, t_a, True):
+                if v in ports and fleet.is_suppressed(v, a, True):
                     continue
                 fit = left[v] if byte_wid.get(v) == wid else quota
                 if (room or not fit) and i + fit * nodes < i1:
@@ -769,7 +768,6 @@ def run(scenario: Scenario) -> SimTrace:
                 batch = schedule.pop(key)
                 if key % 3 == 2:    # put where chains end, run in loop order
                     batch.sort(key=lambda r: r.inj)
-            t_s = step / STEPS_PER_MS
             for src, ipid, bcast, kind, owner, n, fresh, rotates in batch:
                 if kind == "replica":
                     replicated += n
@@ -813,7 +811,7 @@ def run(scenario: Scenario) -> SimTrace:
                         near = [v % nodes for v in range(src, src + width)
                                 if v % nodes in ports]
                     for v in near:
-                        if not fleet.is_suppressed(v, t_s, bcast):
+                        if not fleet.is_suppressed(v, step, bcast):
                             continue
                         c = (n - 1 - (v - src) % nodes) // nodes + 1
                         b = c if bcast else 0
@@ -836,7 +834,7 @@ def run(scenario: Scenario) -> SimTrace:
                     att_t[v] += c
                     if bcast:
                         att_b[v] += c
-                    if v in ports and fleet.is_suppressed(v, t_s, bcast):
+                    if v in ports and fleet.is_suppressed(v, step, bcast):
                         sup[v] += c
                         dropped += c
                     elif not whole:
@@ -869,9 +867,9 @@ def run(scenario: Scenario) -> SimTrace:
                             if fit <= k and fit < c:
                                 if width > 1:
                                     raise RuntimeError(
-                                        f"a byte budget broken at t={t_s} "
+                                        f"byte budget broken at step {step} "
                                         f"inside a run of {width} lanes")
-                                fleet.byte_breach(v, t_s,
+                                fleet.byte_breach(v, step,
                                                   (quota + 1) * size / 1e6)
                                 if enforce:     # the breach blocked v
                                     sup[v] += c - fit
@@ -939,7 +937,7 @@ def run(scenario: Scenario) -> SimTrace:
                                   ipid_loop=bool(hits),
                                   capacity_pkts=cap)
         if fleet is not None:
-            fleet.observe(t0, stats, senders, ipid_win.run_entries(hits))
+            fleet.observe(stats, senders, ipid_win.run_entries(hits))
         # after `observe`, which must scan every sighting the verdict counted
         ipid_win.evict(stop)
         ledger = new(TickLedger, (generated, replicated, suppressed, capped,

@@ -598,7 +598,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                 if chain and frame.kind == "replica":
                     pending[frame.inj] -= 1
 
-                if enforce and fleet.is_suppressed(frame.src, t_s,
+                if enforce and fleet.is_suppressed(frame.src, step,
                                                    frame.is_broadcast):
                     suppressed += 1
                     node["sup"] += 1
@@ -611,7 +611,8 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                     would = byte_acc[frame.src] + frame.size
                     if would > byte_limit and (frame.src, wid) not in broken:
                         broken.add((frame.src, wid))
-                        ticket = fleet.byte_breach(frame.src, t_s, would / 1e6)
+                        ticket = fleet.byte_breach(frame.src, step,
+                                                   would / 1e6)
                         if ticket is not None:
                             tickets.append(ticket)
                         if enforce:
@@ -678,7 +679,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                                                   "sup")],
                               sc.frame_size, idle)
         if fleet is not None:
-            tickets.extend(fleet.observe(t0, stats, senders, hit_entries))
+            tickets.extend(fleet.observe(stats, senders, hit_entries))
         ipid_win.evict(base + steps_per_tick)
         ledger = sim.TickLedger(generated, replicated, suppressed, capped,
                                 delivered)

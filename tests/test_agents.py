@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import math
 
 import pytest
@@ -242,8 +241,8 @@ class TestSuppression:
         fleet = self.fleet()
         ticket = self.handle_storm(fleet, 1234.5)
         assert ticket is not None
-        assert fleet.is_suppressed(0, 1999.9, True)
-        assert not fleet.is_suppressed(0, 2000.0, True)
+        assert fleet.is_suppressed(0, 199_999, True)
+        assert not fleet.is_suppressed(0, 200_000, True)
 
     def test_coalesces_while_suppressing(self):
         fleet = self.fleet()
@@ -256,31 +255,19 @@ class TestSuppression:
     def test_packet_policy_blocks_everything(self):
         fleet = self.fleet(policy=Policy.PACKET_BASED)
         self.handle_storm(fleet, 0.0)
-        assert fleet.is_suppressed(0, 10.0, is_broadcast=True)
-        assert fleet.is_suppressed(0, 10.0, is_broadcast=False)
+        assert fleet.is_suppressed(0, 1000, is_broadcast=True)
+        assert fleet.is_suppressed(0, 1000, is_broadcast=False)
 
     def test_bandwidth_policy_blocks_broadcast_only(self):
         fleet = self.fleet(policy=Policy.BANDWIDTH_BASED)
         self.handle_storm(fleet, 0.0)
-        assert fleet.is_suppressed(0, 10.0, is_broadcast=True)
-        assert not fleet.is_suppressed(0, 10.0, is_broadcast=False)
+        assert fleet.is_suppressed(0, 1000, is_broadcast=True)
+        assert not fleet.is_suppressed(0, 1000, is_broadcast=False)
 
     def test_detect_only_never_blocks(self):
         fleet = self.fleet(policy=None)
         self.handle_storm(fleet, 0.0)
-        assert not fleet.is_suppressed(0, 10.0, is_broadcast=True)
-
-    def test_reconnect_clears_the_block(self):
-        fleet = self.fleet()
-        self.handle_storm(fleet, 0.0)
-        assert fleet.reconnect(0, t=10.0)
-        assert not fleet.is_suppressed(0, 10.0, True)
-
-    def test_reconnect_of_free_port_warns(self, caplog):
-        fleet = self.fleet()
-        with caplog.at_level(logging.WARNING, logger="stormctl.agents"):
-            assert not fleet.reconnect(0, t=0.0)
-        assert any("not blocked" in r.message for r in caplog.records)
+        assert not fleet.is_suppressed(0, 1000, is_broadcast=True)
 
 
 class TestFleet:
@@ -294,7 +281,7 @@ class TestFleet:
     def test_utilization_ticket_goes_to_top_talker(self):
         fleet = self.fleet()
         samples = [sample(0, 10), sample(1, 30), sample(2, 21)]
-        tickets = fleet.observe(0.0, stats(0.0, 61, total=61), samples)
+        tickets = fleet.observe(stats(0.0, 61, total=61), samples)
         assert len(tickets) == 1
         assert tickets[0].cause is TriggerCause.UTILIZATION_EXCEEDED
         assert tickets[0].node == 1
@@ -302,7 +289,7 @@ class TestFleet:
     def test_top_talker_tie_breaks_to_lowest_node(self):
         fleet = self.fleet()
         samples = [sample(0, 30), sample(1, 30), sample(2, 1)]
-        tickets = fleet.observe(0.0, stats(0.0, 61, total=61), samples)
+        tickets = fleet.observe(stats(0.0, 61, total=61), samples)
         assert tickets[0].node == 0
 
     def test_attribution_uses_attempted_not_delivered(self):
@@ -310,7 +297,7 @@ class TestFleet:
         # node 2 tried to flood but was filtered; it still gets the ticket
         samples = [sample(0, 30), sample(1, 31),
                    sample(2, 0, attempted=500)]
-        tickets = fleet.observe(0.0, stats(0.0, 61, total=61), samples)
+        tickets = fleet.observe(stats(0.0, 61, total=61), samples)
         assert tickets[0].node == 2
 
     def test_trigger_priority_order_within_one_tick(self):
@@ -318,7 +305,7 @@ class TestFleet:
         samples = [sample(0, 61), sample(1, 0, bcast_bytes=3000),
                    sample(2, 0)]
         entries = [(0.0, 77, 2, 1), (1.0, 77, 2, 2)]
-        tickets = fleet.observe(0.0, stats(0.0, 61, total=61), samples,
+        tickets = fleet.observe(stats(0.0, 61, total=61), samples,
                                 entries)
         causes = [t.cause for t in tickets]
         assert causes == [TriggerCause.UTILIZATION_EXCEEDED,
@@ -331,12 +318,12 @@ class TestFleet:
         quiet = stats(0.0, 0, total=0)
         for k in range(9):
             got = fleet.observe(
-                float(k), stats(float(k), 1, total=1),
+                stats(float(k), 1, total=1),
                 [sample(0, 1, bcast_bytes=256), sample(1, 0), sample(2, 0)])
             assert got == []
         # tenth tick lifts the rolling sum to 2560 > 2 * 1200
         got = fleet.observe(
-            9.0, stats(9.0, 1, total=1),
+            stats(9.0, 1, total=1),
             [sample(0, 1, bcast_bytes=256), sample(1, 0), sample(2, 0)])
         assert len(got) == 1
         assert got[0].cause is TriggerCause.NBW_EXCEEDED
@@ -355,7 +342,7 @@ class TestFleet:
         for k in range(13):
             sent = 256 if k == 0 else 0
             assert fleet.observe(
-                float(k), stats(float(k), 1, total=1),
+                stats(float(k), 1, total=1),
                 [sample(0, 1, bcast_bytes=sent), sample(1, 0),
                  sample(2, 0)]) == []
         # node 0's window holds its bytes for ten ticks, then is dropped;
@@ -366,14 +353,14 @@ class TestFleet:
         # 256 bytes (2304) stay under 2 * 1200, the tenth (2560) does not
         for k in range(13, 23):
             got = fleet.observe(
-                float(k), stats(float(k), 1, total=1),
+                stats(float(k), 1, total=1),
                 [sample(0, 1, bcast_bytes=256), sample(1, 0), sample(2, 0)])
             assert (got != []) == (k == 22)
 
     def test_ipid_loop_attributed_to_frame_source(self):
         fleet = self.fleet()
         entries = [(0.0, 9, 2, 2), (0.1, 9, 2, 1)]
-        tickets = fleet.observe(0.0, stats(0.0, 3, total=3),
+        tickets = fleet.observe(stats(0.0, 3, total=3),
                                 [sample(0, 0), sample(1, 0), sample(2, 3)],
                                 entries)
         assert tickets[0].cause is TriggerCause.IPID_LOOP
@@ -381,16 +368,17 @@ class TestFleet:
 
     def test_byte_breach_coalesces_per_window(self):
         fleet = self.fleet(byte_threshold_mb=2.5)
-        first = fleet.byte_breach(1, 300.0, 2.6)
+        first = fleet.byte_breach(1, 30_000, 2.6)
         assert first is not None
-        assert fleet.byte_breach(1, 600.0, 3.0) is None
-        second = fleet.byte_breach(1, 1200.0, 2.7)
+        assert first.t == 300.0
+        assert fleet.byte_breach(1, 60_000, 3.0) is None
+        second = fleet.byte_breach(1, 120_000, 2.7)
         assert second is not None
         assert second.ticket_id == first.ticket_id + 1
 
     def test_tickets_close_after_two_clean_windows(self):
         fleet = self.fleet()
-        fleet.observe(0.0, stats(0.0, 61, total=61),
+        fleet.observe(stats(0.0, 61, total=61),
                       [sample(0, 61), sample(1, 0), sample(2, 0)])
         assert len(open_tickets(fleet)) == 1
         fleet.finish(1000.0)
@@ -418,7 +406,7 @@ class TestSuppressionTable:
     def overload(self, fleet, t):
         """A tick over the utilization ceiling, blamed on node 1."""
         samples = [sample(n, 61 if n == 1 else 0) for n in self.NODES]
-        return fleet.observe(t, stats(t, 61, total=61), samples)
+        return fleet.observe(stats(t, 61, total=61), samples)
 
     def test_bandwidth_fleet_blocks_ticketed_broadcast_until_window_end(self):
         fleet = self.fleet(Policy.BANDWIDTH_BASED)
@@ -426,10 +414,10 @@ class TestSuppressionTable:
         assert [(tk.node, tk.cause) for tk in tickets] == [
             (1, TriggerCause.UTILIZATION_EXCEEDED)]
         assert list(fleet.ports) == [1]
-        for t in (1234.0, 1500.0, 1999.99):
-            assert fleet.is_suppressed(1, t, True)
-            assert not fleet.is_suppressed(1, t, False)
-        assert not fleet.is_suppressed(1, 2000.0, True)
+        for step in (123_400, 150_000, 199_999):
+            assert fleet.is_suppressed(1, step, True)
+            assert not fleet.is_suppressed(1, step, False)
+        assert not fleet.is_suppressed(1, 200_000, True)
 
     def test_trigger_in_a_windows_last_tick_blocks_the_next_window(self):
         # the tick [1, 2) ms is counted at its end, 2.0 ms, when window 0
@@ -437,43 +425,35 @@ class TestSuppressionTable:
         # that step, while the ticket keeps the tick's time
         fleet = self.fleet(Policy.PACKET_BASED, suppression_window=2.0)
         assert [tk.t for tk in self.overload(fleet, 1.0)] == [1.0]
-        for t in (2.0, 3.0, 3.99):
-            assert fleet.is_suppressed(1, t, False)
-        assert not fleet.is_suppressed(1, 4.0, False)
+        for step in (200, 300, 399):
+            assert fleet.is_suppressed(1, step, False)
+        assert not fleet.is_suppressed(1, 400, False)
         assert self.overload(fleet, 2.0) == []     # acted on in window 1
         assert [tk.t for tk in self.overload(fleet, 3.0)] == [3.0]
 
     def test_bandwidth_fleet_never_blocks_other_nodes(self):
         fleet = self.fleet(Policy.BANDWIDTH_BASED)
         self.overload(fleet, 10.0)
-        assert fleet.byte_breach(2, 20.0, 3.0) is not None
-        for t in (10.0, 500.0, 999.0, 1000.0):
+        assert fleet.byte_breach(2, 2000, 3.0) is not None
+        for step in (1000, 50_000, 99_900, 100_000):
             for bcast in (True, False):
-                assert not fleet.is_suppressed(0, t, bcast)
-        assert fleet.is_suppressed(2, 500.0, True)
+                assert not fleet.is_suppressed(0, step, bcast)
+        assert fleet.is_suppressed(2, 50_000, True)
         assert sorted(fleet.ports) == [1, 2]
 
     def test_detect_only_coalesces_but_never_blocks(self):
         fleet = self.fleet(None)
         opened = []
-        for t in (100.0, 200.0, 900.0, 1100.0, 1500.0):
-            opened += self.overload(fleet, t)
+        for step in (10_000, 20_000, 90_000, 110_000, 150_000):
+            opened += self.overload(fleet, step / STEPS_PER_MS)
             for node in self.NODES:
                 for bcast in (True, False):
-                    assert not fleet.is_suppressed(node, t, bcast)
-                    assert not fleet.is_suppressed(node, t + 0.5, bcast)
+                    assert not fleet.is_suppressed(node, step, bcast)
+                    assert not fleet.is_suppressed(node, step + 50, bcast)
         assert len(fleet.trigger_log) == 5
         assert [tk.t for tk in opened] == [100.0, 1100.0]
         assert [tk.ticket_id for tk in opened] == [1, 2]
         assert fleet.tickets == opened
-
-    def test_reconnect_unblocks_a_port_of_the_fleet(self):
-        fleet = self.fleet(Policy.PACKET_BASED)
-        self.overload(fleet, 100.0)
-        assert fleet.is_suppressed(1, 200.0, True)
-        assert fleet.reconnect(1, 200.0)
-        assert not fleet.is_suppressed(1, 200.0, True)
-        assert not fleet.is_suppressed(1, 200.0, False)
 
 
 NBW_LIMIT = 1000.0      # bytes a node may send in a tick
@@ -547,7 +527,7 @@ class PortMachine(RuleBasedStateMachine):
         if loop is not None:
             entries = [(t, 7, loop % self.nodes, 2)]
             blamed.append((TriggerCause.IPID_LOOP, loop % self.nodes))
-        got = self.fleet.observe(t, stats, samples, entries)
+        got = self.fleet.observe(stats, samples, entries)
         want = [self.model.breach(node, cause, start, end)
                 for cause, node in blamed]
         assert self.summary(got) == [tk for tk in want if tk is not None]
@@ -558,7 +538,7 @@ class PortMachine(RuleBasedStateMachine):
     def byte_breach(self, node, windows, steps):
         node %= self.nodes
         self.now = step = self.later(windows, steps)
-        got = self.fleet.byte_breach(node, step / STEPS_PER_MS, 3.0)
+        got = self.fleet.byte_breach(node, step, 3.0)
         want = self.model.breach(node, TriggerCause.NBW_EXCEEDED, step, step)
         assert self.summary([got] if got else []) == ([want] if want else [])
 
@@ -589,10 +569,9 @@ class PortMachine(RuleBasedStateMachine):
             near = [resume - 1, resume] if resume > self.now else []
             for step in steps + near:
                 for bcast in (True, False):
-                    assert (self.fleet.is_suppressed(
-                        node, step / STEPS_PER_MS, bcast)
-                        == self.model.suppressed(node, step, bcast)), (
-                            node, step, bcast)
+                    assert (self.fleet.is_suppressed(node, step, bcast)
+                            == self.model.suppressed(node, step, bcast)), (
+                                node, step, bcast)
 
     @staticmethod
     def summary(tickets):

@@ -17,7 +17,13 @@ from stormctl.agents import (
     ThresholdDb,
     TriggerCause,
 )
-from stormctl.metrics import ChannelStats, TrafficSample, Verdict, classify
+from stormctl.metrics import (
+    STEPS_PER_MS,
+    ChannelStats,
+    TrafficSample,
+    Verdict,
+    classify,
+)
 from stormctl.simulation import (
     Injector,
     NormalBroadcastProfile,
@@ -379,9 +385,9 @@ class TestOperationCounts:
         seen = []
         original = AgentFleet.observe
 
-        def observe(fleet, t, stats, node_samples, ipid_entries=()):
+        def observe(fleet, stats, node_samples, ipid_entries=()):
             holders, before = len(fleet._nbw_bytes), len(calls)
-            tickets = original(fleet, t, stats, node_samples, ipid_entries)
+            tickets = original(fleet, stats, node_samples, ipid_entries)
             seen.append((len(node_samples), holders, len(calls) - before))
             return tickets
 
@@ -404,9 +410,9 @@ class TestOperationCounts:
         asked = []
         original = AgentFleet.is_suppressed
 
-        def is_suppressed(fleet, node, t, is_broadcast):
+        def is_suppressed(fleet, node, step, is_broadcast):
             asked.append(node in fleet.ports)
-            return original(fleet, node, t, is_broadcast)
+            return original(fleet, node, step, is_broadcast)
 
         monkeypatch.setattr(AgentFleet, "is_suppressed", is_suppressed)
         trace = run(dataclasses.replace(preset("loop-storm"), node_count=1000))
@@ -422,9 +428,9 @@ class TestOperationCounts:
         asked = []
         original = AgentFleet.is_suppressed
 
-        def is_suppressed(fleet, node, t, is_broadcast):
-            asked.append((node, int(t)))
-            return original(fleet, node, t, is_broadcast)
+        def is_suppressed(fleet, node, step, is_broadcast):
+            asked.append((node, step))
+            return original(fleet, node, step, is_broadcast)
 
         monkeypatch.setattr(AgentFleet, "is_suppressed", is_suppressed)
         trace = run(Scenario(
@@ -433,7 +439,9 @@ class TestOperationCounts:
             agents=AgentConfig(policy=Policy.PACKET_BASED)))
         blocked = [int(r.t) for r in trace.records if r.ledger.suppressed]
         assert blocked == list(range(3, 20))
-        per_tick = [asked.count((1, tick)) for tick in blocked]
+        # each tick is 1 ms, so a step's tick is its whole ms
+        at = [(node, step // STEPS_PER_MS) for node, step in asked]
+        per_tick = [at.count((1, tick)) for tick in blocked]
         assert len(asked) == sum(per_tick)
         assert per_tick == [2] + [1] * 16
 
