@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 IDLE_UTILIZATION = 0.10
 BUSY_UTILIZATION = 0.50
@@ -265,14 +265,14 @@ def detect_ipid_loop(
 
 def classify(
     stats: ChannelStats,
-    history: Sequence[ChannelStats] = (),
+    prev: Optional[ChannelStats] = None,
     ipid_loop: bool = False,
     *,
     capacity_pkts: float,
 ) -> StormClassification:
     """Verdict and build-up stage for one sampling tick.
 
-    `history` is the preceding ticks, oldest first; the broadcast-share
+    `prev` is the preceding tick, None for the first; the broadcast-share
     rule only escalates to a storm verdict while the broadcast count is
     still rising tick over tick, and only on a channel that is not idle:
     a few broadcast frames after an empty tick are no storm.
@@ -281,7 +281,7 @@ def classify(
     util = utilization(stats.total_pkts, capacity_pkts)
     ratio, rule_breach = broadcast_ratio(stats)
     shrunk = ipg_shrinkage(stats.observed_ipg, stats.link_rate)
-    rising = bool(history) and stats.broadcast_pkts > history[-1].broadcast_pkts
+    rising = prev is not None and stats.broadcast_pkts > prev.broadcast_pkts
 
     if (util > STORM_UTILIZATION or ipid_loop
             or (rule_breach and rising and util >= IDLE_UTILIZATION)):

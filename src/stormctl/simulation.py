@@ -694,7 +694,7 @@ def run(scenario: Scenario) -> SimTrace:
     bcast_rr = 0
     uni_rr = 0
     records: list[TickRecord] = []
-    history: tuple[ChannelStats, ...] = ()
+    prev: Optional[ChannelStats] = None
 
     for t_idx in range(n_ticks):
         base = t_idx * steps_per_tick
@@ -933,7 +933,7 @@ def run(scenario: Scenario) -> SimTrace:
                                    delivered * size,
                                    base_ipg * max(0.0, 1.0 - load),
                                    sc.link_rate, sc.tick))
-        classification = classify(stats, history,
+        classification = classify(stats, prev,
                                   ipid_loop=bool(hits),
                                   capacity_pkts=cap)
         if fleet is not None:
@@ -944,7 +944,7 @@ def run(scenario: Scenario) -> SimTrace:
                                   delivered))
         records.append(new(TickRecord, (t0, stats, classification, senders,
                                         ledger, tuple(sorted(kinds.items())))))
-        history = (stats,)
+        prev = stats
 
     if fleet is not None:
         fleet.finish(sc.duration)

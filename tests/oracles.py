@@ -535,7 +535,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
     idle = sim.IdleSamples(sc.node_count)
     records: list[sim.TickRecord] = []
     tickets = []
-    history: tuple[ChannelStats, ...] = ()
+    prev: Optional[ChannelStats] = None
 
     for t_idx in range(n_ticks):
         base = t_idx * steps_per_tick
@@ -670,7 +670,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
             link_rate=sc.link_rate,
             interval_ms=sc.tick,
         )
-        classification = classify(stats, history,
+        classification = classify(stats, prev,
                                   ipid_loop=bool(hits),
                                   capacity_pkts=cap)
         sent = tuple(n for n, d in enumerate(per_node) if d["a_t"])
@@ -685,7 +685,7 @@ def reference_run(scenario: sim.Scenario) -> sim.SimTrace:
                                 delivered)
         records.append(sim.TickRecord(t0, stats, classification, senders,
                                       ledger, tuple(sorted(kinds.items()))))
-        history = (stats,)
+        prev = stats
 
     assert not schedule
     if fleet is not None:

@@ -164,9 +164,9 @@ class TestClassify:
     CAP = 238.0
 
     def check(self, **kw):
-        history = kw.pop("history", ())
+        prev = kw.pop("prev", None)
         ipid = kw.pop("ipid_loop", False)
-        return classify(stats(**kw), history, ipid_loop=ipid,
+        return classify(stats(**kw), prev, ipid_loop=ipid,
                         capacity_pkts=self.CAP)
 
     def test_idle_below_tenth(self):
@@ -187,7 +187,7 @@ class TestClassify:
 
     def test_rising_broadcast_share_is_storm(self):
         past = stats(tick=0.0, bcast=30, total=100)
-        c = self.check(tick=1.0, bcast=40, total=100, history=(past,))
+        c = self.check(tick=1.0, bcast=40, total=100, prev=past)
         assert c.verdict is Verdict.STORM
 
     # one loop frame after an empty tick is a rising broadcast share of
@@ -198,12 +198,12 @@ class TestClassify:
         for total, verdict in ((1, Verdict.IDLE), (23, Verdict.IDLE),
                                (24, Verdict.STORM)):
             c = self.check(tick=1.0, bcast=total, total=total,
-                           history=(empty,))
+                           prev=empty)
             assert c.verdict is verdict, total
 
     def test_flat_broadcast_share_is_only_busy(self):
         past = stats(tick=0.0, bcast=40, total=100)
-        c = self.check(tick=1.0, bcast=40, total=100, history=(past,))
+        c = self.check(tick=1.0, bcast=40, total=100, prev=past)
         assert c.verdict is Verdict.BUSY
 
     def test_ipid_loop_is_storm(self):

@@ -1178,14 +1178,14 @@ class TestTickStats:
 
     @staticmethod
     def assert_checked(trace):
-        history = ()
+        prev = None
         for rec in trace.records:
             assert type(rec.stats) is ChannelStats
             assert ChannelStats(*rec.stats) == rec.stats
             assert rec.classification == classify(
-                rec.stats, history, rec.classification.ipid_loop,
+                rec.stats, prev, rec.classification.ipid_loop,
                 capacity_pkts=trace.capacity_pkts)
-            history = (rec.stats,)
+            prev = rec.stats
 
     @pytest.mark.parametrize("name", sorted(scenario_presets()))
     def test_presets_build_checked_stats(self, name):
