@@ -31,13 +31,7 @@ TABLE1 = (
     (2.8, 26300), (2.9, 15800), (3.0, 5200), (3.1, 0),
 )
 
-TABLE3 = (
-    (0.0, 0), (0.1, 1900), (0.2, 3200), (0.3, 4200), (0.4, 5200),
-    (0.5, 6600), (0.6, 7600), (0.7, 8900), (0.8, 9900), (0.9, 11100),
-    (1.0, 16400), (1.1, 25900), (1.2, 35300), (1.3, 44500), (1.4, 54300),
-    (1.5, 63300), (1.6, 72700), (1.7, 82000), (1.8, 91300), (1.9, 107200),
-    (2.2, 90720), (2.3, 79000),
-)
+TABLE3 = TABLE1[:22]     # the rise, through 2.3 ms, just past the peak
 
 TABLE4 = (
     (0.0, 0), (0.1, 400), (0.2, 1400), (0.3, 2400), (0.4, 3750),
