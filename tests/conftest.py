@@ -46,5 +46,6 @@ def table5_trace_unprotected() -> SimTrace:
 # Tier 1 runs Hypothesis's default profile, at the example counts the
 # tests name.  `--hypothesis-profile=soak` runs every property whose count
 # comes from `tests/oracles.oracle_examples` at 3000 examples instead: the
-# ones checked against `reference_run`, and the growth fit's contract.
+# ones checked against `reference_run`, the growth fit's contract, and
+# the port-model state machine checked against `reference_ports`.
 settings.register_profile("soak", max_examples=3000)

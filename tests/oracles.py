@@ -314,12 +314,14 @@ class PortModel:
     w; either way the port is then blocked through w, and it resumes at
     the first step of w + 1.  A blocked port filters every frame under
     the packet policy, broadcasts only under the bandwidth policy, and
-    nothing when detect-only; tickets coalesce alike under every policy.
-    A node's open tickets close at the end of its last clean window,
-    CLEAN_WINDOWS_TO_CLOSE windows past its last breach.
+    nothing when detect-only.  A node's open tickets close at the end of
+    its last clean window, CLEAN_WINDOWS_TO_CLOSE windows past its last
+    breach.
 
     Where the docstring is silent, the model states the rule the code
     follows:
+      * a detect-only fleet opens and coalesces tickets as a blocking
+        one does; its block only filters nothing;
       * a closure is recorded once a breach, by any node, or `finish` is
         acted on in a window past the last clean one; the closures
         recorded at once are in the order of their last clean window,
